@@ -65,7 +65,17 @@ def cmd_enum(args) -> int:
         if not checkpoint:
             print("--resume needs --checkpoint", file=sys.stderr)
             return EXIT_USAGE
-        resume_job = load_checkpoint(checkpoint)
+        try:
+            resume_job = load_checkpoint(checkpoint)
+        except (OSError, ValueError) as exc:
+            print(f"cannot load checkpoint: {exc}", file=sys.stderr)
+            return EXIT_IO
+        if resume_job.max_n != args.max_n:
+            print(
+                f"checkpoint is for --max-n {resume_job.max_n}, not {args.max_n}",
+                file=sys.stderr,
+            )
+            return EXIT_USAGE
     if args.max_n > 8 and not args.extended:
         print("max-n above 8 needs --extended", file=sys.stderr)
         return EXIT_USAGE
@@ -309,7 +319,16 @@ def cmd_johnson(args) -> int:
             f"seed {rep.seed})"
         )
         return EXIT_OK
-    resume = load_iset_checkpoint(args.checkpoint) if args.resume else None
+    resume = None
+    if args.resume:
+        if not args.checkpoint:
+            print("--resume needs --checkpoint", file=sys.stderr)
+            return EXIT_USAGE
+        try:
+            resume = load_iset_checkpoint(args.checkpoint)
+        except (OSError, ValueError) as exc:
+            print(f"cannot load checkpoint: {exc}", file=sys.stderr)
+            return EXIT_IO
     try:
         if resume is not None:
             counts = resume.run(budget=args.budget, checkpoint_path=args.checkpoint)

@@ -290,10 +290,20 @@ class Matroid:
 
     # -- duality and minors --------------------------------------------------
 
-    def dual(self) -> "Matroid":
-        """Matroid with rank function r*(A) = |A| + r(E \\ A) - r(E)."""
+    @cached_property
+    def _dual(self) -> "Matroid":
         hyps = [self.full & ~c for c in self._circuits]
         return Matroid(self.n, self.n - self.rank, hyps)
+
+    def dual(self) -> "Matroid":
+        """Matroid with rank function r*(A) = |A| + r(E \\ A) - r(E).
+
+        Built once per instance, so every caller shares one dual and its
+        rank table.  The dual does not link back: its own dual() is a fresh
+        matroid equal to this one, which keeps the pair free of a reference
+        cycle.
+        """
+        return self._dual
 
     @classmethod
     def from_rank_table(cls, n: int, table) -> "Matroid":

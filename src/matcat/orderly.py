@@ -222,24 +222,28 @@ def save_checkpoint(job: EnumerationJob, path: str) -> None:
 
 
 def load_checkpoint(path: str) -> EnumerationJob:
+    """Read a checkpoint written by save_checkpoint; ValueError if malformed."""
     with open(path) as fh:
         header = fh.readline().rstrip("\n")
         if header != _CKPT_HEADER:
             raise ValueError(f"bad checkpoint header: {header!r}")
-        meta = dict(kv.split("=") for kv in fh.readline().split())
-        job = EnumerationJob(
-            max_n=int(meta["max_n"]),
-            level=int(meta["level"]),
-            next_parent=int(meta["next_parent"]),
-            parents=[],
-            children=[],
-            emitted=[],
-            candidates_used=int(meta["candidates"]),
-        )
-        for line in fh:
-            tag, rest = line.rstrip("\n").split(" ", 1)
-            rec = _rec_parse(rest)
-            {"P": job.parents, "C": job.children, "E": job.emitted}[tag].append(rec)
+        try:
+            meta = dict(kv.split("=") for kv in fh.readline().split())
+            job = EnumerationJob(
+                max_n=int(meta["max_n"]),
+                level=int(meta["level"]),
+                next_parent=int(meta["next_parent"]),
+                parents=[],
+                children=[],
+                emitted=[],
+                candidates_used=int(meta["candidates"]),
+            )
+            for line in fh:
+                tag, rest = line.rstrip("\n").split(" ", 1)
+                rec = _rec_parse(rest)
+                {"P": job.parents, "C": job.children, "E": job.emitted}[tag].append(rec)
+        except KeyError as exc:
+            raise ValueError(f"bad checkpoint field {exc}") from None
     return job
 
 

@@ -220,12 +220,15 @@ def save_iset_checkpoint(search: IsetSearch, path: str) -> None:
 
 
 def load_iset_checkpoint(path: str) -> IsetSearch:
+    """Read a checkpoint written by save_iset_checkpoint; ValueError if malformed."""
     with open(path, "rb") as fh:
         blob = fh.read()
-    if blob[:4] != _CKPT_MAGIC or blob[4] != _CKPT_VERSION:
+    if blob[:5] != _CKPT_MAGIC + bytes([_CKPT_VERSION]):
         raise ValueError("bad checkpoint magic/version")
-    payload = pickle.loads(blob[5:])
-    return IsetSearch(**payload)
+    try:
+        return IsetSearch(**pickle.loads(blob[5:]))
+    except (pickle.UnpicklingError, EOFError, TypeError) as exc:
+        raise ValueError(f"bad checkpoint payload: {exc}") from None
 
 
 def enumerate_isets_orderly(

@@ -7,6 +7,14 @@ scaling), and the remaining entries range over the nonzero field elements.
 A column assignment survives only while every subset of the processed
 columns has matrix rank equal to matroid rank, so a completed matrix is a
 verified representation.
+
+Representability over a field is invariant under duality: if M* is the
+column matroid of [I | A], then M is the column matroid of [-A^T | I] with
+the same column labels (Oxley, Matroid Theory, Thm 2.2.8).  The search cost
+grows steeply with rank, so a loopless matroid with 2r > n is searched
+through its dual, of rank n - r < n/2, and the dual's matrix is turned into
+one for the matroid.  The answer is exact, and the matrix returned is still
+checked against the matroid's own rank table.
 """
 
 from __future__ import annotations
@@ -109,11 +117,14 @@ def verify_representation(m: Matroid, rep: RepresentationMatrix) -> bool:
 
 
 def representable(m: Matroid, q: int):
-    """A RepresentationMatrix over GF(q), or None when none exists."""
-    gf = GF(q)
+    """A RepresentationMatrix over GF(q), or None when none exists.
+
+    Loops are stripped first; a loopless matroid with 2 * rank > n is
+    searched on its dual (see the module docstring).
+    """
     if m.rank == 0:
         return RepresentationMatrix(q, ())
-    if m.loops() and m.rank > 0:
+    if m.loops():
         # loops are zero columns; represent the loopless part and pad
         keep = m.full & ~m.loops()
         sub = m.restrict(keep)
@@ -128,7 +139,46 @@ def representable(m: Matroid, q: int):
                 full_row[e] = row[idx]
             entries.append(tuple(full_row))
         return RepresentationMatrix(q, tuple(entries))
+    if 2 * m.rank > m.n:
+        dual = m.dual()
+        rep = _representable_direct(dual, q)
+        if rep is not None:
+            rep = _dual_matrix(rep, min(dual._bases), m.n)
+    else:
+        rep = _representable_direct(m, q)
+    if rep is None:
+        return None
+    assert verify_representation(m, rep)
+    return rep
 
+
+def _dual_matrix(rep: RepresentationMatrix, basis: int, n: int):
+    """[-A^T | I] from a matrix [I | A] whose identity sits on basis.
+
+    Row i of rep holds its identity 1 in the i-th element of basis; the
+    result has one row per element outside basis.
+    """
+    neg = GF(rep.q).neg
+    basis_elems = list(bits(basis))
+    entries = []
+    for f in range(n):
+        if (basis >> f) & 1:
+            continue
+        row = [0] * n
+        row[f] = 1
+        for i, b in enumerate(basis_elems):
+            row[b] = neg[rep.entries[i][f]]
+        entries.append(tuple(row))
+    return RepresentationMatrix(rep.q, tuple(entries))
+
+
+def _representable_direct(m: Matroid, q: int):
+    """The backtracking search on m as given, unverified.
+
+    The columns of min(m._bases) hold the identity block, in ascending
+    element order.  Loops come out as zero columns.
+    """
+    gf = GF(q)
     table = m.rank_table
     r = m.rank
     basis = min(m._bases)
@@ -215,9 +265,7 @@ def representable(m: Matroid, q: int):
 
     if not assign(0):
         return None
-    rep = RepresentationMatrix(q, tuple(tuple(row) for row in matrix))
-    assert verify_representation(m, rep)
-    return rep
+    return RepresentationMatrix(q, tuple(tuple(row) for row in matrix))
 
 
 def excluded_minors(matroids, q: int, representable_cache=None):

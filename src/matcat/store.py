@@ -87,45 +87,64 @@ def write_catalogue(records, path: str) -> None:
         fh.write(f"#sha256 {digest}\n")
 
 
-def read_catalogue(path: str, verify_certificates: bool = False) -> list:
-    """Parse and validate a catalogue file.
-
-    Always checks the checksum, dense ids, and (n, rank) sort order;
-    verify_certificates additionally recomputes certificates and checks the
-    order within each (n, rank) block (slow for large files).
-    """
-    with open(path) as fh:
-        lines = fh.read().splitlines()
-    if not lines or lines[0] != CATALOGUE_HEADER:
-        raise FormatError("missing catalogue header", line=1)
-    if not lines[-1].startswith("#sha256 "):
-        raise FormatError("missing checksum footer", line=len(lines))
-    body = "\n".join(lines[:-1]) + "\n"
-    want = lines[-1].split()[1]
-    got = hashlib.sha256(body.encode()).hexdigest()
-    if want != got:
-        raise ChecksumMismatch(f"checksum {got} != recorded {want}")
-    records = []
-    prev_key = None
-    for lineno, line in enumerate(lines[1:-1], start=2):
-        parts = line.split()
-        if len(parts) != 4:
-            raise FormatError("expected `id n rank masks`", line=lineno)
+def _parse_record(line: str, lineno: int, records: list) -> CatalogueRecord:
+    """One `id n rank masks` line, checked against the records before it."""
+    parts = line.split()
+    if len(parts) != 4:
+        raise FormatError("expected `id n rank masks`", line=lineno)
+    try:
         rid, n, rank = (int(p) for p in parts[:3])
-        if rid != len(records):
-            raise FormatError(f"ids not dense: saw {rid}", line=lineno)
         masks = (
             ()
             if parts[3] == "-"
             else tuple(int(t, 16) for t in parts[3].split(","))
         )
-        if list(masks) != sorted(masks):
-            raise FormatError("masks not ascending", line=lineno)
-        key = (n, rank)
-        if prev_key is not None and key < prev_key:
-            raise FormatError("records not sorted by (n, rank)", line=lineno)
-        prev_key = key
-        records.append(CatalogueRecord(rid, n, rank, pack_masks(masks)))
+    except ValueError:
+        raise FormatError("expected integers and hex masks", line=lineno) from None
+    if rid != len(records):
+        raise FormatError(f"ids not dense: saw {rid}", line=lineno)
+    if list(masks) != sorted(masks):
+        raise FormatError("masks not ascending", line=lineno)
+    if records and (n, rank) < (records[-1].n, records[-1].rank):
+        raise FormatError("records not sorted by (n, rank)", line=lineno)
+    return CatalogueRecord(rid, n, rank, pack_masks(masks))
+
+
+def read_catalogue(path: str, verify_certificates: bool = False) -> list:
+    """Parse and validate a catalogue file.
+
+    Always checks the checksum, dense ids, ascending masks and (n, rank) sort
+    order; verify_certificates additionally recomputes certificates and
+    checks the order within each (n, rank) block (slow for large files).
+    The file is read one line at a time and hashed as it goes.  A bad record
+    is reported only after the checksum holds, so a damaged file raises
+    ChecksumMismatch whatever else is wrong with it.
+    """
+    records = []
+    error = None  # the first bad record line
+    with open(path) as fh:
+        if fh.readline().rstrip("\n") != CATALOGUE_HEADER:
+            raise FormatError("missing catalogue header", line=1)
+        digest = hashlib.sha256(f"{CATALOGUE_HEADER}\n".encode())
+        # each line is held back one step: the last one is the footer
+        last, last_no = None, 1
+        for lineno, line in enumerate(fh, start=2):
+            if last is not None:
+                digest.update(f"{last}\n".encode())
+                if error is None:
+                    try:
+                        records.append(_parse_record(last, last_no, records))
+                    except FormatError as exc:
+                        error = exc
+            last, last_no = line.rstrip("\n"), lineno
+    if last is None or not last.startswith("#sha256 "):
+        raise FormatError("missing checksum footer", line=last_no)
+    want = last[len("#sha256 "):].strip()
+    got = digest.hexdigest()
+    if want != got:
+        raise ChecksumMismatch(f"checksum {got} != recorded {want}")
+    if error is not None:
+        raise error
     if verify_certificates:
         from .canon import certificate_for
 

@@ -33,5 +33,29 @@ def catalogue7():
 
 
 @pytest.fixture(scope="session")
+def catalogue8():
+    return enumerate_matroids(8, jobs=2)
+
+
+@pytest.fixture(scope="session")
+def high_rank8(catalogue8):
+    """A fixed spread of 8-element matroids of rank 5, 6 and 7.
+
+    Per rank, the classes are ordered by flat count (the cost driver of the
+    property searches) and four are taken at even steps through that order,
+    from the fewest flats to the most.
+    """
+    out = []
+    for r in (5, 6, 7):
+        sel = sorted(
+            (rec.matroid() for rec in catalogue8 if rec.n == 8 and rec.rank == r),
+            key=lambda m: (m.flats().count(), m.hyperplanes),
+        )
+        picks = sorted({0, len(sel) // 3, 2 * len(sel) // 3, len(sel) - 1})
+        out.extend(sel[i] for i in picks)
+    return out
+
+
+@pytest.fixture(scope="session")
 def fig1():
     return figure_rank3_7pt()

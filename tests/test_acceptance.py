@@ -75,11 +75,6 @@ def report(criterion, ok, detail):
 
 
 @pytest.fixture(scope="module")
-def catalogue8():
-    return enumerate_matroids(8, jobs=2)
-
-
-@pytest.fixture(scope="module")
 def matroids8(catalogue8):
     return [r.matroid() for r in catalogue8]
 

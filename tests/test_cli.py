@@ -4,6 +4,7 @@ import pytest
 
 from matcat.cli import (
     EXIT_BUDGET,
+    EXIT_IO,
     EXIT_MISMATCH,
     EXIT_OK,
     EXIT_USAGE,
@@ -61,6 +62,26 @@ class TestEnum:
         assert main(["enum", "--max-n", "5", "--out", out, "--checkpoint", ck,
                      "--resume"]) == EXIT_OK
         assert open(out).read() == open(small_catalogue).read()
+
+    @pytest.mark.parametrize("content", [None, "not a checkpoint\n", ""])
+    def test_resume_unreadable_checkpoint(self, tmp_path, capsys, content):
+        ck = tmp_path / "bad.ckpt"
+        if content is not None:
+            ck.write_text(content)
+        rc = main(["enum", "--max-n", "3", "--out", str(tmp_path / "bad.txt"),
+                   "--checkpoint", str(ck), "--resume"])
+        assert rc == EXIT_IO
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("cannot load checkpoint")
+
+    def test_resume_checkpoint_for_other_max_n(self, workdir):
+        ck = str(workdir / "other.ckpt")
+        out = str(workdir / "other.txt")
+        assert main(["enum", "--max-n", "5", "--budget", "20", "--out", out,
+                     "--checkpoint", ck]) == EXIT_BUDGET
+        rc = main(["enum", "--max-n", "4", "--out", out, "--checkpoint", ck,
+                   "--resume"])
+        assert rc == EXIT_USAGE
 
     def test_jobs_identical_output(self, workdir, small_catalogue):
         alt = str(workdir / "cat5_jobs2.txt")
@@ -132,6 +153,22 @@ class TestOracleAndJohnson:
             "--prefix-size", "2", "--fraction", "1.0", "--seed", "4",
         ]) == EXIT_OK
         assert "estimate 14" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "content", [None, b"garbage", b"MCJK", b"MCJK\x01garbage", b"MCJK\x01"]
+    )
+    def test_johnson_resume_unreadable_checkpoint(self, tmp_path, capsys, content):
+        ck = tmp_path / "bad.jck"
+        if content is not None:
+            ck.write_bytes(content)
+        rc = main(["johnson", "--n", "6", "--k", "3", "--checkpoint", str(ck),
+                   "--resume"])
+        assert rc == EXIT_IO
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("cannot load checkpoint")
+
+    def test_johnson_resume_needs_checkpoint(self):
+        assert main(["johnson", "--n", "6", "--k", "3", "--resume"]) == EXIT_USAGE
 
     def test_nonsparse_table(self, capsys):
         assert main(["johnson", "--n", "6", "--nonsparse-rank", "3"]) == EXIT_OK

@@ -137,6 +137,11 @@ class TestCircuitsBasesDual:
             assert d.rank == m.n - m.rank
             assert d.dual() == m
 
+    def test_dual_is_built_once(self, fig1):
+        m = Matroid(fig1.n, fig1.rank, fig1.hyperplanes)
+        assert m.dual() is m.dual()
+        assert m.dual().dual() == m
+
     def test_dual_rank_function(self, matroids6):
         rng = random.Random(7)
         for m in rng.sample(matroids6, 40):

@@ -17,6 +17,7 @@ from matcat.named import (
 )
 from matcat.props import (
     BudgetExceeded,
+    _ingleton_full,
     classify,
     ingleton_sides,
     ingleton_violating,
@@ -120,9 +121,65 @@ class TestIngleton:
         assert ingleton_violating(child, mode="full") is not None
 
     def test_budget(self):
+        # 2r = n: searched as given, and the scan passes the budget at once
         with pytest.raises(BudgetExceeded):
-            ingleton_violating(free(6), budget=1)
+            ingleton_violating(uniform(3, 6), budget=1)
+        # searched on its dual U(0,6), which has one flat and no cell to scan
+        assert ingleton_violating(free(6), budget=1) is None
 
     def test_minor_mode_requires_certs(self):
         with pytest.raises(ValueError):
             ingleton_violating(vamos(), mode="minor")
+
+
+def _with_coloop(m: Matroid) -> Matroid:
+    """m plus a coloop as element n (a modular cut of nothing but E)."""
+    from matcat.lattice import FlatLattice, ModularCut
+
+    return FlatLattice(m).extend(ModularCut(0, ()))
+
+
+def _assert_own_witness(m: Matroid, w):
+    assert all(x & ~m.full == 0 for x in (w.a, w.b, w.c, w.d))
+    lhs, rhs = ingleton_sides(m.rank_table, w.a, w.b, w.c, w.d)
+    assert (lhs, rhs) == (w.lhs, w.rhs)
+    assert lhs > rhs
+
+
+class TestIngletonDualSide:
+    """A matroid with 2r > n is decided on its dual; the direct search on the
+    matroid itself is the reference."""
+
+    def test_agrees_with_direct_through_seven(self, catalogue7):
+        for rec in catalogue7:
+            m = rec.matroid()
+            assert (ingleton_violating(m) is None) == (_ingleton_full(m) is None), m
+
+    def test_agrees_with_direct_on_high_rank8(self, high_rank8):
+        for m in high_rank8:
+            assert 2 * m.rank > m.n
+            assert (ingleton_violating(m) is None) == (_ingleton_full(m) is None), m
+
+    def test_violators8_witnesses_are_their_own(self, catalogue8):
+        # every 8-element violator is sparse paving of rank 4
+        violators = []
+        for rec in catalogue8:
+            if rec.n != 8 or rec.rank != 4:
+                continue
+            m = rec.matroid()
+            if not classify(m).sparse_paving:
+                continue
+            w = ingleton_violating(m)
+            if w is not None:
+                _assert_own_witness(m, w)
+                violators.append(m)
+        assert len(violators) == 39
+        for m in violators:
+            assert _ingleton_full(m.dual()) is not None
+
+    def test_violating_dual_gives_a_witness_of_m(self):
+        for base in (vamos(), f8()):
+            m = _with_coloop(base)
+            assert (m.n, m.rank) == (9, 5)
+            assert _ingleton_full(m.dual()) is not None
+            _assert_own_witness(m, ingleton_violating(m, mode="full"))

@@ -7,6 +7,7 @@ from matcat.named import ag32, f8, l8, p1, p2_doubleprime, p2_prime, p3, p8, vam
 from matcat.represent import (
     GF,
     RepresentationMatrix,
+    _representable_direct,
     excluded_minors,
     representable,
     verify_representation,
@@ -92,6 +93,61 @@ class TestRepresentable:
     def test_rank_zero(self):
         rep = representable(Matroid.from_hyperplanes(3, []), 2)
         assert rep is not None and rep.entries == ()
+
+
+def _check_against_direct(m, q):
+    rep = representable(m, q)
+    assert (rep is None) == (_representable_direct(m, q) is None), (m, q)
+    if rep is not None:
+        assert len(rep.entries) == m.rank
+        assert verify_representation(m, rep)
+
+
+class TestDualSide:
+    """A loopless matroid with 2r > n is searched on its dual; the direct
+    search on the matroid itself is the reference."""
+
+    @pytest.mark.parametrize("q", [2, 3, 4, 5])
+    def test_high_rank_through_seven(self, catalogue7, q):
+        for rec in catalogue7:
+            m = rec.matroid()
+            if 2 * m.rank > m.n:
+                _check_against_direct(m, q)
+
+    @pytest.mark.parametrize("q", [2, 3, 4, 5])
+    def test_loops_and_coloops_through_seven(self, catalogue7, q):
+        seen = 0
+        for rec in catalogue7:
+            m = rec.matroid()
+            if m.loops() and m.coloops():
+                _check_against_direct(m, q)
+                seen += 1
+        assert seen > 0
+
+    @pytest.mark.parametrize("q", [2, 3, 4, 5])
+    def test_high_rank8(self, high_rank8, q):
+        for m in high_rank8:
+            _check_against_direct(m, q)
+
+    def test_free_matroid_is_the_identity(self):
+        for n in range(1, 8):
+            rep = representable(free(n), 2)
+            assert rep.entries == tuple(
+                tuple(int(i == j) for j in range(n)) for i in range(n)
+            )
+
+    def test_uniform_corank_one_plus_loop(self):
+        # U(n-1, n) with a loop as element n: the loop is stripped, and the
+        # rest is searched on its dual U(1, n)
+        for n in range(2, 8):
+            u = uniform(n - 1, n)
+            m = Matroid(n + 1, n - 1, [h | 1 << n for h in u.hyperplanes])
+            assert m.loops() == 1 << n
+            for q in (2, 5):
+                rep = representable(m, q)
+                assert rep is not None and len(rep.entries) == n - 1
+                assert all(row[n] == 0 for row in rep.entries)
+                assert verify_representation(m, rep)
 
 
 class TestExcludedMinors:

@@ -82,6 +82,42 @@ class TestCatalogueFile:
         with pytest.raises(FormatError, match="masks not ascending"):
             read_catalogue(str(path))
 
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ("1 1 1 zz", "expected integers"),
+            ("1 1 one 0", "expected integers"),
+            ("2 1 1 0", "ids not dense"),
+            ("1 0 0 -", "not sorted by"),
+            ("1 1 1", "expected `id n rank masks`"),
+        ],
+    )
+    def test_bad_record_reports_its_line(self, tmp_path, bad, message):
+        import hashlib
+
+        from matcat.store import CATALOGUE_HEADER
+
+        body = CATALOGUE_HEADER + "\n0 1 0 -\n" + bad + "\n2 1 1 0\n"
+        digest = hashlib.sha256(body.encode()).hexdigest()
+        path = tmp_path / "bad.txt"
+        path.write_text(body + f"#sha256 {digest}\n")
+        with pytest.raises(FormatError, match=message) as info:
+            read_catalogue(str(path))
+        assert info.value.line == 3
+        assert not isinstance(info.value, ChecksumMismatch)
+        # the checksum is reported first when it fails as well
+        path.write_text(body + f"#sha256 {'0' * 64}\n")
+        with pytest.raises(ChecksumMismatch):
+            read_catalogue(str(path))
+
+    def test_missing_footer_reports_last_line(self, catalogued, tmp_path):
+        lines = open(catalogued).read().splitlines()[:-1]
+        path = tmp_path / "nofooter.txt"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(FormatError, match="missing checksum footer") as info:
+            read_catalogue(str(path))
+        assert info.value.line == len(lines)
+
     def test_missing_header(self, tmp_path):
         p = tmp_path / "x.txt"
         p.write_text("nonsense\n")
