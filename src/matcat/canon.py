@@ -19,6 +19,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .core import bits, popcount
+
 
 class SearchBudgetExceeded(RuntimeError):
     """Canonical search exceeded its node budget (not expected at n <= 15)."""
@@ -131,7 +133,7 @@ class CanonicalForm:
 def _hyp_membership(n, masks):
     hyps_of = [[] for _ in range(n)]
     for idx, m in enumerate(masks):
-        for e in _bits(m):
+        for e in bits(m):
             hyps_of[e].append(idx)
     return hyps_of
 
@@ -333,17 +335,6 @@ def canonical_family(n, masks, cells=None, node_budget=2_000_000):
     return CanonicalForm(n, best["value"], best["perm"], tuple(gens))
 
 
-def _popcount(x):
-    return x.bit_count()
-
-
-def _bits(x):
-    while x:
-        b = x & -x
-        yield b.bit_length() - 1
-        x ^= b
-
-
 @dataclass
 class Certificate:
     """Canonical byte string for a matroid plus symmetry byproducts."""
@@ -424,7 +415,7 @@ class HyperplaneGraph:
     incidence: tuple  # per hyperplane, the mask of contained elements
 
     def edge_count(self) -> int:
-        return sum(_popcount(m) for m in self.incidence)
+        return sum(popcount(m) for m in self.incidence)
 
 
 def hyperplane_graph(m) -> HyperplaneGraph:

@@ -20,7 +20,7 @@ class InvalidCut(ValueError):
     """Flat family is not an up-closed, modular-pair-closed cut."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ModularCut:
     """members/minimal_elements are index sets into FlatLattice.flats."""
 
@@ -29,6 +29,47 @@ class ModularCut:
 
     def member_indices(self):
         return tuple(bits(self.members))
+
+
+def _modular_closed(members: int, adj, meet) -> bool:
+    """True iff the up-set holds the meet of each modular pair inside it."""
+    rest = members
+    while rest:
+        b = rest & -rest
+        i = b.bit_length() - 1
+        rest ^= b
+        row = adj[i] & rest
+        while row:
+            c = row & -row
+            j = c.bit_length() - 1
+            row ^= c
+            if not (members >> meet[i][j]) & 1:
+                return False
+    return True
+
+
+def _grow_cuts(out, adj, meet, up, below, chosen, members, rest):
+    """Append, in search order, each cut whose minimal flats are chosen plus
+    one flat of the bitset rest, and the cuts that grow from it.
+
+    A module function rather than a nested one: a recursive closure is a
+    reference cycle, which would keep every cut list alive until the
+    cyclic garbage collector runs.
+    """
+    while rest:
+        b = rest & -rest
+        i = b.bit_length() - 1
+        rest ^= b
+        nmembers = members | up[i]
+        nchosen = chosen + (i,)
+        if len(nchosen) == 1 or _modular_closed(nmembers, adj, meet):
+            out.append(ModularCut(nmembers, nchosen))
+        # antichain + pairwise non-modular: drop comparables and modular
+        # partners of i from the candidate pool (rest holds flats above i only)
+        _grow_cuts(
+            out, adj, meet, up, below, nchosen, nmembers,
+            rest & ~adj[i] & ~up[i] & ~below[i],
+        )
 
 
 class FlatLattice:
@@ -116,58 +157,18 @@ class FlatLattice:
         return self._pairs
 
     def _upset_is_modular_closed(self, members: int) -> bool:
-        adj, meet = self._pair_tables()
-        rest = members
-        while rest:
-            b = rest & -rest
-            i = b.bit_length() - 1
-            rest ^= b
-            row = adj[i] & rest
-            while row:
-                c = row & -row
-                j = c.bit_length() - 1
-                row ^= c
-                if not (members >> meet[i][j]) & 1:
-                    return False
-        return True
+        return _modular_closed(members, *self._pair_tables())
 
     def modular_cuts(self):
         """Every modular cut, the empty cut included, each exactly once."""
-        adj, _ = self._pair_tables()
-        nf = self.nf
+        adj, meet = self._pair_tables()
         out = [ModularCut(0, ())]
-        full = (1 << nf) - 1
+        full = (1 << self.nf) - 1
+        _grow_cuts(out, adj, meet, self.up, self._below_table(), (), 0, full)
+        return out
 
-        def grow(chosen, members, allowed, min_idx):
-            rest = allowed & ~((1 << min_idx) - 1)
-            while rest:
-                b = rest & -rest
-                i = b.bit_length() - 1
-                rest ^= b
-                nmembers = members | self.up[i]
-                nchosen = chosen + (i,)
-                if len(nchosen) == 1 or self._upset_is_modular_closed(nmembers):
-                    out.append(ModularCut(nmembers, nchosen))
-                # antichain + pairwise non-modular: drop comparables and
-                # modular partners of i from the candidate pool
-                grow(
-                    nchosen,
-                    nmembers,
-                    allowed & ~adj[i] & ~self.up[i] & ~self._below(i),
-                    i + 1,
-                )
-
-        grow((), 0, full, 0)
-        # up-sets whose minimal antichain had 2+ members may have failed the
-        # closure check inside grow only when appended; filter retroactively
-        cuts = [
-            c
-            for c in out
-            if len(c.minimal_elements) < 2 or self._upset_is_modular_closed(c.members)
-        ]
-        return cuts
-
-    def _below(self, i: int) -> int:
+    def _below_table(self):
+        """below[i]: bitset of flats strictly inside flat i, cached."""
         cached = getattr(self, "_below_sets", None)
         if cached is None:
             cached = [0] * self.nf
@@ -175,7 +176,10 @@ class FlatLattice:
                 for b in bits(self.strictly_above[a]):
                     cached[b] |= 1 << a
             self._below_sets = cached
-        return cached[i]
+        return cached
+
+    def _below(self, i: int) -> int:
+        return self._below_table()[i]
 
     def verify_cut(self, cut: ModularCut) -> None:
         """Raise InvalidCut unless members form an up-closed modular cut."""

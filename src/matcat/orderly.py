@@ -1,11 +1,13 @@
 """Isomorph-free generation of all matroids on up to N elements.
 
-Canonical construction path: every modular-cut extension of a parent is
-canonically labelled, and a child survives only when its new element lies in
-the orbit of the element with the lowest canonical label; isomorphic
-survivors of the same parent are then filtered by certificate.  Parents are
-independent, so levels parallelize over a worker pool without affecting the
-(sorted) output.
+Canonical construction path (McKay 1998): a parent is extended once per
+Aut(parent)-orbit of its modular cuts, and a child survives only when its new
+element lies in the orbit of the element with the lowest canonical label.
+Cuts in one orbit give isomorphic children with the same verdict, and two
+accepted children of one parent are isomorphic only when their cuts share an
+orbit, so each parent yields every class it is the canonical parent of
+exactly once.  Parents are independent, so levels parallelize over a worker
+pool without affecting the (sorted) output.
 """
 
 from __future__ import annotations
@@ -14,8 +16,13 @@ import multiprocessing
 import os
 from dataclasses import dataclass, field
 
-from .canon import certificate_for, element_has_minimal_signature, first_cell_elements
-from .core import Matroid, bits
+from .canon import (
+    certificate_for,
+    element_has_minimal_signature,
+    first_cell_elements,
+    relabel_mask,
+)
+from .core import Matroid
 from .lattice import FlatLattice
 
 
@@ -32,6 +39,16 @@ def unpack_masks(blob: bytes) -> tuple:
     return tuple(
         int.from_bytes(blob[i : i + 2], "big") for i in range(0, len(blob), 2)
     )
+
+
+def format_masks(masks) -> str:
+    """The text mask field: lowercase hex joined by commas, `-` when empty."""
+    return ",".join(format(h, "x") for h in masks) or "-"
+
+
+def parse_masks(text: str) -> tuple:
+    """Masks of a text mask field, in file order; ValueError if malformed."""
+    return () if text == "-" else tuple(int(t, 16) for t in text.split(","))
 
 
 @dataclass(frozen=True, slots=True)
@@ -54,27 +71,31 @@ class MatroidRecord:
         return (self.n, self.rank, self.cert)
 
 
-def _record(n, rank, hyps, cert=None) -> MatroidRecord:
-    if cert is None:
-        cert = certificate_for(n, rank, hyps).bytes
-    return MatroidRecord(n, rank, pack_masks(hyps), cert)
-
-
 EMPTY_MATROID = MatroidRecord(0, 0, b"", bytes([0, 0]))
 
 
 def extend_all(parent: Matroid) -> list:
-    """Accepted children of one parent, certificate-deduplicated and sorted."""
+    """Accepted children of one parent, one per isomorphism class, sorted."""
     return _extend_records(parent.n, parent.rank, parent.hyperplanes)[0]
 
 
 def _extend_records(n, rank, hyps):
-    """(accepted child records, modular-cut candidate count) for one parent."""
+    """(accepted child records, modular-cut candidate count) for one parent.
+
+    Only the first cut of each Aut(parent)-orbit, in modular_cuts() order, is
+    extended and tested; the count still covers every modular cut.
+    """
     lat = FlatLattice(Matroid(n, rank, hyps))
-    accepted = {}
+    gens = certificate_for(n, rank, hyps).generators if n else ()
+    flat_perms = _flat_permutations(lat, gens)
+    records = []
+    seen = set()
     candidates = 0
     for cut in lat.modular_cuts():
         candidates += 1
+        if cut.members in seen:
+            continue
+        seen |= _cut_orbit(lat, cut, flat_perms)
         child_hyps, child_rank = lat.extension_hyperplanes(cut)
         # cheap necessary tests: the lowest canonical label lives in the
         # first cell of the root refinement, so the new element must have a
@@ -87,11 +108,39 @@ def _extend_records(n, rank, hyps):
         ids = cert.orbit_ids()
         if ids[n] != ids[cert.perm.index(0)]:
             continue
-        if cert.bytes not in accepted:
-            accepted[cert.bytes] = MatroidRecord(
-                n + 1, child_rank, pack_masks(child_hyps), cert.bytes
-            )
-    return sorted(accepted.values(), key=MatroidRecord.sort_key), candidates
+        records.append(
+            MatroidRecord(n + 1, child_rank, pack_masks(child_hyps), cert.bytes)
+        )
+    return sorted(records, key=MatroidRecord.sort_key), candidates
+
+
+def _flat_permutations(lat: FlatLattice, generators) -> list:
+    """Each element automorphism as a permutation of flat indices."""
+    return [
+        [lat.index[relabel_mask(flat, g)] for flat in lat.flats] for g in generators
+    ]
+
+
+def _cut_orbit(lat: FlatLattice, cut, flat_perms) -> set:
+    """Member bitsets of every cut in the orbit of cut under the flat perms.
+
+    An automorphism maps the minimal flats of a cut onto the minimal flats
+    of its image, whose members are the union of their up-sets.
+    """
+    up = lat.up
+    orbit = {cut.members}
+    queue = [cut.minimal_elements]
+    while queue:
+        mins = queue.pop()
+        for fp in flat_perms:
+            image = [fp[i] for i in mins]
+            members = 0
+            for i in image:
+                members |= up[i]
+            if members not in orbit:
+                orbit.add(members)
+                queue.append(image)
+    return orbit
 
 
 def _worker(args):
@@ -193,14 +242,14 @@ _CKPT_HEADER = "#matcat-enum-checkpoint v1"
 
 
 def _rec_line(rec: MatroidRecord) -> str:
-    hs = ",".join(format(h, "x") for h in rec.hyperplanes) or "-"
-    return f"{rec.n} {rec.rank} {hs} {rec.cert.hex()}"
+    return f"{rec.n} {rec.rank} {format_masks(rec.hyperplanes)} {rec.cert.hex()}"
 
 
 def _rec_parse(line: str) -> MatroidRecord:
     ns, rs, hs, cert = line.split()
-    hyps = () if hs == "-" else tuple(int(t, 16) for t in hs.split(","))
-    return MatroidRecord(int(ns), int(rs), pack_masks(hyps), bytes.fromhex(cert))
+    return MatroidRecord(
+        int(ns), int(rs), pack_masks(parse_masks(hs)), bytes.fromhex(cert)
+    )
 
 
 def save_checkpoint(job: EnumerationJob, path: str) -> None:

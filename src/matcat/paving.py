@@ -17,7 +17,8 @@ orbits on its size-k hyperplanes.
 from __future__ import annotations
 
 import itertools
-import pickle
+import json
+import os
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -194,40 +195,66 @@ class IsetSearch:
         return self.counts
 
 
+# -- checkpoint serialization (magic, version byte, JSON) --------------------
+
 _CKPT_MAGIC = b"MCJK"
-_CKPT_VERSION = 1
+_CKPT_VERSION = 2
+_CKPT_FIELDS = (
+    "n", "vertices", "conflict_threshold", "z2", "cells",
+    "counts", "stack", "nodes", "max_size",
+)
 
 
 def save_iset_checkpoint(search: IsetSearch, path: str) -> None:
-    payload = {
-        "n": search.n,
-        "vertices": search.vertices,
-        "conflict_threshold": search.conflict_threshold,
-        "z2": search.z2,
-        "cells": search.cells,
-        "counts": search.counts,
-        "stack": search.stack,
-        "nodes": search.nodes,
-        "max_size": search.max_size,
-    }
-    blob = _CKPT_MAGIC + bytes([_CKPT_VERSION]) + pickle.dumps(payload)
+    payload = {name: getattr(search, name) for name in _CKPT_FIELDS}
+    blob = json.dumps(payload, separators=(",", ":")).encode()
     tmp = path + ".tmp"
     with open(tmp, "wb") as fh:
-        fh.write(blob)
-    import os
-
+        fh.write(_CKPT_MAGIC + bytes([_CKPT_VERSION]) + blob)
     os.replace(tmp, path)
 
 
+def _int(x):
+    if type(x) is not int:
+        raise TypeError(f"expected an integer, got {x!r}")
+    return x
+
+
+def _ints(xs) -> tuple:
+    if type(xs) is not list:
+        raise TypeError(f"expected a list, got {xs!r}")
+    return tuple(_int(x) for x in xs)
+
+
 def load_iset_checkpoint(path: str) -> IsetSearch:
-    """Read a checkpoint written by save_iset_checkpoint; ValueError if malformed."""
+    """Read a checkpoint written by save_iset_checkpoint; ValueError if malformed.
+
+    The payload is plain JSON data: nothing in the file is executed.
+    """
     with open(path, "rb") as fh:
         blob = fh.read()
     if blob[:5] != _CKPT_MAGIC + bytes([_CKPT_VERSION]):
         raise ValueError("bad checkpoint magic/version")
     try:
-        return IsetSearch(**pickle.loads(blob[5:]))
-    except (pickle.UnpicklingError, EOFError, TypeError) as exc:
+        data = json.loads(blob[5:])
+        if set(data) != set(_CKPT_FIELDS):
+            raise TypeError(f"expected fields {_CKPT_FIELDS}")
+        if type(data["z2"]) is not bool or type(data["counts"]) is not dict:
+            raise TypeError("bad z2 or counts field")
+        cells = data["cells"]
+        max_size = data["max_size"]
+        return IsetSearch(
+            n=_int(data["n"]),
+            vertices=_ints(data["vertices"]),
+            conflict_threshold=_int(data["conflict_threshold"]),
+            z2=data["z2"],
+            cells=None if cells is None else tuple(_ints(c) for c in cells),
+            counts={int(k): _int(v) for k, v in data["counts"].items()},
+            stack=[_ints(members) for members in data["stack"]],
+            nodes=_int(data["nodes"]),
+            max_size=None if max_size is None else _int(max_size),
+        )
+    except (TypeError, ValueError) as exc:
         raise ValueError(f"bad checkpoint payload: {exc}") from None
 
 

@@ -15,7 +15,13 @@ import re
 from dataclasses import dataclass, replace
 
 from .core import INFINITY, Matroid
-from .orderly import MatroidRecord, pack_masks, unpack_masks
+from .orderly import (
+    MatroidRecord,
+    format_masks,
+    pack_masks,
+    parse_masks,
+    unpack_masks,
+)
 
 CATALOGUE_HEADER = "#matcat-catalogue v1"
 TABLE_HEADER = "#matcat-properties v1"
@@ -67,8 +73,7 @@ def assign_ids(records) -> list:
 
 
 def _record_line(rec: CatalogueRecord) -> str:
-    hs = ",".join(format(h, "x") for h in rec.hyperplanes) or "-"
-    return f"{rec.id} {rec.n} {rec.rank} {hs}"
+    return f"{rec.id} {rec.n} {rec.rank} {format_masks(rec.hyperplanes)}"
 
 
 def write_catalogue(records, path: str) -> None:
@@ -94,11 +99,7 @@ def _parse_record(line: str, lineno: int, records: list) -> CatalogueRecord:
         raise FormatError("expected `id n rank masks`", line=lineno)
     try:
         rid, n, rank = (int(p) for p in parts[:3])
-        masks = (
-            ()
-            if parts[3] == "-"
-            else tuple(int(t, 16) for t in parts[3].split(","))
-        )
+        masks = parse_masks(parts[3])
     except ValueError:
         raise FormatError("expected integers and hex masks", line=lineno) from None
     if rid != len(records):

@@ -155,7 +155,11 @@ class TestOracleAndJohnson:
         assert "estimate 14" in capsys.readouterr().out
 
     @pytest.mark.parametrize(
-        "content", [None, b"garbage", b"MCJK", b"MCJK\x01garbage", b"MCJK\x01"]
+        "content",
+        [
+            None, b"garbage", b"MCJK", b"MCJK\x01garbage", b"MCJK\x01",
+            b"MCJK\x02garbage", b"MCJK\x02{}", b"MCJK\x02[]",
+        ],
     )
     def test_johnson_resume_unreadable_checkpoint(self, tmp_path, capsys, content):
         ck = tmp_path / "bad.jck"

@@ -4,16 +4,22 @@ import pytest
 
 from matcat.canon import certificate, certificate_for
 from matcat.core import Matroid
+from matcat.lattice import FlatLattice
 from matcat.orderly import (
     EMPTY_MATROID,
+    MatroidRecord,
     ResourceBudgetExceeded,
+    _extend_records,
     brute_force_enumerate,
     count_matrix,
     enumerate_matroids,
     extend_all,
+    format_masks,
     labelled_count_from_classes,
     _rec_parse,
     load_checkpoint,
+    pack_masks,
+    parse_masks,
     save_checkpoint,
     totals_by_n,
     verify_duality_closure,
@@ -96,6 +102,74 @@ class TestEnumerate:
                 r for r in extend_all(parent) if r.cert == cert.bytes
             ]
             assert len(found) == 1
+
+
+def _extend_by_certificate(parent):
+    """Direct computation: label the child of every modular cut, keep the
+    accepted ones and drop repeats by certificate, first cut first."""
+    n = parent.n
+    lat = FlatLattice(parent)
+    accepted = {}
+    for cut in lat.modular_cuts():
+        child_hyps, child_rank = lat.extension_hyperplanes(cut)
+        cert = certificate_for(n + 1, child_rank, child_hyps)
+        ids = cert.orbit_ids()
+        if ids[n] == ids[cert.perm.index(0)] and cert.bytes not in accepted:
+            accepted[cert.bytes] = MatroidRecord(
+                n + 1, child_rank, pack_masks(child_hyps), cert.bytes
+            )
+    return sorted(accepted.values(), key=MatroidRecord.sort_key)
+
+
+@pytest.fixture(scope="module")
+def extensions7(catalogue7):
+    """(parent record, child records, candidate count) for every n <= 7 parent."""
+    return [
+        (rec, *_extend_records(rec.n, rec.rank, rec.hyperplanes))
+        for rec in catalogue7
+    ]
+
+
+class TestOrbitReduction:
+    def test_matches_direct_computation_through_six(self, catalogue6):
+        for rec in catalogue6:
+            parent = rec.matroid()
+            assert extend_all(parent) == _extend_by_certificate(parent), rec
+
+    def test_candidates_count_every_cut(self, extensions7):
+        by_parent_n = [0] * 8
+        for rec, _, candidates in extensions7:
+            by_parent_n[rec.n] += candidates
+        assert sum(by_parent_n[:7]) == 3498
+        assert by_parent_n[7] == 61642
+
+    def test_no_parent_repeats_a_class(self, extensions7):
+        for rec, children, _ in extensions7:
+            certs = [c.cert for c in children]
+            assert len(set(certs)) == len(certs), rec
+
+    def test_children_through_eight(self, extensions7):
+        totals = [0] * 9
+        for _, children, _ in extensions7:
+            for child in children:
+                totals[child.n] += 1
+        assert totals[1:] == TABLE1_TOTALS[1:]
+
+
+class TestMaskCodec:
+    def test_round_trip(self):
+        for masks in ((), (0x7,), (0x3, 0x1C, 0xFF)):
+            assert parse_masks(format_masks(masks)) == masks
+        assert format_masks(()) == "-"
+        assert format_masks((10, 255)) == "a,ff"
+
+    def test_parse_keeps_file_order(self):
+        assert parse_masks("1c,3") == (0x1C, 0x3)
+
+    def test_malformed(self):
+        for text in ("", "x", "1,,2"):
+            with pytest.raises(ValueError):
+                parse_masks(text)
 
 
 class TestOracle:

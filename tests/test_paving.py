@@ -1,4 +1,6 @@
 import itertools
+import json
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -21,6 +23,19 @@ from matcat.paving import (
     sparse_paving_from_independent_set,
 )
 from matcat.props import classify
+
+_UNPICKLED = []
+
+
+def _record_unpickling():
+    _UNPICKLED.append(True)
+
+
+class _Trap:
+    """Unpickling this object calls a function, as a crafted payload would."""
+
+    def __reduce__(self):
+        return (_record_unpickling, ())
 
 
 def brute_force_iset_orbits(g):
@@ -139,6 +154,62 @@ class TestOrbitEnumeration:
         path = str(tmp_path / "bad.ckpt")
         with open(path, "wb") as fh:
             fh.write(b"XXXX\x01junk")
+        with pytest.raises(ValueError):
+            load_iset_checkpoint(path)
+
+    def test_checkpoint_round_trip_is_plain_json(self, tmp_path):
+        g = johnson_graph(6, 3)
+        path = str(tmp_path / "rt.ckpt")
+        search = IsetSearch(
+            g.n, g.vertices, conflict_threshold=g.k - 1, z2=g.with_complement,
+            cells=((0, 1, 2), (3, 4, 5)), max_size=5,
+        )
+        with pytest.raises(BudgetExceeded):
+            search.run(budget=6, checkpoint_path=path, checkpoint_every=100)
+        with open(path, "rb") as fh:
+            blob = fh.read()
+        assert blob[:5] == b"MCJK\x02"
+        assert json.loads(blob[5:])["nodes"] == search.nodes
+        loaded = load_iset_checkpoint(path)
+        assert loaded == search
+        assert all(type(k) is int for k in loaded.counts)
+        assert all(type(m) is tuple for m in loaded.stack)
+
+    def test_checkpoint_pickle_payload_not_unpickled(self, tmp_path):
+        _UNPICKLED.clear()
+        payload = pickle.dumps(_Trap())
+        for version in (1, 2):
+            path = tmp_path / f"trap{version}.ckpt"
+            path.write_bytes(b"MCJK" + bytes([version]) + payload)
+            with pytest.raises(ValueError):
+                load_iset_checkpoint(str(path))
+        assert _UNPICKLED == []
+        pickle.loads(payload)  # the payload does run code when unpickled
+        assert _UNPICKLED == [True]
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda d: d.pop("stack"),
+            lambda d: d.update(extra=1),
+            lambda d: d.update(n="7"),
+            lambda d: d.update(z2=0),
+            lambda d: d.update(counts={"x": 1}),
+            lambda d: d.update(counts=[1]),
+            lambda d: d.update(stack=[[1, "2"]]),
+            lambda d: d.update(cells=[3]),
+            lambda d: d.update(max_size=1.5),
+        ],
+    )
+    def test_checkpoint_malformed_payload(self, tmp_path, edit):
+        g = johnson_graph(5, 2)
+        path = str(tmp_path / "m.ckpt")
+        save_iset_checkpoint(IsetSearch(g.n, g.vertices, conflict_threshold=1), path)
+        with open(path, "rb") as fh:
+            data = json.loads(fh.read()[5:])
+        edit(data)
+        with open(path, "wb") as fh:
+            fh.write(b"MCJK\x02" + json.dumps(data).encode())
         with pytest.raises(ValueError):
             load_iset_checkpoint(path)
 
