@@ -19,11 +19,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import bits, popcount
-
-
-class SearchBudgetExceeded(RuntimeError):
-    """Canonical search exceeded its node budget (not expected at n <= 15)."""
+from .core import EmptyGroundSet, UnionFind, bits, popcount
+from .errors import BudgetExceeded
 
 
 def relabel_mask(mask: int, perm) -> int:
@@ -52,25 +49,8 @@ def _invert(p):
     return tuple(inv)
 
 
-class _UnionFind:
-    def __init__(self, n):
-        self.parent = list(range(n))
-
-    def find(self, x):
-        p = self.parent
-        while p[x] != x:
-            p[x] = p[p[x]]
-            x = p[x]
-        return x
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[max(ra, rb)] = min(ra, rb)
-
-
 def _orbit_partition(n, gens):
-    uf = _UnionFind(n)
+    uf = UnionFind(range(n))
     for g in gens:
         for i in range(n):
             uf.union(i, g[i])
@@ -80,26 +60,31 @@ def _orbit_partition(n, gens):
     return tuple(tuple(g) for g in sorted(groups.values()))
 
 
+def _transversal(n, point, gens) -> dict:
+    """Orbit of point under gens: each image y -> a group element sending
+    point to y, found by search from the identity."""
+    transversal = {point: tuple(range(n))}
+    queue = [point]
+    while queue:
+        x = queue.pop()
+        tx = transversal[x]
+        for g in gens:
+            y = g[x]
+            if y not in transversal:
+                transversal[y] = _compose(g, tx)
+                queue.append(y)
+    return transversal
+
+
 def group_order(n: int, gens) -> int:
     """Order of the permutation group generated by gens (stabilizer chain)."""
-    gens = [tuple(g) for g in gens if tuple(g) != tuple(range(n))]
-    if not gens:
-        return 1
     identity = tuple(range(n))
+    gens = [tuple(g) for g in gens if tuple(g) != identity]
     order = 1
     for point in range(n):
         if not gens:
             break
-        transversal = {point: identity}
-        queue = [point]
-        while queue:
-            x = queue.pop()
-            tx = transversal[x]
-            for g in gens:
-                y = g[x]
-                if y not in transversal:
-                    transversal[y] = _compose(g, tx)
-                    queue.append(y)
+        transversal = _transversal(n, point, gens)
         order *= len(transversal)
         stab = set()
         for x, tx in transversal.items():
@@ -120,14 +105,6 @@ class CanonicalForm:
     masks: tuple            # canonical (relabelled, sorted) family
     perm: tuple             # element -> canonical label, one witness
     generators: tuple       # automorphism generators (element perms)
-
-    @property
-    def orbits(self):
-        return _orbit_partition(self.n, self.generators)
-
-    @property
-    def aut_order(self) -> int:
-        return group_order(self.n, self.generators)
 
 
 def _hyp_membership(n, masks):
@@ -185,65 +162,23 @@ def _equitable_refine(masks, hyps_of, cells):
             return cells
 
 
-def first_cell_elements(n, masks, cells=None):
-    """Elements of the first cell of the root equitable refinement.
-
-    The canonically least element always lies here (stable cell order), so
-    membership is a cheap necessary condition for canonical-path acceptance.
-    """
-    if n == 0:
-        return []
-    if cells is None:
-        cells = [list(range(n))]
-    masks = tuple(sorted(masks))
-    refined = _equitable_refine(masks, _hyp_membership(n, masks), cells)
-    return refined[0]
-
-
 def element_has_minimal_signature(n, masks, e) -> bool:
     """True iff no element's one-round signature is smaller than e's.
 
-    One-round refinement ordering: the first refined cell consists of the
-    elements whose sorted multiset of containing-mask size classes is
-    minimal, and deeper refinement only shrinks that cell, so this is a
-    necessary condition for e to receive the lowest canonical label.
-    Signatures are compared through per-size-class count rows without being
-    materialized; runs in O(total mask popcount).
+    An element's signature is the ascending list of the sizes of the masks
+    that contain it.  The first cell of the root refinement holds the
+    elements of least signature, and deeper refinement only shrinks that
+    cell, so this is a necessary condition for e to receive the lowest
+    canonical label.
     """
-    sizes = sorted(set(m.bit_count() for m in masks))
-    size_id = {s: i for i, s in enumerate(sizes)}
-    k = len(sizes)
-    counts = [[0] * k for _ in range(n)]
-    for m in masks:
-        sid = size_id[m.bit_count()]
-        mm = m
-        while mm:
-            b = mm & -mm
-            counts[b.bit_length() - 1][sid] += 1
-            mm ^= b
-    ce = counts[e]
-    total_e = sum(ce)
-    for f in range(n):
-        if f == e:
-            continue
-        cf = counts[f]
-        total_f = sum(cf)
-        # walk size classes; at the first count difference, whichever element
-        # still emits the smaller digit wins, except that a signature that
-        # ends there is a strict prefix and wins instead
-        seen = 0
-        for sid in range(k):
-            if cf[sid] == ce[sid]:
-                seen += ce[sid]
-                continue
-            if cf[sid] > ce[sid]:
-                if seen + ce[sid] < total_e:
-                    return False  # f emits sid again while e moves higher
-                break  # e ended: prefix, e smaller
-            if seen + cf[sid] == total_f:
-                return False  # f ended: prefix, f smaller
-            break  # f moves to a higher digit while e emits sid: e smaller
-    return True
+    sig = [[] for _ in range(n)]
+    for m in sorted(masks, key=int.bit_count):
+        size = m.bit_count()
+        while m:
+            b = m & -m
+            sig[b.bit_length() - 1].append(size)
+            m ^= b
+    return sig[e] == min(sig)
 
 
 def canonical_family(n, masks, cells=None, node_budget=2_000_000):
@@ -298,7 +233,7 @@ def canonical_family(n, masks, cells=None, node_budget=2_000_000):
     def search(cells, fixed):
         nodes[0] += 1
         if nodes[0] > node_budget:
-            raise SearchBudgetExceeded(f"over {node_budget} nodes")
+            raise BudgetExceeded(f"canonical search passed {node_budget} nodes")
         cells = refine(cells)
         target = None
         for i, cell in enumerate(cells):
@@ -318,7 +253,7 @@ def canonical_family(n, masks, cells=None, node_budget=2_000_000):
                     fixing = [g for g in gens if all(g[p] == p for p in fixed)]
                     uf = None
                     if fixing:
-                        uf = _UnionFind(n)
+                        uf = UnionFind(range(n))
                         for g in fixing:
                             for i in range(n):
                                 uf.union(i, g[i])
@@ -384,10 +319,6 @@ def certificate(m) -> Certificate:
     return cached
 
 
-def certificate_bytes(n: int, rank: int, hyperplanes) -> bytes:
-    return certificate_for(n, rank, hyperplanes).bytes
-
-
 def is_isomorphic(m1, m2) -> bool:
     return certificate(m1).bytes == certificate(m2).bytes
 
@@ -395,15 +326,9 @@ def is_isomorphic(m1, m2) -> bool:
 def distinguished_element(m) -> int:
     """The element receiving canonical label 0."""
     if m.n == 0:
-        raise _empty_ground()
+        raise EmptyGroundSet("no elements to distinguish")
     cert = certificate(m)
     return cert.perm.index(0)
-
-
-def _empty_ground():
-    from .core import EmptyGroundSet
-
-    return EmptyGroundSet("no elements to distinguish")
 
 
 @dataclass(frozen=True)
@@ -424,17 +349,4 @@ def hyperplane_graph(m) -> HyperplaneGraph:
 
 def automorphism_mapping(cert: Certificate, a: int, b: int):
     """An explicit automorphism sending a to b, or None if in distinct orbits."""
-    identity = tuple(range(cert.n))
-    frontier = {a: identity}
-    queue = [a]
-    while queue:
-        x = queue.pop()
-        px = frontier[x]
-        if x == b:
-            return px
-        for g in cert.generators:
-            y = g[x]
-            if y not in frontier:
-                frontier[y] = _compose(g, px)
-                queue.append(y)
-    return frontier.get(b)
+    return _transversal(cert.n, a, cert.generators).get(b)

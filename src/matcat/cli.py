@@ -11,9 +11,10 @@ from __future__ import annotations
 import argparse
 import multiprocessing
 import sys
+from functools import partial
 
+from .errors import BudgetExceeded
 from .orderly import (
-    ResourceBudgetExceeded,
     default_jobs,
     enumerate_matroids,
     brute_force_enumerate,
@@ -25,13 +26,14 @@ from .store import (
     FormatError,
     RowOptions,
     assign_ids,
-    build_property_table,
+    compute_row,
     missing_base_triples,
     parse_property_tsv,
     parse_query,
     query,
     read_catalogue,
     render_property_tsv,
+    resolve_cross_references,
     write_catalogue,
 )
 
@@ -87,18 +89,14 @@ def cmd_enum(args) -> int:
             file=sys.stderr,
         )
 
-    try:
-        records = enumerate_matroids(
-            args.max_n,
-            jobs=jobs,
-            budget=args.budget,
-            checkpoint_path=checkpoint,
-            resume_job=resume_job,
-            progress=progress if args.verbose else None,
-        )
-    except ResourceBudgetExceeded as exc:
-        print(f"budget exceeded: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
+    records = enumerate_matroids(
+        args.max_n,
+        jobs=jobs,
+        budget=args.budget,
+        checkpoint_path=checkpoint,
+        resume_job=resume_job,
+        progress=progress if args.verbose else None,
+    )
     write_catalogue(assign_ids(records), args.out)
     for line in _matrix_lines(
         count_matrix(records, args.max_n), args.max_n, "Matroids by rank and size"
@@ -144,15 +142,10 @@ def cmd_props(args) -> int:
         raw = []
         for n, recs in sorted(by_n.items()):
             opts = _block_options(n, args.extended)
-            from .store import compute_row
-            from functools import partial
-
             if pool is None:
                 raw.extend(compute_row(r, opts) for r in recs)
             else:
                 raw.extend(pool.map(partial(compute_row, opts=opts), recs, chunksize=16))
-        from .store import resolve_cross_references
-
         rows = resolve_cross_references(raw)
     finally:
         if pool is not None:
@@ -284,9 +277,23 @@ def cmd_oracle(args) -> int:
     return EXIT_OK if ok else EXIT_MISMATCH
 
 
+def _johnson_usage_error(args):
+    """The documented range a johnson command breaks, or None."""
+    if args.nonsparse_rank is not None:
+        return None if args.nonsparse_rank >= 2 else "--nonsparse-rank must be at least 2"
+    if args.self_dual:
+        if args.n % 2 or not 2 <= args.n <= 12:
+            return "--self-dual needs an even --n from 2 to 12"
+        return None
+    if args.k is None:
+        return "--k is required unless --self-dual or --nonsparse-rank is given"
+    if not 1 <= args.k < args.n <= 12:
+        return "need 1 <= k < n <= 12"
+    return None
+
+
 def cmd_johnson(args) -> int:
     from .paving import (
-        BudgetExceeded,
         count_nonsparse_paving,
         count_self_dual_sparse,
         enumerate_isets_orderly,
@@ -295,6 +302,10 @@ def cmd_johnson(args) -> int:
         load_iset_checkpoint,
     )
 
+    error = _johnson_usage_error(args)
+    if error:
+        print(error, file=sys.stderr)
+        return EXIT_USAGE
     if args.nonsparse_rank is not None:
         table = count_nonsparse_paving(args.n, args.nonsparse_rank, only_k=args.only_k)
         print("max-hyp-size num-k-hyps matroids")
@@ -304,12 +315,12 @@ def cmd_johnson(args) -> int:
             total += val
         print(f"total {total}")
         return EXIT_OK
-    g = johnson_graph(args.n, args.k)
     if args.self_dual:
         a = count_self_dual_sparse(args.n, method="z2")
         b = count_self_dual_sparse(args.n, method="certificate")
         print(f"self-dual sparse paving classes: {a} (z2) / {b} (certificate)")
         return EXIT_OK if a == b else EXIT_MISMATCH
+    g = johnson_graph(args.n, args.k)
     if args.estimate:
         rep = estimate_iset_count(g, args.prefix_size, args.fraction, args.seed)
         print(
@@ -329,16 +340,12 @@ def cmd_johnson(args) -> int:
         except (OSError, ValueError) as exc:
             print(f"cannot load checkpoint: {exc}", file=sys.stderr)
             return EXIT_IO
-    try:
-        if resume is not None:
-            counts = resume.run(budget=args.budget, checkpoint_path=args.checkpoint)
-        else:
-            counts = enumerate_isets_orderly(
-                g, budget=args.budget, checkpoint_path=args.checkpoint
-            )
-    except BudgetExceeded as exc:
-        print(f"budget exceeded: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
+    if resume is not None:
+        counts = resume.run(budget=args.budget, checkpoint_path=args.checkpoint)
+    else:
+        counts = enumerate_isets_orderly(
+            g, budget=args.budget, checkpoint_path=args.checkpoint
+        )
     print("size\tclasses")
     for size in sorted(counts):
         print(f"{size}\t{counts[size]}")
@@ -348,14 +355,19 @@ def cmd_johnson(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as one stderr line."""
+
+    def error(self, message):
+        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
-        prog="matcat", description="Small-matroid catalogue toolkit"
-    )
+    p = _Parser(prog="matcat", description="Small-matroid catalogue toolkit")
     sub = p.add_subparsers(dest="command", required=True)
 
     e = sub.add_parser("enum", help="enumerate matroids and write the catalogue")
-    e.add_argument("--max-n", type=int, required=True)
+    e.add_argument("--max-n", type=int, required=True, choices=range(10))
     e.add_argument("--out", default="matroids.cat")
     e.add_argument("--jobs", type=int, default=0)
     e.add_argument("--budget", type=int, default=None)
@@ -419,6 +431,9 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
         return args.func(args)
+    except BudgetExceeded as exc:
+        print(f"budget exceeded: {exc}", file=sys.stderr)
+        return EXIT_BUDGET
     except OSError as exc:
         print(f"I/O failure: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -63,6 +63,30 @@ def subsets_of(mask: int):
         sub = (sub - mask) & mask
 
 
+class UnionFind:
+    """Disjoint classes of ordered items, each rooted at its least item."""
+
+    def __init__(self, items):
+        self.parent = {x: x for x in items}
+
+    def find(self, x):
+        p = self.parent
+        while p[x] != x:
+            p[x] = p[p[x]]
+            x = p[x]
+        return x
+
+    def union(self, a, b) -> bool:
+        """Merge the classes of a and b; False if they were one class."""
+        ra, rb = self.find(a), self.find(b)
+        if ra == rb:
+            return False
+        if rb < ra:
+            ra, rb = rb, ra
+        self.parent[rb] = ra
+        return True
+
+
 def _intersection_closure(n: int, hyps):
     """Close {E} + hyps under pairwise intersection; returns a set of masks."""
     full = (1 << n) - 1
@@ -201,18 +225,24 @@ class Matroid:
         return FlatsByRank(tuple(tuple(level) for level in levels))
 
     @cached_property
-    def rank_table(self):
-        """rank_table[mask] = rank of the subset, for every mask < 2^n."""
-        flats, ranks, _ = self._flat_data
-        nf = len(flats)
-        # up[i] = bitset (over flat indices) of flats containing flat i
-        up = [0] * nf
-        for i, fi in enumerate(flats):
+    def _up(self) -> tuple:
+        """up[i] = bitset over flat indices of the flats containing flat i."""
+        flats = self._flat_data[0]
+        up = []
+        for fi in flats:
             acc = 0
             for j, fj in enumerate(flats):
                 if fi & fj == fi:
                     acc |= 1 << j
-            up[i] = acc
+            up.append(acc)
+        return tuple(up)
+
+    @cached_property
+    def rank_table(self):
+        """rank_table[mask] = rank of the subset, for every mask < 2^n."""
+        flats, ranks, _ = self._flat_data
+        nf = len(flats)
+        up = self._up
         elem_filter = [0] * self.n
         for e in range(self.n):
             acc = 0

@@ -84,14 +84,7 @@ class FlatLattice:
         nf = len(flats)
         self.nf = nf
         # up[i]: bitset of flats containing flat i (including i itself)
-        up = []
-        for fi in flats:
-            acc = 0
-            for j, fj in enumerate(flats):
-                if fi & fj == fi:
-                    acc |= 1 << j
-            up.append(acc)
-        self.up = up
+        self.up = up = m._up
         self.strictly_above = [up[i] & ~(1 << i) for i in range(nf)]
 
     # -- basic lattice structure -------------------------------------------

@@ -11,10 +11,7 @@ from __future__ import annotations
 import itertools
 
 from .core import Matroid, bits, mask_of, popcount
-
-
-class BudgetExceeded(RuntimeError):
-    """Search budget breached (not expected for catalogue-sized inputs)."""
+from .errors import BudgetExceeded
 
 
 def _perfect_matching(adj, size):

@@ -6,8 +6,10 @@ element lies in the orbit of the element with the lowest canonical label.
 Cuts in one orbit give isomorphic children with the same verdict, and two
 accepted children of one parent are isomorphic only when their cuts share an
 orbit, so each parent yields every class it is the canonical parent of
-exactly once.  Parents are independent, so levels parallelize over a worker
-pool without affecting the (sorted) output.
+exactly once.  One cheap necessary test runs before a child is labelled: its
+new element must have a minimal one-round signature (the sizes of the
+hyperplanes through it).  Parents are independent, so levels parallelize
+over a worker pool without affecting the (sorted) output.
 """
 
 from __future__ import annotations
@@ -16,18 +18,10 @@ import multiprocessing
 import os
 from dataclasses import dataclass, field
 
-from .canon import (
-    certificate_for,
-    element_has_minimal_signature,
-    first_cell_elements,
-    relabel_mask,
-)
+from .canon import certificate_for, element_has_minimal_signature, relabel_mask
 from .core import Matroid
+from .errors import BudgetExceeded
 from .lattice import FlatLattice
-
-
-class ResourceBudgetExceeded(RuntimeError):
-    """Extension-candidate budget breached; checkpoint (if any) was written."""
 
 
 def pack_masks(masks) -> bytes:
@@ -97,12 +91,11 @@ def _extend_records(n, rank, hyps):
             continue
         seen |= _cut_orbit(lat, cut, flat_perms)
         child_hyps, child_rank = lat.extension_hyperplanes(cut)
-        # cheap necessary tests: the lowest canonical label lives in the
-        # first cell of the root refinement, so the new element must have a
-        # minimal one-round signature and then sit in that first cell
+        # the one cheap necessary test: the lowest canonical label lives in
+        # the first cell of the root refinement, which holds only elements of
+        # minimal one-round signature.  certificate_for computes that
+        # refinement itself, and the orbit test after it is exact.
         if not element_has_minimal_signature(n + 1, child_hyps, n):
-            continue
-        if n not in first_cell_elements(n + 1, child_hyps):
             continue
         cert = certificate_for(n + 1, child_rank, child_hyps)
         ids = cert.orbit_ids()
@@ -180,8 +173,8 @@ def enumerate_matroids(
     """All matroids with 0..max_n elements as sorted MatroidRecords.
 
     budget caps the number of modular-cut candidates examined; on breach a
-    checkpoint is written (when a path is configured) and
-    ResourceBudgetExceeded is raised.
+    checkpoint is written (when a path is configured) and BudgetExceeded is
+    raised.
     """
     if not 0 <= max_n <= 9:
         raise ValueError("supported range is 0 <= max_n <= 9")
@@ -223,7 +216,7 @@ def _advance_level(job, pool, budget, checkpoint_path, checkpoint_every, progres
         if budget is not None and job.candidates_used > budget:
             if checkpoint_path:
                 save_checkpoint(job, checkpoint_path)
-            raise ResourceBudgetExceeded(
+            raise BudgetExceeded(
                 f"{job.candidates_used} extension candidates exceed budget {budget}"
             )
     level_children = sorted(set(job.children), key=MatroidRecord.sort_key)

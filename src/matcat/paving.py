@@ -24,12 +24,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .canon import canonical_family, certificate_for, relabel_mask, _compose, _invert
-from .core import Matroid, mask_of, popcount
+from .core import Matroid, UnionFind, mask_of, popcount
+from .errors import BudgetExceeded
 from .named import sparse_paving
-
-
-class BudgetExceeded(RuntimeError):
-    """Node budget breached; a checkpoint was written when configured."""
 
 
 class NotIndependent(ValueError):
@@ -104,25 +101,13 @@ def _family_canon(n: int, masks: tuple, z2: bool, cells=None) -> _FamilyCanon:
             # tau maps the complemented family back onto the family
             mixing = _compose(_invert(cf1.perm), cf2.perm)
     # orbits of family members under the (possibly extended) automorphisms
-    parent = {m: m for m in masks}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-
+    uf = UnionFind(masks)
     for g in cf1.generators:
         for m in masks:
-            union(m, relabel_mask(m, g))
+            uf.union(m, relabel_mask(m, g))
     if mixing is not None:
         for m in masks:
-            union(m, relabel_mask(full ^ m, mixing))
+            uf.union(m, relabel_mask(full ^ m, mixing))
     # canonical deletion: member whose canonical image is largest
     if masks:
         if not comp_side:
@@ -135,7 +120,7 @@ def _family_canon(n: int, masks: tuple, z2: bool, cells=None) -> _FamilyCanon:
             deletion = full ^ w
     else:
         deletion = -1
-    orbit = {m: find(m) for m in masks}
+    orbit = {m: uf.find(m) for m in masks}
     return _FamilyCanon(chosen.masks, deletion, orbit)
 
 
@@ -406,20 +391,11 @@ def count_nonsparse_paving(n: int, rank: int, only_k: int | None = None):
 
 
 def _orbit_count_on_masks(generators, masks):
-    parent = {m: m for m in masks}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    uf = UnionFind(masks)
     for g in generators:
         for m in masks:
-            a, b = find(m), find(relabel_mask(m, g))
-            if a != b:
-                parent[max(a, b)] = min(a, b)
-    return len({find(m) for m in masks})
+            uf.union(m, relabel_mask(m, g))
+    return len({uf.find(m) for m in masks})
 
 
 def paving_total(n: int, rank: int):

@@ -25,10 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import INFINITY, Matroid, bits, popcount
-
-
-class BudgetExceeded(RuntimeError):
-    """A property search exceeded its configured budget."""
+from .errors import BudgetExceeded
 
 
 @dataclass(frozen=True)

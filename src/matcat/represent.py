@@ -22,7 +22,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .core import Matroid, bits, mask_of, popcount
+from .core import Matroid, UnionFind, bits, mask_of, popcount
 
 
 class GF:
@@ -196,23 +196,14 @@ def _representable_direct(m: Matroid, q: int):
         ]
         support[e] = circ
 
-    # spanning forest over (row, column) incidences pins entries to 1
+    # spanning forest over (row, column) incidences pins entries to 1;
+    # row i is node i and column e is node r + e
     forest = set()
-    comp = {("r", i): ("r", i) for i in range(r)}
-    comp.update({("c", e): ("c", e) for e in others})
-
-    def find(x):
-        while comp[x] != x:
-            comp[x] = comp[comp[x]]
-            x = comp[x]
-        return x
-
+    uf = UnionFind(range(r + m.n))
     unknowns = []
     for e in others:
         for b in support[e]:
-            ra, rb = find(("r", row_of[b])), find(("c", e))
-            if ra != rb:
-                comp[ra] = rb
+            if uf.union(row_of[b], r + e):
                 forest.add((row_of[b], e))
             else:
                 unknowns.append((row_of[b], e))

@@ -13,9 +13,9 @@ import pytest
 from conftest import requires_extended
 from matcat.canon import certificate, certificate_for, relabel_family
 from matcat.core import Matroid, popcount, uniform
+from matcat.errors import BudgetExceeded as ResourceBudgetExceeded
 from matcat.named import ag32_prime, f8, p1, p2_doubleprime, p2_prime, p3, p8, vamos
 from matcat.orderly import (
-    ResourceBudgetExceeded,
     brute_force_enumerate,
     count_matrix,
     enumerate_matroids,

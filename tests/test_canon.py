@@ -2,6 +2,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from matcat.canon import (
     automorphism_mapping,
@@ -9,6 +10,7 @@ from matcat.canon import (
     certificate,
     certificate_for,
     distinguished_element,
+    element_has_minimal_signature,
     group_order,
     hyperplane_graph,
     is_isomorphic,
@@ -187,3 +189,37 @@ class TestCanonicalFamilyCells:
 
     def test_p8_aut_order(self):
         assert certificate(p8()).aut_order == 32
+
+
+class TestSignaturePrefilter:
+    @settings(max_examples=10, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_relabelling_invariance(self, catalogue7, seed):
+        # one drawn permutation per class; the seed keeps a failure shrinkable
+        rng = random.Random(seed)
+        for rec in catalogue7:
+            if rec.n == 0:
+                continue
+            perm = random_permutation(rec.n, rng)
+            hyps = rec.hyperplanes
+            moved = relabel_family(hyps, perm)
+            for e in range(rec.n):
+                assert element_has_minimal_signature(
+                    rec.n, moved, perm[e]
+                ) == element_has_minimal_signature(rec.n, hyps, e)
+
+    def test_distinguished_element_passes(self, catalogue8):
+        for rec in catalogue8:
+            if rec.n == 0:
+                continue
+            m = rec.matroid()
+            assert element_has_minimal_signature(
+                m.n, m.hyperplanes, distinguished_element(m)
+            ), rec
+
+    def test_shorter_signature_is_smaller(self):
+        # signatures: 0 -> [2, 2], 1 -> [2], 2 -> [2]; a prefix is smaller
+        masks = (0b011, 0b101)
+        assert not element_has_minimal_signature(3, masks, 0)
+        assert element_has_minimal_signature(3, masks, 1)
+        assert element_has_minimal_signature(3, masks, 2)

@@ -2,6 +2,7 @@ import os
 
 import pytest
 
+from matcat import cli
 from matcat.cli import (
     EXIT_BUDGET,
     EXIT_IO,
@@ -10,6 +11,7 @@ from matcat.cli import (
     EXIT_USAGE,
     main,
 )
+from matcat.errors import BudgetExceeded
 
 
 @pytest.fixture(scope="module")
@@ -191,3 +193,39 @@ class TestOracleAndJohnson:
         rc = main(["exminors", "--field", "5", "--max-n", "8",
                    "--catalogue", small_catalogue])
         assert rc == EXIT_USAGE
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["johnson", "--n", "7", "--estimate"],
+        ["johnson", "--n", "6"],
+        ["johnson", "--n", "13", "--k", "3"],
+        ["johnson", "--n", "6", "--nonsparse-rank", "1"],
+        ["johnson", "--n", "7", "--self-dual"],
+        ["enum", "--max-n", "10", "--extended"],
+        ["enum", "--max-n", "-1"],
+    ],
+    ids=" ".join,
+)
+def test_usage_error_is_one_line(argv, capsys):
+    assert main(argv) == EXIT_USAGE
+    assert len(capsys.readouterr().err.strip().splitlines()) == 1
+
+
+def test_johnson_self_dual_needs_no_k(capsys):
+    assert main(["johnson", "--n", "6", "--self-dual"]) == EXIT_OK
+    assert "self-dual" in capsys.readouterr().out
+
+
+def test_budget_in_props_exits_3(small_catalogue, workdir, monkeypatch, capsys):
+    def over_budget(rec, opts):
+        raise BudgetExceeded("ingleton search passed 1 table cells")
+
+    monkeypatch.setattr(cli, "compute_row", over_budget)
+    rc = main(["props", "--catalogue", small_catalogue, "--jobs", "1",
+               "--out", str(workdir / "budget.tsv")])
+    assert rc == EXIT_BUDGET
+    assert capsys.readouterr().err.strip().splitlines() == [
+        "budget exceeded: ingleton search passed 1 table cells"
+    ]

@@ -9,6 +9,7 @@ from matcat.core import (
     Matroid,
     NotCircuitHyperplane,
     RankZero,
+    UnionFind,
     bits,
     free,
     from_elements,
@@ -297,3 +298,31 @@ class TestValidate:
         bad = Matroid(2, 2, ())
         bad.__dict__["rank_table"] = [0, 0, 1, 2]
         assert not bad.validate().ok
+
+
+class TestUnionFind:
+    def test_root_is_least_item_and_union_reports_merges(self):
+        uf = UnionFind([5, 3, 9, 1, 7])
+        assert uf.union(9, 5) is True
+        assert uf.find(9) == 5
+        assert uf.union(7, 9) is True
+        assert uf.find(7) == 5
+        assert uf.union(5, 7) is False
+        assert uf.union(7, 1) is True
+        assert {uf.find(x) for x in (1, 5, 7, 9)} == {1}
+        assert uf.find(3) == 3
+
+    def test_random_unions_against_merged_sets(self):
+        rng = random.Random(17)
+        uf = UnionFind(range(30))
+        classes = {x: {x} for x in range(30)}
+        for _ in range(60):
+            a, b = rng.randrange(30), rng.randrange(30)
+            merged = classes[a] is not classes[b]
+            assert uf.union(a, b) is merged
+            if merged:
+                union = classes[a] | classes[b]
+                for x in union:
+                    classes[x] = union
+            for x in range(30):
+                assert uf.find(x) == min(classes[x])

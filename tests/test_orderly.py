@@ -4,11 +4,11 @@ import pytest
 
 from matcat.canon import certificate, certificate_for
 from matcat.core import Matroid
+from matcat.errors import BudgetExceeded as ResourceBudgetExceeded
 from matcat.lattice import FlatLattice
 from matcat.orderly import (
     EMPTY_MATROID,
     MatroidRecord,
-    ResourceBudgetExceeded,
     _extend_records,
     brute_force_enumerate,
     count_matrix,
