@@ -8,11 +8,15 @@ runs over element labellings only.  The same engine canonicalizes arbitrary
 mask families under a given ordered partition of the elements (used for
 group-restricted searches such as the stabilizer of a fixed block).
 
-The search individualizes inside the first smallest non-singleton cell,
-prunes branches using automorphisms discovered from leaf collisions, and
-keeps the minimum leaf as the canonical form.  Discovered generators yield
-element orbits and, through a small stabilizer chain, the automorphism
-group order.
+The search individualizes inside the first smallest non-singleton cell and
+keeps the minimum leaf as the canonical form.  Two leaves with the same
+relabelled family differ by an automorphism, which is kept as a generator.
+A node tries the elements of its target cell in order and skips an element
+that lies in the orbit closure of the elements already tried, under the
+generators found so far that fix every element individualized on the path
+to the node; the closure is a bitset that grows as elements are tried and
+generators found.  Discovered generators yield element orbits and, through
+a small stabilizer chain, the automorphism group order.
 """
 
 from __future__ import annotations
@@ -107,59 +111,52 @@ class CanonicalForm:
     generators: tuple       # automorphism generators (element perms)
 
 
-def _hyp_membership(n, masks):
-    hyps_of = [[] for _ in range(n)]
-    for idx, m in enumerate(masks):
-        for e in bits(m):
-            hyps_of[e].append(idx)
-    return hyps_of
-
-
-def _equitable_refine(masks, hyps_of, cells):
+def _equitable_refine(hyps_of, cells, keys):
     """Stable refinement by mask-colour signatures until no cell splits.
 
-    Cell order is preserved: subcells replace their parent in place, sorted
-    by signature, so an element of the first cell keeps the smallest labels
+    keys holds each mask's colour under cells and is updated in place.  A
+    colour holds, in 4 bits per cell, the number of the mask's elements in
+    that cell; a cell that ends at position end of the ordered elements
+    sits at 4 * (n - end) bits.  Earlier cells sit higher, so colours
+    compare as their count vectors do, cell by cell, and a split moves only
+    the subcells that end before their parent.  An element's signature is
+    the ascending list of the colours of the masks containing it.  Cell
+    order is preserved: subcells replace their parent in place, sorted by
+    signature, so an element of the first cell keeps the smallest labels
     down every branch of the search.
     """
-    cells = [list(c) for c in cells]
-    while True:
-        if all(len(c) == 1 for c in cells):
-            return cells
-        cellmask = []
-        for c in cells:
-            cm = 0
-            for e in c:
-                cm |= 1 << e
-            cellmask.append(cm)
-        # per-mask colour key: 4 bits of intersection count per cell
-        keys = []
-        for m in masks:
-            k = 0
-            for cm in cellmask:
-                k = (k << 4) | (m & cm).bit_count()
-            keys.append(k)
-        palette = {k: i for i, k in enumerate(sorted(set(keys)))}
-        hcid = [palette[k] for k in keys]
+    n = len(hyps_of)
+    while len(cells) < n:  # else every cell is a singleton
+        key_of = keys.__getitem__
         out = []
-        changed = False
+        moved = []       # (elements, colour change) of subcells that end earlier
+        end = 0
         for cell in cells:
-            if len(cell) == 1:
-                out.append(cell)
-                continue
-            sig = {}
-            for e in cell:
-                key = tuple(sorted(hcid[i] for i in hyps_of[e]))
-                sig.setdefault(key, []).append(e)
-            if len(sig) == 1:
-                out.append(cell)
-            else:
-                changed = True
-                for key in sorted(sig):
-                    out.append(sig[key])
+            end += len(cell)
+            if len(cell) > 1:
+                sig = {}
+                for e in cell:
+                    key = tuple(sorted(map(key_of, hyps_of[e])))
+                    sig.setdefault(key, []).append(e)
+                if len(sig) > 1:
+                    sub_end = end - len(cell)
+                    for key in sorted(sig):
+                        sub = sig[key]
+                        out.append(sub)
+                        sub_end += len(sub)
+                        if sub_end < end:
+                            delta = (1 << 4 * (n - sub_end)) - (1 << 4 * (n - end))
+                            moved.append((sub, delta))
+                    continue
+            out.append(cell)
+        if not moved:
+            break
+        for sub, delta in moved:
+            for e in sub:
+                for i in hyps_of[e]:
+                    keys[i] += delta
         cells = out
-        if not changed:
-            return cells
+    return cells
 
 
 def element_has_minimal_signature(n, masks, e) -> bool:
@@ -181,6 +178,103 @@ def element_has_minimal_signature(n, masks, e) -> bool:
     return sig[e] == min(sig)
 
 
+def _orbit_closure(closed, frontier, gens):
+    """Least superset of the element set closed that is closed under gens,
+    given that only the elements of frontier may have images outside it."""
+    while frontier:
+        new = 0
+        for e in bits(frontier):
+            for g in gens:
+                new |= 1 << g[e]
+        frontier = new & ~closed
+        closed |= frontier
+    return closed
+
+
+class _Search:
+    """State of one canonical search: the family, the leaves kept so far
+    and the automorphism generators found at leaf collisions."""
+
+    __slots__ = ("n_masks", "hyps_of", "budget", "nodes", "first", "best", "gens")
+
+    def __init__(self, n, masks, budget):
+        self.n_masks = len(masks)
+        self.hyps_of = [
+            [i for i, m in enumerate(masks) if m & b] for b in [1 << e for e in range(n)]
+        ]
+        self.budget = budget
+        self.nodes = 0
+        self.first = None          # (value, perm) of the first leaf
+        self.best = None           # (value, perm) of the least leaf
+        self.gens = []
+
+
+def _leaf(s, cells):
+    perm = [0] * len(s.hyps_of)
+    for label, cell in enumerate(cells):
+        perm[cell[0]] = label
+    vals = [0] * s.n_masks
+    for e, hyps in enumerate(s.hyps_of):
+        b = 1 << perm[e]
+        for i in hyps:
+            vals[i] |= b
+    value = tuple(sorted(vals))
+    perm = tuple(perm)
+    if s.first is None:
+        s.first = s.best = (value, perm)
+        return
+    for ref_value, ref_perm in (s.first, s.best):
+        if value == ref_value and perm != ref_perm:
+            # relabel(masks, perm) == relabel(masks, ref) means the
+            # composition ref^-1 after perm fixes the family
+            g = _compose(_invert(ref_perm), perm)
+            if g not in s.gens:
+                s.gens.append(g)
+            break
+    if value < s.best[0]:
+        s.best = (value, perm)
+
+
+def _search(s, cells, keys, fixed, fixing):
+    """One node: keys are the mask colours under cells, fixed lists the
+    individualized elements along the path, fixing the generators found
+    before this node that fix each of them."""
+    s.nodes += 1
+    if s.nodes > s.budget:
+        raise BudgetExceeded(f"canonical search passed {s.budget} nodes")
+    cells = _equitable_refine(s.hyps_of, cells, keys)
+    target = None
+    for i, cell in enumerate(cells):
+        if len(cell) > 1 and (target is None or len(cell) < len(cells[target])):
+            target = i
+    if target is None:
+        _leaf(s, cells)
+        return
+    cell = cells[target]
+    n = len(s.hyps_of)
+    start = sum(map(len, cells[:target]))
+    # v alone ends at start + 1; the rest keeps the cell's end
+    delta = (1 << 4 * (n - start - 1)) - (1 << 4 * (n - start - len(cell)))
+    closed = 0               # orbit closure of the tried elements under fixing
+    seen = len(s.gens)       # generators before seen are sorted into fixing
+    for v in cell:
+        if closed >> v & 1:
+            continue
+        rest = [u for u in cell if u != v]
+        sub_keys = keys.copy()
+        for i in s.hyps_of[v]:
+            sub_keys[i] += delta
+        _search(
+            s, cells[:target] + [[v], rest] + cells[target + 1:], sub_keys,
+            fixed + [v], [g for g in fixing if g[v] == v],
+        )
+        new = [g for g in s.gens[seen:] if all(g[p] == p for p in fixed)]
+        seen = len(s.gens)
+        fixing = fixing + new
+        closed |= 1 << v
+        closed = _orbit_closure(closed, closed if new else 1 << v, fixing)
+
+
 def canonical_family(n, masks, cells=None, node_budget=2_000_000):
     """Canonicalize a family of masks under permutations of {0..n-1}.
 
@@ -195,79 +289,18 @@ def canonical_family(n, masks, cells=None, node_budget=2_000_000):
         cells = [list(range(n))]
     else:
         cells = [sorted(c) for c in cells if c]
-
-    hyps_of = _hyp_membership(n, masks)
-
-    best = {"value": None, "perm": None}
-    first = {"value": None, "perm": None}
-    gens = []
-    nodes = [0]
-
-    def refine(cells):
-        return _equitable_refine(masks, hyps_of, cells)
-
-    def leaf(cells, fixed):
-        perm = [0] * n
-        for label, cell in enumerate(cells):
-            perm[cell[0]] = label
-        value = relabel_family(masks, perm)
-        perm = tuple(perm)
-        if first["value"] is None:
-            first["value"] = value
-            first["perm"] = perm
-            best["value"] = value
-            best["perm"] = perm
-            return
-        for ref in (first, best):
-            if value == ref["value"] and perm != ref["perm"]:
-                # relabel(masks, perm) == relabel(masks, ref) means the
-                # composition ref^-1 after perm fixes the family
-                g = _compose(_invert(ref["perm"]), perm)
-                if g not in gens:
-                    gens.append(g)
-                break
-        if value < best["value"]:
-            best["value"] = value
-            best["perm"] = perm
-
-    def search(cells, fixed):
-        nodes[0] += 1
-        if nodes[0] > node_budget:
-            raise BudgetExceeded(f"canonical search passed {node_budget} nodes")
-        cells = refine(cells)
-        target = None
-        for i, cell in enumerate(cells):
-            if len(cell) > 1 and (target is None or len(cell) < len(cells[target])):
-                target = i
-        if target is None:
-            leaf(cells, fixed)
-            return
-        cell = cells[target]
-        tried = []
-        uf = None
-        gens_seen = -1
-        for v in cell:
-            if tried:
-                if gens_seen != len(gens):
-                    gens_seen = len(gens)
-                    fixing = [g for g in gens if all(g[p] == p for p in fixed)]
-                    uf = None
-                    if fixing:
-                        uf = UnionFind(range(n))
-                        for g in fixing:
-                            for i in range(n):
-                                uf.union(i, g[i])
-                if uf is not None and any(
-                    uf.find(v) == uf.find(u) for u in tried
-                ):
-                    continue
-            tried.append(v)
-            rest = [u for u in cell if u != v]
-            sub = cells[:target] + [[v], rest] + cells[target + 1:]
-            search(sub, fixed + [v])
-
-    search(cells, [])
-    return CanonicalForm(n, best["value"], best["perm"], tuple(gens))
+    s = _Search(n, masks, node_budget)
+    keys = [0] * len(masks)
+    end = 0
+    for cell in cells:
+        end += len(cell)
+        digit = 1 << 4 * (n - end)
+        for e in cell:
+            for i in s.hyps_of[e]:
+                keys[i] += digit
+    _search(s, cells, keys, [], [])
+    value, perm = s.best
+    return CanonicalForm(n, value, perm, tuple(s.gens))
 
 
 @dataclass

@@ -299,6 +299,7 @@ def cmd_johnson(args) -> int:
         enumerate_isets_orderly,
         estimate_iset_count,
         johnson_graph,
+        johnson_search,
         load_iset_checkpoint,
     )
 
@@ -340,6 +341,13 @@ def cmd_johnson(args) -> int:
         except (OSError, ValueError) as exc:
             print(f"cannot load checkpoint: {exc}", file=sys.stderr)
             return EXIT_IO
+        fresh = johnson_search(g)
+        if any(
+            getattr(resume, name) != getattr(fresh, name)
+            for name in ("n", "vertices", "conflict_threshold", "z2", "cells")
+        ):
+            print(f"checkpoint is not a J({args.n},{args.k}) search", file=sys.stderr)
+            return EXIT_USAGE
     if resume is not None:
         counts = resume.run(budget=args.budget, checkpoint_path=args.checkpoint)
     else:

@@ -8,6 +8,17 @@ same-parent survivors deduplicated by canonical form.  At n = 2(d+1) the
 group gains the complementation involution and orbits then pair each
 matroid with its dual.
 
+A family is grown by one vertex per orbit of its automorphism group on the
+vertices that may join it, the first of each orbit in vertex order: two
+vertices of one orbit give isomorphic children with the same verdict, so
+the accepted children are those of labelling every vertex.  The group's
+generators are those of the labelling that accepted the family, carried on
+the search stack beside it, plus the map that complements the family onto
+itself when there is one.  They are not checkpointed; a family taken up
+without them (the root, a resumed stack, an estimator prefix) is labelled
+once more to find them.  Each vertex's conflicts are a bitset over vertex
+indices, built once per search.
+
 Non-sparse counting fixes a largest block {0..k-1}, enumerates independent
 sets of the auxiliary conflict graph G(k) under the block stabilizer, and
 weights each completed matroid by 1/c where c is the number of automorphism
@@ -24,7 +35,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .canon import canonical_family, certificate_for, relabel_mask, _compose, _invert
-from .core import Matroid, UnionFind, mask_of, popcount
+from .core import Matroid, UnionFind, bits, mask_of, popcount
 from .errors import BudgetExceeded
 from .named import sparse_paving
 
@@ -83,45 +94,46 @@ def paving_from_blocks(n: int, d: int, blocks) -> Matroid:
 @dataclass
 class _FamilyCanon:
     value: tuple
-    deletion_member: int          # a mask belonging to the family
-    member_orbit: dict            # mask -> orbit id
+    deletion_orbit: set           # orbit of the canonical deletion member
+    actions: tuple                # automorphism generators as (perm, flip) pairs
+
+
+def _orbit(v: int, actions) -> set:
+    """Orbit of a vertex mask under automorphisms (perm, flip), each of which
+    relabels by perm and then complements if flip is the full mask (0 if not)."""
+    orbit = {v}
+    work = [v]
+    while work:
+        x = work.pop()
+        for perm, flip in actions:
+            y = relabel_mask(x, perm) ^ flip
+            if y not in orbit:
+                orbit.add(y)
+                work.append(y)
+    return orbit
 
 
 def _family_canon(n: int, masks: tuple, z2: bool, cells=None) -> _FamilyCanon:
     full = (1 << n) - 1
-    cf1 = canonical_family(n, masks, cells=cells)
-    mixing = None
-    chosen, comp_side = cf1, False
+    cf = canonical_family(n, masks, cells=cells)
+    actions = [(g, 0) for g in cf.generators]
+    chosen, flip = cf, 0
     if z2:
         comp = tuple(sorted(full ^ m for m in masks))
         cf2 = canonical_family(n, comp, cells=cells)
-        if cf2.masks < cf1.masks:
-            chosen, comp_side = cf2, True
-        if cf2.masks == cf1.masks:
+        if cf2.masks < cf.masks:
+            chosen, flip = cf2, full
+        if cf2.masks == cf.masks:
             # tau maps the complemented family back onto the family
-            mixing = _compose(_invert(cf1.perm), cf2.perm)
-    # orbits of family members under the (possibly extended) automorphisms
-    uf = UnionFind(masks)
-    for g in cf1.generators:
-        for m in masks:
-            uf.union(m, relabel_mask(m, g))
-    if mixing is not None:
-        for m in masks:
-            uf.union(m, relabel_mask(full ^ m, mixing))
-    # canonical deletion: member whose canonical image is largest
+            actions.append((_compose(_invert(cf.perm), cf2.perm), full))
+    # canonical deletion: the member whose canonical image is largest, i.e.
+    # the preimage of the last canonical mask (complemented on the Z2 side)
     if masks:
-        if not comp_side:
-            deletion = max(masks, key=lambda m: relabel_mask(m, cf1.perm))
-        else:
-            w = max(
-                (full ^ m for m in masks),
-                key=lambda c: relabel_mask(c, cf2.perm),
-            )
-            deletion = full ^ w
+        deletion = relabel_mask(chosen.masks[-1], _invert(chosen.perm)) ^ flip
+        deletion_orbit = _orbit(deletion, actions)
     else:
-        deletion = -1
-    orbit = {m: uf.find(m) for m in masks}
-    return _FamilyCanon(chosen.masks, deletion, orbit)
+        deletion_orbit = set()
+    return _FamilyCanon(chosen.masks, deletion_orbit, tuple(actions))
 
 
 @dataclass
@@ -139,29 +151,48 @@ class IsetSearch:
     max_size: int | None = None
     collect: bool = False
     collected: list = field(default_factory=list)
+    # vertex -> bitset over vertex indices that cannot join it (itself included)
+    _conflict: dict = field(init=False, repr=False, compare=False)
+    # stacked family -> automorphism actions of the labelling that accepted it
+    _actions: dict = field(init=False, repr=False, compare=False)
 
-    def _conflicts(self, v, members):
-        return any(popcount(v & u) >= self.conflict_threshold for u in members)
+    def __post_init__(self):
+        t = self.conflict_threshold
+        self._conflict = {
+            v: sum(1 << j for j, u in enumerate(self.vertices) if popcount(v & u) >= t)
+            | 1 << i
+            for i, v in enumerate(self.vertices)
+        }
+        self._actions = {}
 
-    def _children(self, members):
-        """Accepted canonical augmentations of one family."""
+    def _children(self, members, actions):
+        """Accepted canonical augmentations of one family, sorted by canonical
+        form, each with its automorphism actions.  One candidate vertex per
+        orbit of Aut(members) (generated by actions) is labelled."""
+        taken = 0
+        for u in members:
+            taken |= self._conflict[u]
         out = {}
-        member_set = set(members)
-        for v in self.vertices:
-            if v in member_set or self._conflicts(v, members):
+        seen = set()
+        for i in bits(((1 << len(self.vertices)) - 1) & ~taken):
+            v = self.vertices[i]
+            if v in seen:
                 continue
+            if actions:
+                seen |= _orbit(v, actions)
             child = tuple(sorted(members + (v,)))
             fc = _family_canon(self.n, child, self.z2, self.cells)
-            if fc.member_orbit[v] != fc.member_orbit[fc.deletion_member]:
+            if v not in fc.deletion_orbit:
                 continue
             if fc.value not in out:
-                out[fc.value] = child
-        return [out[v] for v in sorted(out)]
+                out[fc.value] = (child, fc.actions)
+        return [out[value] for value in sorted(out)]
 
     def run(self, budget: int | None = None, checkpoint_path: str | None = None,
             checkpoint_every: int = 5000):
         while self.stack:
             members = self.stack.pop()
+            actions = self._actions.pop(members, None)
             self.nodes += 1
             size = len(members)
             self.counts[size] = self.counts.get(size, 0) + 1
@@ -169,8 +200,11 @@ class IsetSearch:
                 self.collected.append(members)
             if self.max_size is not None and size >= self.max_size:
                 continue
-            for child in reversed(self._children(members)):
+            if actions is None:
+                actions = _family_canon(self.n, members, self.z2, self.cells).actions
+            for child, child_actions in reversed(self._children(members, actions)):
                 self.stack.append(child)
+                self._actions[child] = child_actions
             if checkpoint_path and self.nodes % checkpoint_every == 0:
                 save_iset_checkpoint(self, checkpoint_path)
             if budget is not None and self.nodes > budget:
@@ -228,7 +262,7 @@ def load_iset_checkpoint(path: str) -> IsetSearch:
             raise TypeError("bad z2 or counts field")
         cells = data["cells"]
         max_size = data["max_size"]
-        return IsetSearch(
+        search = IsetSearch(
             n=_int(data["n"]),
             vertices=_ints(data["vertices"]),
             conflict_threshold=_int(data["conflict_threshold"]),
@@ -239,8 +273,18 @@ def load_iset_checkpoint(path: str) -> IsetSearch:
             nodes=_int(data["nodes"]),
             max_size=None if max_size is None else _int(max_size),
         )
+        if not all(v in search._conflict for members in search.stack for v in members):
+            raise ValueError("stack holds a family of non-vertices")
     except (TypeError, ValueError) as exc:
         raise ValueError(f"bad checkpoint payload: {exc}") from None
+    return search
+
+
+def johnson_search(g: JohnsonGraph, **kwargs) -> IsetSearch:
+    """The orbit search over independent sets of J(n,k): S_n, plus Z2 if n=2k."""
+    return IsetSearch(
+        g.n, g.vertices, conflict_threshold=g.k - 1, z2=g.with_complement, **kwargs
+    )
 
 
 def enumerate_isets_orderly(
@@ -250,18 +294,13 @@ def enumerate_isets_orderly(
     resume: IsetSearch | None = None,
 ):
     """Count independent-set orbits of J(n,k) by size (S_n, plus Z2 if n=2k)."""
-    search = resume or IsetSearch(
-        g.n, g.vertices, conflict_threshold=g.k - 1, z2=g.with_complement
-    )
+    search = resume or johnson_search(g)
     return search.run(budget=budget, checkpoint_path=checkpoint_path)
 
 
 def collect_iset_orbits(g: JohnsonGraph):
     """Orbit representatives themselves (families of vertex masks)."""
-    search = IsetSearch(
-        g.n, g.vertices, conflict_threshold=g.k - 1, z2=g.with_complement,
-        collect=True,
-    )
+    search = johnson_search(g, collect=True)
     search.run()
     return search.collected
 
@@ -317,10 +356,7 @@ def estimate_iset_count(
     g: JohnsonGraph, prefix_size: int, sample_fraction: float, seed: int
 ) -> EstimateReport:
     """Estimate total orbit count by completing a sampled prefix frontier."""
-    search = IsetSearch(
-        g.n, g.vertices, conflict_threshold=g.k - 1, z2=g.with_complement,
-        max_size=prefix_size, collect=True,
-    )
+    search = johnson_search(g, max_size=prefix_size, collect=True)
     search.run()
     frontier = [s for s in search.collected if len(s) == prefix_size]
     below = sum(c for size, c in search.counts.items() if size < prefix_size)
@@ -330,10 +366,7 @@ def estimate_iset_count(
     sample = rng.sample(frontier, m) if frontier else []
     completions = 0
     for prefix in sample:
-        sub = IsetSearch(
-            g.n, g.vertices, conflict_threshold=g.k - 1, z2=g.with_complement,
-            stack=[prefix],
-        )
+        sub = johnson_search(g, stack=[prefix])
         sub.run()
         completions += sum(sub.counts.values())
     frac = m / len(frontier) if frontier else 1.0

@@ -1,3 +1,5 @@
+import gc
+import hashlib
 import itertools
 import random
 
@@ -223,3 +225,47 @@ class TestSignaturePrefilter:
         assert not element_has_minimal_signature(3, masks, 0)
         assert element_has_minimal_signature(3, masks, 1)
         assert element_has_minimal_signature(3, masks, 2)
+
+
+class TestCanonicalOutputPinned:
+    """The kernel's exact output, not only its dedup verdicts: a kernel that
+    picked another canonical form would change these digests."""
+
+    def test_certificate_digest_through_seven(self, catalogue7):
+        listing = "\n".join(sorted(rec.cert.hex() for rec in catalogue7))
+        assert hashlib.sha256(listing.encode()).hexdigest() == (
+            "1df7c57d8dd820c4fc04eb428e391b269940697767b5d2d241841a4ef11479a5"
+        )
+
+    def test_canonical_family_digest(self, catalogue6):
+        # (masks, perm, generators) of every class with n <= 6, then of each
+        # 6-element class under three cell restrictions
+        digest = hashlib.sha256()
+        restrictions = (
+            ((0, 1, 2), (3, 4, 5)), ((0,), (1, 2, 3, 4, 5)), ((4, 5), (0, 1, 2, 3)),
+        )
+        calls = [(rec.n, rec.hyperplanes, None) for rec in catalogue6]
+        calls += [
+            (6, rec.hyperplanes, cells)
+            for rec in catalogue6 if rec.n == 6
+            for cells in restrictions
+        ]
+        for n, masks, cells in calls:
+            cf = canonical_family(n, masks, cells=cells)
+            digest.update(repr((cf.masks, cf.perm, cf.generators)).encode())
+        assert len(calls) == 168 + 3 * 98
+        assert digest.hexdigest() == (
+            "90edf73c0514d1d771ba81b0f8e1ad43a735c63fcda92db2637bc2adee302bb5"
+        )
+
+
+def test_labelling_leaves_no_reference_cycles(catalogue7):
+    families = [(rec.n, rec.rank, rec.hyperplanes) for rec in catalogue7]
+    gc.collect()
+    gc.disable()
+    try:
+        for n, rank, hyps in families:
+            certificate_for(n, rank, hyps)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

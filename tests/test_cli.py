@@ -173,6 +173,24 @@ class TestOracleAndJohnson:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("cannot load checkpoint")
 
+    @pytest.mark.parametrize("n,k", [(9, 2), (6, 2), (7, 3)])
+    def test_johnson_resume_other_graph(self, tmp_path, capsys, n, k):
+        ck = str(tmp_path / "j63.jck")
+        rc = main(["johnson", "--n", "6", "--k", "3", "--checkpoint", ck,
+                   "--budget", "2"])
+        assert rc == EXIT_BUDGET
+        capsys.readouterr()
+        rc = main(["johnson", "--n", str(n), "--k", str(k), "--checkpoint", ck,
+                   "--resume"])
+        assert rc == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith(f"checkpoint is not a J({n},{k})")
+        rc = main(["johnson", "--n", "6", "--k", "3", "--checkpoint", ck, "--resume"])
+        assert rc == EXIT_OK
+        assert "total\t6" in capsys.readouterr().out
+
     def test_johnson_resume_needs_checkpoint(self):
         assert main(["johnson", "--n", "6", "--k", "3", "--resume"]) == EXIT_USAGE
 

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import pickle
@@ -5,18 +6,21 @@ from fractions import Fraction
 
 import pytest
 
-from matcat.canon import canonical_family, certificate, relabel_family
+from matcat.canon import canonical_family, certificate, relabel_family, relabel_mask
 from matcat.core import mask_of, popcount, uniform
 from matcat.named import P8_CIRCUIT_HYPERPLANES, p8
 from matcat.paving import (
     BudgetExceeded,
     IsetSearch,
     NotIndependent,
+    _family_canon,
+    auxiliary_graph_vertices,
     count_nonsparse_paving,
     count_self_dual_sparse,
     enumerate_isets_orderly,
     estimate_iset_count,
     johnson_graph,
+    johnson_search,
     load_iset_checkpoint,
     paving_total,
     save_iset_checkpoint,
@@ -212,6 +216,101 @@ class TestOrbitEnumeration:
             fh.write(b"MCJK\x02" + json.dumps(data).encode())
         with pytest.raises(ValueError):
             load_iset_checkpoint(path)
+
+    def test_checkpoint_stack_of_non_vertices(self, tmp_path):
+        g = johnson_graph(5, 2)
+        path = str(tmp_path / "v.ckpt")
+        save_iset_checkpoint(johnson_search(g, stack=[(0b111,)]), path)
+        with pytest.raises(ValueError):
+            load_iset_checkpoint(path)
+
+    def test_j84_slice_pinned(self, tmp_path):
+        # stopped at 40 nodes, resumed from the checkpoint, stopped at 80
+        path = str(tmp_path / "slice.ckpt")
+        with pytest.raises(BudgetExceeded):
+            enumerate_isets_orderly(johnson_graph(8, 4), budget=40, checkpoint_path=path)
+        search = load_iset_checkpoint(path)
+        with pytest.raises(BudgetExceeded):
+            search.run(budget=80, checkpoint_path=path)
+        assert search.nodes == 81
+        assert search.counts == {
+            0: 1, 1: 1, 2: 3, 3: 2, 4: 4, 5: 8, 6: 12, 7: 13, 8: 17, 9: 8,
+            10: 6, 11: 2, 12: 2, 13: 1, 14: 1,
+        }
+        with open(path, "rb") as fh:
+            assert hashlib.sha256(fh.read()).hexdigest() == (
+                "bc88f51f8eeee9074bbe997a4ba2fd73a83b99543e2e33b4638c79479592ec1b"
+            )
+
+
+def _direct_children(search, members):
+    """Label every candidate vertex; keep the first child of each canonical
+    form in vertex order, sorted by canonical form."""
+    out = {}
+    for v in search.vertices:
+        if v in members or any(
+            popcount(v & u) >= search.conflict_threshold for u in members
+        ):
+            continue
+        child = tuple(sorted(members + (v,)))
+        fc = _family_canon(search.n, child, search.z2, search.cells)
+        if v in fc.deletion_orbit:
+            out.setdefault(fc.value, child)
+    return [out[value] for value in sorted(out)]
+
+
+class _CheckedSearch(IsetSearch):
+    """Compares every orbit-reduced expansion with the direct one and
+    records each expanded family in collected."""
+
+    def _children(self, members, actions):
+        got = super()._children(members, actions)
+        assert [child for child, _ in got] == _direct_children(self, members), members
+        self.collected.append(members)
+        return got
+
+
+class TestOrbitReduction:
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_every_johnson_node_through_eight(self, n):
+        for k in range(1, n):
+            g = johnson_graph(n, k)
+            search = _CheckedSearch(
+                g.n, g.vertices, conflict_threshold=g.k - 1, z2=g.with_complement
+            )
+            counts = search.run()
+            assert len(search.collected) == search.nodes == sum(counts.values())
+
+    def test_first_1500_nodes_of_j94(self):
+        g = johnson_graph(9, 4)
+        search = _CheckedSearch(g.n, g.vertices, conflict_threshold=g.k - 1)
+        with pytest.raises(BudgetExceeded):
+            search.run(budget=1499)
+        assert len(search.collected) == 1500
+
+    def test_nonsparse_cell_searches(self):
+        # the searches of count_nonsparse_paving(8, 4), one per block size k
+        n, d = 8, 3
+        nodes = []
+        for k in range(d + 2, n):
+            search = _CheckedSearch(
+                n, auxiliary_graph_vertices(n, d, k), conflict_threshold=d,
+                cells=(tuple(range(k)), tuple(range(k, n))),
+            )
+            search.run()
+            nodes.append(len(search.collected))
+        assert nodes == [47, 4, 1]
+
+    def test_actions_are_automorphisms(self):
+        g = johnson_graph(8, 4)
+        full = (1 << g.n) - 1
+        search = johnson_search(g, collect=True)
+        search.run()
+        for members in search.collected:
+            for perm, flip in _family_canon(g.n, members, True).actions:
+                assert flip in (0, full)
+                image = tuple(sorted(relabel_mask(v, perm) ^ flip for v in members))
+                assert image == members
 
 
 class TestEstimator:
