@@ -1,15 +1,14 @@
 """Command-line entry points: enum, props, query, johnson, exminors, oracle.
 
 Exit codes: 0 ok, 2 usage, 3 budget exceeded, 4 verification mismatch,
-5 I/O or format failure.  Defaults stay at desk scale; anything that runs
-for hours (9-element enumeration, GF(5) minors at 8, orderability at 8)
-sits behind --extended.
+5 I/O or format failure.  Defaults stay at desk scale; the 9-element
+enumeration, GF(5) minors at 8 and the GF(5), orderability and
+transversality columns at 8 sit behind --extended.
 """
 
 from __future__ import annotations
 
 import argparse
-import multiprocessing
 import sys
 from functools import partial
 
@@ -24,16 +23,15 @@ from .orderly import (
 )
 from .store import (
     FormatError,
-    RowOptions,
     assign_ids,
-    compute_row,
+    block_options,
+    build_property_table,
     missing_base_triples,
     parse_property_tsv,
     parse_query,
     query,
     read_catalogue,
     render_property_tsv,
-    resolve_cross_references,
     write_catalogue,
 )
 
@@ -106,55 +104,21 @@ def cmd_enum(args) -> int:
     return EXIT_OK
 
 
-def _block_options(n: int, extended: bool) -> RowOptions:
-    """Desk-scale column staging: the expensive columns shrink with n.
-
-    Nine-element rows keep the counting and symmetry columns but skip the
-    search-heavy ones; those stay reachable through the library API.
-    """
-    if n <= 7:
-        return RowOptions()
-    if n == 8:
-        return RowOptions(
-            gf_fields=(2, 3, 4, 5) if extended else (2, 3, 4),
-            ingleton=True,
-            orderability=extended,
-            transversality=extended,
-        )
-    return RowOptions(
-        gf_fields=(), ingleton=False, orderability=False, transversality=False
-    )
-
-
 def cmd_props(args) -> int:
     try:
         records = read_catalogue(args.catalogue)
     except (OSError, FormatError) as exc:
         print(f"cannot read catalogue: {exc}", file=sys.stderr)
         return EXIT_IO
-    jobs = args.jobs or default_jobs()
-    pool = multiprocessing.Pool(jobs) if jobs > 1 else None
-    rows = []
-    try:
-        by_n = {}
-        for rec in records:
-            by_n.setdefault(rec.n, []).append(rec)
-        raw = []
-        for n, recs in sorted(by_n.items()):
-            opts = _block_options(n, args.extended)
-            if pool is None:
-                raw.extend(compute_row(r, opts) for r in recs)
-            else:
-                raw.extend(pool.map(partial(compute_row, opts=opts), recs, chunksize=16))
-        rows = resolve_cross_references(raw)
-    finally:
-        if pool is not None:
-            pool.close()
-            pool.join()
+    rows = build_property_table(
+        records,
+        partial(block_options, extended=args.extended),
+        jobs=args.jobs or default_jobs(),
+    )
     tsv = render_property_tsv(rows)
     with open(args.out, "w") as fh:
         fh.write(tsv)
-    max_n = max(r["n"] for r in rows)
+    max_n = max((r["n"] for r in rows), default=0)
     for title, pred in (
         ("Simple matroids", lambda r: r["simple"]),
         ("Simple and cosimple matroids", lambda r: r["simple"] and r["cosimple"]),

@@ -27,9 +27,6 @@ class ModularCut:
     members: int           # bitset over flat indices
     minimal_elements: tuple
 
-    def member_indices(self):
-        return tuple(bits(self.members))
-
 
 def _modular_closed(members: int, adj, meet) -> bool:
     """True iff the up-set holds the meet of each modular pair inside it."""
@@ -275,16 +272,21 @@ def antichains(lat: FlatLattice):
     for i in range(nf):
         comparable[i] = lat.strictly_above[i] | lat._below(i)
 
-    def grow(chosen, allowed, min_idx):
-        yield chosen
-        rest = allowed & ~((1 << min_idx) - 1)
-        while rest:
-            b = rest & -rest
-            i = b.bit_length() - 1
-            rest ^= b
-            yield from grow(chosen + (i,), allowed & ~comparable[i], i + 1)
+    yield from _grow_antichains(comparable, (), (1 << nf) - 1, 0)
 
-    yield from grow((), (1 << nf) - 1, 0)
+
+def _grow_antichains(comparable, chosen, allowed, min_idx):
+    """chosen, then every antichain that adds flats of allowed from min_idx on
+    (a module function for the reason given at _grow_cuts)."""
+    yield chosen
+    rest = allowed & ~((1 << min_idx) - 1)
+    while rest:
+        b = rest & -rest
+        i = b.bit_length() - 1
+        rest ^= b
+        yield from _grow_antichains(
+            comparable, chosen + (i,), allowed & ~comparable[i], i + 1
+        )
 
 
 def modular_cuts_naive(m: Matroid):

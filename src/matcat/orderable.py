@@ -13,28 +13,32 @@ import itertools
 from .core import Matroid, bits, mask_of, popcount
 from .errors import BudgetExceeded
 
+# The recursive searches below are module functions, not nested ones: a
+# recursive closure is a reference cycle that only the cyclic collector frees.
+
 
 def _perfect_matching(adj, size):
     """Kuhn's augmenting paths; adj[i] = candidate right ids for left i."""
     match_right = {}
-
-    def try_assign(i, visited):
-        for j in adj[i]:
-            if j in visited:
-                continue
-            visited.add(j)
-            if j not in match_right or try_assign(match_right[j], visited):
-                match_right[j] = i
-                return True
-        return False
-
     for i in range(size):
-        if not try_assign(i, set()):
+        if not _augment(adj, match_right, i, set()):
             return None
     pairing = [None] * size
     for j, i in match_right.items():
         pairing[i] = j
     return pairing
+
+
+def _augment(adj, match_right, i, visited):
+    """Match left i along an augmenting path, if there is one."""
+    for j in adj[i]:
+        if j in visited:
+            continue
+        visited.add(j)
+        if j not in match_right or _augment(adj, match_right, match_right[j], visited):
+            match_right[j] = i
+            return True
+    return False
 
 
 def _exchange_graph(m, a_elems, b_elems, bases_set, a_mask, b_mask):
@@ -67,45 +71,47 @@ def strongly_base_orderable(m: Matroid) -> bool:
     """Some exchange bijection works for every subset, for every basis pair."""
     bases = m._bases
     bases_set = set(bases)
-    r = m.rank
     for a_mask, b_mask in itertools.combinations(bases, 2):
         a_elems = list(bits(a_mask))
         b_elems = list(bits(b_mask))
         adj = _exchange_graph(m, a_elems, b_elems, bases_set, a_mask, b_mask)
-
-        def subsets_ok(pairing, upto):
-            # all X containing a_elems[upto] within the matched prefix
-            rest = list(range(upto))
-            for k in range(len(rest) + 1):
-                for extra in itertools.combinations(rest, k):
-                    idxs = extra + (upto,)
-                    x = mask_of(a_elems[i] for i in idxs)
-                    y = mask_of(b_elems[pairing[i]] for i in idxs)
-                    if (a_mask & ~x) | y not in bases_set:
-                        return False
-                    if (b_mask & ~y) | x not in bases_set:
-                        return False
-            return True
-
-        used = [False] * r
-
-        def extend(pairing, i):
-            if i == r:
-                return True
-            for j in adj[i]:
-                if used[j]:
-                    continue
-                pairing.append(j)
-                used[j] = True
-                if subsets_ok(pairing, i) and extend(pairing, i + 1):
-                    return True
-                used[j] = False
-                pairing.pop()
-            return False
-
-        if not extend([], 0):
+        pair = (a_mask, b_mask, a_elems, b_elems, bases_set)
+        if not _extend_pairing(pair, adj, [False] * m.rank, []):
             return False
     return True
+
+
+def _subsets_ok(pair, pairing, upto):
+    """Every X holding a_elems[upto] within the matched prefix exchanges."""
+    a_mask, b_mask, a_elems, b_elems, bases_set = pair
+    rest = list(range(upto))
+    for k in range(len(rest) + 1):
+        for extra in itertools.combinations(rest, k):
+            idxs = extra + (upto,)
+            x = mask_of(a_elems[i] for i in idxs)
+            y = mask_of(b_elems[pairing[i]] for i in idxs)
+            if (a_mask & ~x) | y not in bases_set:
+                return False
+            if (b_mask & ~y) | x not in bases_set:
+                return False
+    return True
+
+
+def _extend_pairing(pair, adj, used, pairing):
+    """Grow pairing (a prefix of the bijection) to a strong exchange."""
+    i = len(pairing)
+    if i == len(adj):
+        return True
+    for j in adj[i]:
+        if used[j]:
+            continue
+        pairing.append(j)
+        used[j] = True
+        if _subsets_ok(pair, pairing, i) and _extend_pairing(pair, adj, used, pairing):
+            return True
+        used[j] = False
+        pairing.pop()
+    return False
 
 
 # -- transversal presentations ------------------------------------------------
@@ -168,28 +174,32 @@ def transversal(m: Matroid, node_budget: int = 2_000_000):
     for i in range(len(cands) - 1, -1, -1):
         suffix_union[i] = suffix_union[i + 1] | cands[i]
 
-    nodes = [0]
-
-    def grow(start, depth, matchable, covered, chosen):
-        nodes[0] += 1
-        if nodes[0] > node_budget:
-            raise BudgetExceeded(f"transversal search passed {node_budget} nodes")
-        if depth == r:
-            return list(chosen) if matchable == indep_bits else None
-        for i in range(start, len(cands)):
-            if covered | suffix_union[i] != nonloops:
-                return None  # later candidates only shrink coverage
-            a = cands[i]
-            nxt = _matchable_extend(matchable, a, n, contains)
-            if nxt & circ_bits:
-                continue
-            got = grow(i, depth + 1, nxt, covered | a, chosen + [a])
-            if got is not None:
-                return got
-        return None
-
-    found = grow(0, 0, 1, 0, [])
+    search = (cands, suffix_union, nonloops, circ_bits, indep_bits, contains, n, r)
+    found = _grow_presentation(search, [0, node_budget], 0, 0, 1, 0, [])
     return tuple(found) if found is not None else None
+
+
+def _grow_presentation(search, nodes, start, depth, matchable, covered, chosen):
+    """Extend chosen by candidates from start on; nodes = [visited, budget]."""
+    cands, suffix_union, nonloops, circ_bits, indep_bits, contains, n, r = search
+    nodes[0] += 1
+    if nodes[0] > nodes[1]:
+        raise BudgetExceeded(f"transversal search passed {nodes[1]} nodes")
+    if depth == r:
+        return list(chosen) if matchable == indep_bits else None
+    for i in range(start, len(cands)):
+        if covered | suffix_union[i] != nonloops:
+            return None  # later candidates only shrink coverage
+        a = cands[i]
+        nxt = _matchable_extend(matchable, a, n, contains)
+        if nxt & circ_bits:
+            continue
+        got = _grow_presentation(
+            search, nodes, i, depth + 1, nxt, covered | a, chosen + [a]
+        )
+        if got is not None:
+            return got
+    return None
 
 
 def transversal_matroid_independence(n: int, sets) -> int:

@@ -14,6 +14,7 @@ over a worker pool without affecting the (sorted) output.
 
 from __future__ import annotations
 
+import math
 import multiprocessing
 import os
 from dataclasses import dataclass, field
@@ -46,13 +47,16 @@ def parse_masks(text: str) -> tuple:
 
 
 @dataclass(frozen=True, slots=True)
-class MatroidRecord:
-    """Compact enumeration record: certificate bytes double as the sort key."""
+class CatalogueRecord:
+    """A matroid class.  Enumeration leaves id None and sorts by certificate;
+    store.assign_ids numbers the records, and a catalogue file read back
+    carries ids but no certificates."""
 
+    id: int | None
     n: int
     rank: int
     hyp_bytes: bytes
-    cert: bytes
+    cert: bytes | None = None
 
     @property
     def hyperplanes(self) -> tuple:
@@ -65,7 +69,7 @@ class MatroidRecord:
         return (self.n, self.rank, self.cert)
 
 
-EMPTY_MATROID = MatroidRecord(0, 0, b"", bytes([0, 0]))
+EMPTY_MATROID = CatalogueRecord(None, 0, 0, b"", bytes([0, 0]))
 
 
 def extend_all(parent: Matroid) -> list:
@@ -102,9 +106,11 @@ def _extend_records(n, rank, hyps):
         if ids[n] != ids[cert.perm.index(0)]:
             continue
         records.append(
-            MatroidRecord(n + 1, child_rank, pack_masks(child_hyps), cert.bytes)
+            CatalogueRecord(
+                None, n + 1, child_rank, pack_masks(child_hyps), cert.bytes
+            )
         )
-    return sorted(records, key=MatroidRecord.sort_key), candidates
+    return sorted(records, key=CatalogueRecord.sort_key), candidates
 
 
 def _flat_permutations(lat: FlatLattice, generators) -> list:
@@ -170,7 +176,7 @@ def enumerate_matroids(
     resume_job: EnumerationJob | None = None,
     progress=None,
 ) -> list:
-    """All matroids with 0..max_n elements as sorted MatroidRecords.
+    """All matroids with 0..max_n elements as sorted CatalogueRecords (id None).
 
     budget caps the number of modular-cut candidates examined; on breach a
     checkpoint is written (when a path is configured) and BudgetExceeded is
@@ -187,7 +193,7 @@ def enumerate_matroids(
     try:
         while job.level < max_n:
             _advance_level(job, pool, budget, checkpoint_path, checkpoint_every, progress)
-        return sorted(job.emitted, key=MatroidRecord.sort_key)
+        return sorted(job.emitted, key=CatalogueRecord.sort_key)
     finally:
         if pool is not None:
             pool.close()
@@ -219,7 +225,7 @@ def _advance_level(job, pool, budget, checkpoint_path, checkpoint_every, progres
             raise BudgetExceeded(
                 f"{job.candidates_used} extension candidates exceed budget {budget}"
             )
-    level_children = sorted(set(job.children), key=MatroidRecord.sort_key)
+    level_children = sorted(set(job.children), key=CatalogueRecord.sort_key)
     job.level += 1
     job.parents = level_children
     job.next_parent = 0
@@ -234,14 +240,14 @@ def _advance_level(job, pool, budget, checkpoint_path, checkpoint_every, progres
 _CKPT_HEADER = "#matcat-enum-checkpoint v1"
 
 
-def _rec_line(rec: MatroidRecord) -> str:
+def _rec_line(rec: CatalogueRecord) -> str:
     return f"{rec.n} {rec.rank} {format_masks(rec.hyperplanes)} {rec.cert.hex()}"
 
 
-def _rec_parse(line: str) -> MatroidRecord:
+def _rec_parse(line: str) -> CatalogueRecord:
     ns, rs, hs, cert = line.split()
-    return MatroidRecord(
-        int(ns), int(rs), pack_masks(parse_masks(hs)), bytes.fromhex(cert)
+    return CatalogueRecord(
+        None, int(ns), int(rs), pack_masks(parse_masks(hs)), bytes.fromhex(cert)
     )
 
 
@@ -322,31 +328,26 @@ def brute_force_enumerate(n: int):
     masks = list(range(1, full + 1))
     labeled = 0
     seen = {}
-
-    def candidates(chosen):
-        nonlocal labeled
-        hyps = [full & ~c for c in chosen]
+    # depth-first over cocircuit antichains, each visited before its
+    # extensions and those in ascending order of the added mask
+    stack = [([], 0)]
+    while stack:
+        chosen, start = stack.pop()
+        for i in range(len(masks) - 1, start - 1, -1):
+            c = masks[i]
+            if not any(c & d == c or c & d == d for d in chosen):
+                stack.append((chosen + [c], i + 1))
         try:
-            m = Matroid.from_hyperplanes(n, hyps)
+            m = Matroid.from_hyperplanes(n, [full & ~c for c in chosen])
         except Exception:
-            return
+            continue
         labeled += 1
         cert = certificate_for(m.n, m.rank, m.hyperplanes)
         if cert.bytes not in seen:
-            seen[cert.bytes] = MatroidRecord(
-                m.n, m.rank, pack_masks(m.hyperplanes), cert.bytes
+            seen[cert.bytes] = CatalogueRecord(
+                None, m.n, m.rank, pack_masks(m.hyperplanes), cert.bytes
             )
-
-    def grow(chosen, start):
-        candidates(chosen)
-        for i in range(start, len(masks)):
-            c = masks[i]
-            if any(c & d == c or c & d == d for d in chosen):
-                continue
-            grow(chosen + [c], i + 1)
-
-    grow([], 0)
-    return sorted(seen.values(), key=MatroidRecord.sort_key), labeled
+    return sorted(seen.values(), key=CatalogueRecord.sort_key), labeled
 
 
 @dataclass(frozen=True)
@@ -386,9 +387,5 @@ def labelled_count_from_classes(records) -> int:
     total = 0
     for rec in records:
         cert = certificate_for(rec.n, rec.rank, rec.hyperplanes)
-        total += _factorial(rec.n) // cert.aut_order
+        total += math.factorial(rec.n) // cert.aut_order
     return total
-
-
-def _factorial(n):
-    return 1 if n <= 1 else n * _factorial(n - 1)

@@ -273,11 +273,21 @@ def load_iset_checkpoint(path: str) -> IsetSearch:
             nodes=_int(data["nodes"]),
             max_size=None if max_size is None else _int(max_size),
         )
-        if not all(v in search._conflict for members in search.stack for v in members):
-            raise ValueError("stack holds a family of non-vertices")
+        _check_stack(search)
     except (TypeError, ValueError) as exc:
         raise ValueError(f"bad checkpoint payload: {exc}") from None
     return search
+
+
+def _check_stack(search: IsetSearch) -> None:
+    """ValueError unless every stacked family is an independent set."""
+    index = {v: i for i, v in enumerate(search.vertices)}
+    for members in search.stack:
+        taken = 0
+        for v in members:
+            if v not in index or taken >> index[v] & 1:
+                raise ValueError("stack holds a family that is not an independent set")
+            taken |= search._conflict[v]
 
 
 def johnson_search(g: JohnsonGraph, **kwargs) -> IsetSearch:

@@ -217,46 +217,53 @@ def _representable_direct(m: Matroid, q: int):
     unknown_by_col = {e: [u for u in unknowns if u[1] == e] for e in others}
     nonzero = list(range(1, q))
 
-    processed_elems = basis_elems[:]
     matrix = [[0] * m.n for _ in range(r)]
     for i, b in enumerate(basis_elems):
         matrix[i][b] = 1
-
-    def check_new_column(e):
-        elems = processed_elems + [e]
-        for size in range(1, min(r, len(elems)) + 1):
-            for sub in itertools.combinations(elems, size):
-                if e not in sub:
-                    continue
-                mask = mask_of(sub)
-                rows = [[matrix[i][c] for c in sub] for i in range(r)]
-                if gf.matrix_rank(rows, size) != table[mask]:
-                    return False
-        return True
-
-    def assign(idx):
-        if idx == len(others):
-            return True
-        e = others[idx]
-        slots = unknown_by_col[e]
-        for values in itertools.product(nonzero, repeat=len(slots)):
-            col = cols[e][:]
-            for (i, _), v in zip(slots, values):
-                col[i] = v
-            for i in range(r):
-                matrix[i][e] = col[i]
-            if check_new_column(e):
-                processed_elems.append(e)
-                if assign(idx + 1):
-                    return True
-                processed_elems.pop()
-        for i in range(r):
-            matrix[i][e] = 0
-        return False
-
-    if not assign(0):
+    search = (gf, table, others, unknown_by_col, cols, nonzero, matrix)
+    if not _assign_columns(search, basis_elems[:], 0):
         return None
     return RepresentationMatrix(q, tuple(tuple(row) for row in matrix))
+
+
+def _assign_columns(search, processed, idx):
+    """Fill the columns others[idx:] of the matrix, each checked against the
+    processed columns before it; True when every column is filled.  (Not a
+    closure: a recursive closure is a reference cycle.)"""
+    gf, table, others, unknown_by_col, cols, nonzero, matrix = search
+    if idx == len(others):
+        return True
+    e = others[idx]
+    slots = unknown_by_col[e]
+    for values in itertools.product(nonzero, repeat=len(slots)):
+        col = cols[e][:]
+        for (i, _), v in zip(slots, values):
+            col[i] = v
+        for i, row in enumerate(matrix):
+            row[e] = col[i]
+        if _column_fits(gf, table, matrix, processed, e):
+            processed.append(e)
+            if _assign_columns(search, processed, idx + 1):
+                return True
+            processed.pop()
+    for row in matrix:
+        row[e] = 0
+    return False
+
+
+def _column_fits(gf, table, matrix, processed, e):
+    """Every subset of processed + [e] holding e has matrix rank equal to
+    its matroid rank."""
+    r = len(matrix)
+    elems = processed + [e]
+    for size in range(1, min(r, len(elems)) + 1):
+        for sub in itertools.combinations(elems, size):
+            if e not in sub:
+                continue
+            rows = [[row[c] for c in sub] for row in matrix]
+            if gf.matrix_rank(rows, size) != table[mask_of(sub)]:
+                return False
+    return True
 
 
 def excluded_minors(matroids, q: int, representable_cache=None):

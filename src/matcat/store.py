@@ -2,26 +2,24 @@
 
 Catalogue files are line-oriented text: a version header, one record per
 line as `<id> <n> <rank> <h1,h2,...|->` with lowercase-hex masks sorted
-ascending, and a whole-file sha256 footer.  Property tables are TSV with a
-fixed header; booleans are 0/1, infinities are `inf`, and columns that a
-run did not compute hold `-`.
+ascending, and a whole-file sha256 footer.  Their records are the one record
+type, `orderly.CatalogueRecord`, numbered by `assign_ids`.  Property tables
+are TSV with a fixed header; booleans are 0/1, infinities are `inf`, and
+columns that a run did not compute hold `-`.  `block_options` is the one
+policy for which columns a run computes at each ground-set size.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
+import multiprocessing
 import re
 from dataclasses import dataclass, replace
+from functools import partial
 
-from .core import INFINITY, Matroid
-from .orderly import (
-    MatroidRecord,
-    format_masks,
-    pack_masks,
-    parse_masks,
-    unpack_masks,
-)
+from .core import INFINITY
+from .orderly import CatalogueRecord, format_masks, pack_masks, parse_masks
 
 CATALOGUE_HEADER = "#matcat-catalogue v1"
 TABLE_HEADER = "#matcat-properties v1"
@@ -47,25 +45,9 @@ class TypeMismatch(ValueError):
     pass
 
 
-@dataclass(frozen=True, slots=True)
-class CatalogueRecord:
-    id: int
-    n: int
-    rank: int
-    hyp_bytes: bytes
-    cert: bytes | None = None
-
-    @property
-    def hyperplanes(self):
-        return unpack_masks(self.hyp_bytes)
-
-    def matroid(self) -> Matroid:
-        return Matroid(self.n, self.rank, self.hyperplanes)
-
-
 def assign_ids(records) -> list:
-    """Dense ids in (n, rank, certificate) order for MatroidRecords."""
-    ordered = sorted(records, key=MatroidRecord.sort_key)
+    """The records numbered densely in (n, rank, certificate) order."""
+    ordered = sorted(records, key=CatalogueRecord.sort_key)
     return [
         CatalogueRecord(i, rec.n, rec.rank, rec.hyp_bytes, rec.cert)
         for i, rec in enumerate(ordered)
@@ -77,9 +59,7 @@ def _record_line(rec: CatalogueRecord) -> str:
 
 
 def write_catalogue(records, path: str) -> None:
-    """Write CatalogueRecords (or MatroidRecords, ids assigned) to a file."""
-    if records and isinstance(records[0], MatroidRecord):
-        records = assign_ids(records)
+    """Write numbered records (assign_ids output) to a file."""
     keys = [(r.n, r.rank, r.cert) for r in records]
     if any(k[2] is not None for k in keys) and keys != sorted(keys):
         raise FormatError("records not sorted by (n, rank, certificate)")
@@ -186,9 +166,27 @@ class RowOptions:
 
     gf_fields: tuple = (2, 3, 4, 5)
     ingleton: bool = True
-    ingleton_violators8: tuple | None = None
     orderability: bool = True
     transversality: bool = True
+
+
+def block_options(n: int, extended: bool = False) -> RowOptions:
+    """Desk-scale column staging: the expensive columns shrink with n.
+
+    Nine-element rows keep the counting and symmetry columns but skip the
+    search-heavy ones; those stay reachable through the library API.
+    """
+    if n <= 7:
+        return RowOptions()
+    if n == 8:
+        return RowOptions(
+            gf_fields=(2, 3, 4, 5) if extended else (2, 3, 4),
+            orderability=extended,
+            transversality=extended,
+        )
+    return RowOptions(
+        gf_fields=(), ingleton=False, orderability=False, transversality=False
+    )
 
 
 def compute_row(rec: CatalogueRecord, opts: RowOptions) -> dict:
@@ -229,14 +227,9 @@ def compute_row(rec: CatalogueRecord, opts: RowOptions) -> dict:
         row[col] = (
             (representable(m, q) is not None) if q in opts.gf_fields else None
         )
-    if opts.ingleton:
-        mode = "minor" if m.n > 8 and opts.ingleton_violators8 else "full"
-        row["ingletonViolating"] = (
-            ingleton_violating(m, mode=mode, violators8=opts.ingleton_violators8)
-            is not None
-        )
-    else:
-        row["ingletonViolating"] = None
+    row["ingletonViolating"] = (
+        (ingleton_violating(m) is not None) if opts.ingleton else None
+    )
     if opts.orderability:
         row["baseOrderable"] = base_orderable(m)
         row["stronglyBaseOrderable"] = (
@@ -269,15 +262,28 @@ def resolve_cross_references(rows) -> list:
     return out
 
 
-def build_property_table(records, opts: RowOptions | None = None, pool=None):
-    """One row per record with property columns and cross-reference ids."""
-    opts = opts or RowOptions()
-    if pool is None:
-        rows = [compute_row(rec, opts) for rec in records]
-    else:
-        from functools import partial
+def build_property_table(records, options=block_options, jobs: int = 1):
+    """One row per record with property columns and cross-reference ids.
 
-        rows = pool.map(partial(compute_row, opts=opts), records, chunksize=16)
+    options maps a ground-set size to the RowOptions of its rows; jobs > 1
+    computes the rows on a worker pool of that size.
+    """
+    by_n = {}
+    for rec in records:
+        by_n.setdefault(rec.n, []).append(rec)
+    rows = []
+    pool = multiprocessing.Pool(jobs) if jobs > 1 else None
+    try:
+        for n, recs in sorted(by_n.items()):
+            row_of = partial(compute_row, opts=options(n))
+            if pool is None:
+                rows.extend(map(row_of, recs))
+            else:
+                rows.extend(pool.map(row_of, recs, chunksize=16))
+    finally:
+        if pool is not None:
+            pool.close()
+            pool.join()
     return resolve_cross_references(rows)
 
 

@@ -278,8 +278,8 @@ def test_criterion_07x_excluded_minors_gf5_n8(matroids8):
 def test_criterion_08_welsh_missing_base_triples(catalogue8):
     rows = build_property_table(
         assign_ids(catalogue8),
-        RowOptions(gf_fields=(), ingleton=False, orderability=False,
-                   transversality=False),
+        lambda n: RowOptions(gf_fields=(), ingleton=False, orderability=False,
+                             transversality=False),
     )
     missing = missing_base_triples(rows, 8)
     ok = missing == [(6, 3, 11)]

@@ -1,8 +1,9 @@
+import hashlib
 import os
 
 import pytest
 
-from matcat import cli
+from matcat import store
 from matcat.cli import (
     EXIT_BUDGET,
     EXIT_IO,
@@ -11,7 +12,19 @@ from matcat.cli import (
     EXIT_USAGE,
     main,
 )
+from matcat.core import uniform
 from matcat.errors import BudgetExceeded
+from matcat.named import p8, vamos
+from matcat.orderly import extend_all, pack_masks
+from matcat.paving import johnson_graph, johnson_search, save_iset_checkpoint
+from matcat.store import (
+    COLUMNS,
+    TABLE_HEADER,
+    CatalogueRecord,
+    block_options,
+    parse_property_tsv,
+    write_catalogue,
+)
 
 
 @pytest.fixture(scope="module")
@@ -111,6 +124,98 @@ class TestProps:
                    "--out", str(workdir / "out.tsv")])
         assert rc == 5
 
+    def test_empty_catalogue(self, tmp_path, capsys):
+        cat = str(tmp_path / "empty.txt")
+        out = tmp_path / "empty.tsv"
+        write_catalogue([], cat)
+        assert main(["props", "--catalogue", cat, "--out", str(out)]) == EXIT_OK
+        assert out.read_text() == TABLE_HEADER + "\n" + "\t".join(COLUMNS) + "\n"
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert captured.out.splitlines()[-1] == f"wrote 0 rows to {out}"
+
+
+def _sha256(path):
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
+
+
+# output digests pinned before the record type and the property-table
+# driver were each merged into one; catalogue and TSV bytes must not move
+CATALOGUE6_SHA256 = "70aaf061c5e5c4b7544fbb8e42fbeba73165ad6a52d9a881dc2fd9a02a78e67e"
+PROPS6_SHA256 = "f60659955a252ef11a4be1d2972791de71195ca680df7500e881697609f876f7"
+MIXED_PROPS_SHA256 = {
+    False: "17e67b3dcc003a42d296b317c935358e3b7d13772cf4099880811d004d4694b4",
+    True: "06926ead0f13ae69828037c54c4b185bf85b9772afcac27a6984d35458027f17",
+}
+STAGED_COLUMNS = (
+    "repGF2", "repGF3", "repGF4", "repGF5", "ingletonViolating",
+    "baseOrderable", "stronglyBaseOrderable", "transversal",
+)
+
+
+def _computed_columns(opts):
+    """The staged columns that a pass with opts fills in."""
+    columns = {f"repGF{q}" for q in opts.gf_fields}
+    if opts.ingleton:
+        columns.add("ingletonViolating")
+    if opts.orderability:
+        columns |= {"baseOrderable", "stronglyBaseOrderable"}
+    if opts.transversality:
+        columns.add("transversal")
+    return columns
+
+
+class TestPinnedOutputs:
+    @pytest.fixture(scope="class")
+    def catalogue6_path(self, workdir):
+        path = str(workdir / "pinned6.txt")
+        assert main(["enum", "--max-n", "6", "--out", path]) == EXIT_OK
+        return path
+
+    @pytest.fixture(scope="class")
+    def mixed_catalogue(self, workdir, catalogue6):
+        """The n <= 6 classes, three 8-element and three 9-element records."""
+        mats = [rec.matroid() for rec in catalogue6]
+        mats += [uniform(2, 8), vamos(), p8()]
+        mats += [uniform(3, 9)] + [rec.matroid() for rec in extend_all(vamos())[:2]]
+        mats.sort(key=lambda m: (m.n, m.rank))
+        path = str(workdir / "mixed.txt")
+        write_catalogue(
+            [
+                CatalogueRecord(i, m.n, m.rank, pack_masks(m.hyperplanes))
+                for i, m in enumerate(mats)
+            ],
+            path,
+        )
+        return path
+
+    def test_enum_catalogue(self, catalogue6_path):
+        assert _sha256(catalogue6_path) == CATALOGUE6_SHA256
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_props_tsv(self, catalogue6_path, tmp_path, jobs):
+        out = str(tmp_path / "p6.tsv")
+        assert main(["props", "--catalogue", catalogue6_path, "--out", out,
+                     "--jobs", jobs]) == EXIT_OK
+        assert _sha256(out) == PROPS6_SHA256
+
+    @pytest.mark.parametrize("extended", [False, True])
+    def test_mixed_sizes_follow_block_options(self, mixed_catalogue, tmp_path, extended):
+        out = str(tmp_path / "mixed.tsv")
+        argv = ["props", "--catalogue", mixed_catalogue, "--out", out, "--jobs", "1"]
+        assert main(argv + ["--extended"] * extended) == EXIT_OK
+        assert _sha256(out) == MIXED_PROPS_SHA256[extended]
+        with open(out) as fh:
+            rows = parse_property_tsv(fh.read())
+        assert {row["n"] for row in rows} == {0, 1, 2, 3, 4, 5, 6, 8, 9}
+        for row in rows:
+            computed = _computed_columns(block_options(row["n"], extended))
+            for column in STAGED_COLUMNS:
+                assert (row[column] is not None) == (column in computed), (
+                    row["id"], column,
+                )
+
 
 class TestQuery:
     def test_missing_bases_through_five(self, capsys, small_table):
@@ -191,6 +296,15 @@ class TestOracleAndJohnson:
         assert rc == EXIT_OK
         assert "total\t6" in capsys.readouterr().out
 
+    def test_johnson_resume_dependent_stack(self, tmp_path, capsys):
+        ck = str(tmp_path / "dependent.jck")
+        search = johnson_search(johnson_graph(6, 3), stack=[(0b000111, 0b001011)])
+        save_iset_checkpoint(search, ck)
+        rc = main(["johnson", "--n", "6", "--k", "3", "--checkpoint", ck, "--resume"])
+        assert rc == EXIT_IO
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("cannot load checkpoint")
+
     def test_johnson_resume_needs_checkpoint(self):
         assert main(["johnson", "--n", "6", "--k", "3", "--resume"]) == EXIT_USAGE
 
@@ -240,7 +354,7 @@ def test_budget_in_props_exits_3(small_catalogue, workdir, monkeypatch, capsys):
     def over_budget(rec, opts):
         raise BudgetExceeded("ingleton search passed 1 table cells")
 
-    monkeypatch.setattr(cli, "compute_row", over_budget)
+    monkeypatch.setattr(store, "compute_row", over_budget)
     rc = main(["props", "--catalogue", small_catalogue, "--jobs", "1",
                "--out", str(workdir / "budget.tsv")])
     assert rc == EXIT_BUDGET

@@ -1,8 +1,10 @@
+import gc
 import random
 
 import pytest
 
 from matcat.core import Matroid, free, popcount, uniform
+from matcat.lattice import FlatLattice, antichains
 from matcat.named import p8, vamos
 from matcat.orderable import (
     base_orderable,
@@ -12,6 +14,7 @@ from matcat.orderable import (
     transversal,
     transversal_matroid_independence,
 )
+from matcat.represent import representable
 
 # all / base-orderable / strongly base-orderable / transversal per (n, rank)
 TABLE7_CELLS = {
@@ -114,3 +117,31 @@ class TestTransversal:
 
     def test_p8_not_transversal(self):
         assert transversal(p8()) is None
+
+
+@pytest.mark.parametrize(
+    "search,max_rank",
+    [
+        (base_orderable, 6),
+        (strongly_base_orderable, 6),
+        (transversal, 6),
+        # flat lattices of rank 4 and above on 6 elements have millions of
+        # antichains
+        (lambda m: sum(1 for _ in antichains(FlatLattice(m))), 3),
+        (lambda m: representable(m, 3), 6),
+    ],
+    ids=["base_orderable", "strongly_base_orderable", "transversal",
+         "antichains", "representable_gf3"],
+)
+def test_searches_leave_no_reference_cycles(catalogue6, search, max_rank):
+    matroids = [
+        rec.matroid() for rec in catalogue6 if rec.n == 6 and rec.rank <= max_rank
+    ]
+    gc.collect()
+    gc.disable()
+    try:
+        for m in matroids:
+            search(m)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -8,7 +8,7 @@ from matcat.errors import BudgetExceeded as ResourceBudgetExceeded
 from matcat.lattice import FlatLattice
 from matcat.orderly import (
     EMPTY_MATROID,
-    MatroidRecord,
+    CatalogueRecord,
     _extend_records,
     brute_force_enumerate,
     count_matrix,
@@ -115,10 +115,10 @@ def _extend_by_certificate(parent):
         cert = certificate_for(n + 1, child_rank, child_hyps)
         ids = cert.orbit_ids()
         if ids[n] == ids[cert.perm.index(0)] and cert.bytes not in accepted:
-            accepted[cert.bytes] = MatroidRecord(
-                n + 1, child_rank, pack_masks(child_hyps), cert.bytes
+            accepted[cert.bytes] = CatalogueRecord(
+                None, n + 1, child_rank, pack_masks(child_hyps), cert.bytes
             )
-    return sorted(accepted.values(), key=MatroidRecord.sort_key)
+    return sorted(accepted.values(), key=CatalogueRecord.sort_key)
 
 
 @pytest.fixture(scope="module")

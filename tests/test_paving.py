@@ -203,6 +203,8 @@ class TestOrbitEnumeration:
             lambda d: d.update(stack=[[1, "2"]]),
             lambda d: d.update(cells=[3]),
             lambda d: d.update(max_size=1.5),
+            lambda d: d.update(stack=[[0b00011, 0b00101]]),
+            lambda d: d.update(stack=[[0b00011, 0b00011]]),
         ],
     )
     def test_checkpoint_malformed_payload(self, tmp_path, edit):

@@ -156,8 +156,8 @@ class TestPropertyTable:
     def test_uncomputed_columns_render_as_dash(self, catalogue6):
         records = assign_ids([r for r in catalogue6 if r.n <= 2])
         rows = build_property_table(
-            records, RowOptions(gf_fields=(), ingleton=False,
-                                orderability=False, transversality=False)
+            records, lambda n: RowOptions(gf_fields=(), ingleton=False,
+                                          orderability=False, transversality=False)
         )
         tsv = render_property_tsv(rows)
         assert "\t-\t" in tsv
