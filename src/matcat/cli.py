@@ -79,8 +79,6 @@ def cmd_enum(args) -> int:
     if args.max_n > 8 and not args.extended:
         print("max-n above 8 needs --extended", file=sys.stderr)
         return EXIT_USAGE
-    jobs = args.jobs or default_jobs()
-
     def progress(level, done, total, children):
         print(
             f"level {level}: parent {done}/{total}, {children} accepted",
@@ -89,7 +87,7 @@ def cmd_enum(args) -> int:
 
     records = enumerate_matroids(
         args.max_n,
-        jobs=jobs,
+        jobs=args.jobs,
         budget=args.budget,
         checkpoint_path=checkpoint,
         resume_job=resume_job,
@@ -113,7 +111,7 @@ def cmd_props(args) -> int:
     rows = build_property_table(
         records,
         partial(block_options, extended=args.extended),
-        jobs=args.jobs or default_jobs(),
+        jobs=args.jobs,
     )
     tsv = render_property_tsv(rows)
     with open(args.out, "w") as fh:
@@ -401,6 +399,13 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
+    # --jobs 0, the default, stands for MATCAT_JOBS or the CPU count
+    if getattr(args, "jobs", None) == 0:
+        try:
+            args.jobs = default_jobs()
+        except ValueError as exc:
+            print(exc, file=sys.stderr)
+            return EXIT_USAGE
     try:
         return args.func(args)
     except BudgetExceeded as exc:

@@ -4,6 +4,10 @@ A matroid on ground set {0, ..., n-1} is kept as (n, rank, hyperplanes) where
 each hyperplane is a bitmask (bit i set <=> element i present).  The
 hyperplane family determines everything else; derived objects (flats, rank
 table, circuits, bases) are computed lazily and cached per instance.
+
+Closures and ranks of all 2^n subsets are built together from the
+hyperplanes: cl(X) is the intersection of the hyperplanes containing X (E
+when none does), and r(X + e) = r(X) + [e not in cl(X)].
 """
 
 from __future__ import annotations
@@ -53,16 +57,6 @@ def mask_of(elems) -> int:
     return m
 
 
-def subsets_of(mask: int):
-    """All submasks of a mask, ascending as integers."""
-    sub = 0
-    while True:
-        yield sub
-        if sub == mask:
-            return
-        sub = (sub - mask) & mask
-
-
 class UnionFind:
     """Disjoint classes of ordered items, each rooted at its least item."""
 
@@ -87,40 +81,25 @@ class UnionFind:
         return True
 
 
-def _intersection_closure(n: int, hyps):
-    """Close {E} + hyps under pairwise intersection; returns a set of masks."""
-    full = (1 << n) - 1
-    flats = {full}
-    flats.update(hyps)
-    work = list(flats)
-    while work:
-        f = work.pop()
-        new = []
-        for g in flats:
-            h = f & g
-            if h not in flats:
-                new.append(h)
-        for h in new:
-            flats.add(h)
-            work.append(h)
-    return flats
+def _closures_and_ranks(n: int, hyps):
+    """(closure list, rank list) over every mask < 2^n; see the module docstring.
 
-
-def _grade_flats(flat_masks):
-    """Rank of each flat as the longest chain from the bottom flat.
-
-    Returns (ordered flats, ranks) with flats sorted by (rank, mask).
+    Each hyperplane is seeded with itself and every other mask with E.  Then,
+    one element at a time, each mask is ANDed with its superset by that
+    element, which leaves it with the AND of the hyperplanes containing it.
     """
-    by_size = sorted(flat_masks, key=lambda m: (popcount(m), m))
-    rank = {}
-    for i, f in enumerate(by_size):
-        r = 0
-        for g in by_size[:i]:
-            if g != f and g & f == g and rank[g] + 1 > r:
-                r = rank[g] + 1
-        rank[f] = r
-    ordered = sorted(flat_masks, key=lambda m: (rank[m], m))
-    return ordered, [rank[f] for f in ordered]
+    full = (1 << n) - 1
+    cl = [full] * (1 << n)
+    for h in hyps:
+        cl[h] = h
+    for e in range(n):
+        b = 1 << e
+        cl = [c & cl[x | b] for x, c in enumerate(cl)]
+    table = [0]
+    for e in range(n):
+        b = 1 << e
+        table += [t + (not c & b) for t, c in zip(table, cl)]
+    return cl, table
 
 
 @dataclass(frozen=True)
@@ -180,13 +159,9 @@ class Matroid:
                     raise AxiomViolation(
                         f"no hyperplane covers ({h1:#x} & {h2:#x}) + element {e}"
                     )
-        if not hyps:
-            return cls(n, 0, ())
-        flats = _intersection_closure(n, hyps)
-        ordered, ranks = _grade_flats(flats)
-        rank = ranks[-1]
-        hyp_rank = {f: r for f, r in zip(ordered, ranks)}
-        bad = [h for h in hyps if hyp_rank[h] != rank - 1]
+        table = _closures_and_ranks(n, hyps)[1]
+        rank = table[full]
+        bad = [h for h in hyps if table[h] != rank - 1]
         if bad:
             raise AxiomViolation(f"family member {bad[0]:#x} is not at corank 1")
         return cls(n, rank, hyps)
@@ -209,12 +184,16 @@ class Matroid:
     # -- flats and ranks ---------------------------------------------------
 
     @cached_property
+    def _subset_tables(self):
+        """(closure list, rank list), each indexed by every mask < 2^n."""
+        return _closures_and_ranks(self.n, self.hyperplanes)
+
+    @cached_property
     def _flat_data(self):
         """(flats sorted by (rank, mask), rank list, mask -> index dict)."""
-        if not self.hyperplanes:
-            return [self.full], [0], {self.full: 0}
-        flats = _intersection_closure(self.n, self.hyperplanes)
-        ordered, ranks = _grade_flats(flats)
+        cl, table = self._subset_tables
+        ordered = sorted(set(cl), key=lambda f: (table[f], f))
+        ranks = [table[f] for f in ordered]
         return ordered, ranks, {f: i for i, f in enumerate(ordered)}
 
     def flats(self) -> FlatsByRank:
@@ -225,62 +204,17 @@ class Matroid:
         return FlatsByRank(tuple(tuple(level) for level in levels))
 
     @cached_property
-    def _up(self) -> tuple:
-        """up[i] = bitset over flat indices of the flats containing flat i."""
-        flats = self._flat_data[0]
-        up = []
-        for fi in flats:
-            acc = 0
-            for j, fj in enumerate(flats):
-                if fi & fj == fi:
-                    acc |= 1 << j
-            up.append(acc)
-        return tuple(up)
-
-    @cached_property
     def rank_table(self):
         """rank_table[mask] = rank of the subset, for every mask < 2^n."""
-        flats, ranks, _ = self._flat_data
-        nf = len(flats)
-        up = self._up
-        elem_filter = [0] * self.n
-        for e in range(self.n):
-            acc = 0
-            b = 1 << e
-            for j, fj in enumerate(flats):
-                if fj & b:
-                    acc |= 1 << j
-            elem_filter[e] = acc
-        # join1[i][e] = index of smallest flat containing flat i plus element e
-        join1 = [
-            [((up[i] & elem_filter[e]) & -(up[i] & elem_filter[e])).bit_length() - 1
-             for e in range(self.n)]
-            for i in range(nf)
-        ]
-        # the unique rank-0 flat sorts first, so closure(empty) has index 0
-        closure_idx = [0] * (1 << self.n)
-        table = [0] * (1 << self.n)
-        table[0] = 0
-        for m in range(1, 1 << self.n):
-            low = (m & -m).bit_length() - 1
-            ci = join1[closure_idx[m & (m - 1)]][low]
-            closure_idx[m] = ci
-            table[m] = ranks[ci]
-        self._closure_idx = closure_idx
-        return table
+        return self._subset_tables[1]
 
     def rank_of(self, a: int) -> int:
         return self.rank_table[a]
 
     def closure(self, a: int) -> int:
-        self.rank_table  # ensure _closure_idx
-        flats, _, _ = self._flat_data
-        return flats[self._closure_idx[a]]
+        return self._subset_tables[0][a]
 
     # -- independence ------------------------------------------------------
-
-    def is_independent(self, a: int) -> bool:
-        return self.rank_table[a] == popcount(a)
 
     @cached_property
     def _circuits(self):
@@ -411,11 +345,6 @@ class Matroid:
 
     def series_classes(self):
         return self.dual().parallel_classes()
-
-    def is_simple(self) -> bool:
-        return self.loops() == 0 and all(
-            popcount(c) == 1 for c in self.parallel_classes()
-        )
 
     def simplify(self) -> "Matroid":
         """Remove loops and collapse each parallel class to its least element."""

@@ -81,13 +81,17 @@ class FlatLattice:
         nf = len(flats)
         self.nf = nf
         # up[i]: bitset of flats containing flat i (including i itself)
-        self.up = up = m._up
+        up = []
+        for fi in flats:
+            acc = 0
+            for j, fj in enumerate(flats):
+                if fi & fj == fi:
+                    acc |= 1 << j
+            up.append(acc)
+        self.up = up = tuple(up)
         self.strictly_above = [up[i] & ~(1 << i) for i in range(nf)]
 
     # -- basic lattice structure -------------------------------------------
-
-    def rank_of_flat(self, i: int) -> int:
-        return self.ranks[i]
 
     def covers(self):
         """cover pairs (lower index, upper index)."""

@@ -148,9 +148,13 @@ def _worker(args):
 
 
 def default_jobs() -> int:
+    """MATCAT_JOBS when set, else the CPU count; ValueError if it is not an integer."""
     env = os.environ.get("MATCAT_JOBS")
     if env:
-        return max(1, int(env))
+        try:
+            return max(1, int(env))
+        except ValueError:
+            raise ValueError(f"MATCAT_JOBS must be an integer, not {env!r}") from None
     return os.cpu_count() or 1
 
 

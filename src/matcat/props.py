@@ -20,6 +20,7 @@ matroid that was asked about.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,14 +55,13 @@ def classify(m: Matroid) -> PropertyFlags:
     hyp_sizes = {popcount(h) for h in m.hyperplanes}
     paving = min_circuit >= m.rank
     sparse = paving and all(s in (m.rank - 1, m.rank) for s in hyp_sizes)
-    is_uniform = all(
-        table[a] == min(m.rank, popcount(a)) for a in range(1 << m.n)
-    )
     simple = loops == 0 and min_circuit >= 3
-    dual = m.dual()
-    dual_circuits = dual._circuits
-    cosimple = popcount(dual.loops()) == 0 and all(
-        popcount(c) >= 3 for c in dual_circuits
+    # M* has no loop and no parallel pair iff r*(X) = |X| for |X| <= 2, that is
+    # iff r(E - X) = r(E), since r*(X) = |X| - r(E) + r(E - X)
+    cosimple = all(
+        table[m.full & ~(1 << e) & ~(1 << f)] == m.rank
+        for f in range(m.n)
+        for e in range(f + 1)
     )
     n_indep = sum(1 for a in range(1 << m.n) if table[a] == popcount(a))
     hset = set(m.hyperplanes)
@@ -70,11 +70,11 @@ def classify(m: Matroid) -> PropertyFlags:
         cosimple=cosimple,
         paving=paving,
         sparse_paving=sparse,
-        uniform=is_uniform,
+        uniform=len(m._bases) == math.comb(m.n, m.rank),
         min_circuit_size=min_circuit,
         num_bases=len(m._bases),
         num_circuits=len(circuits),
-        num_flats=m.flats().count(),
+        num_flats=len(m._flat_data[0]),
         num_hyperplanes=len(m.hyperplanes),
         num_independent=n_indep,
         num_circuit_hyperplanes=sum(1 for c in circuits if c in hset),

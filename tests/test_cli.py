@@ -345,6 +345,22 @@ def test_usage_error_is_one_line(argv, capsys):
     assert len(capsys.readouterr().err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("command", ["enum", "props"])
+def test_malformed_jobs_variable_is_a_usage_error(command, monkeypatch, capsys,
+                                                  tmp_path):
+    monkeypatch.setenv("MATCAT_JOBS", "two")
+    out = str(tmp_path / "out")
+    argv = {"enum": ["enum", "--max-n", "2", "--out", out],
+            "props": ["props", "--catalogue", out, "--out", out]}[command]
+    assert main(argv) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.err.strip().splitlines() == [
+        "MATCAT_JOBS must be an integer, not 'two'"
+    ]
+    assert captured.out == ""
+    assert not os.path.exists(out)
+
+
 def test_johnson_self_dual_needs_no_k(capsys):
     assert main(["johnson", "--n", "6", "--self-dual"]) == EXIT_OK
     assert "self-dual" in capsys.readouterr().out

@@ -2,6 +2,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from matcat.core import (
     INFINITY,
@@ -17,7 +18,8 @@ from matcat.core import (
     popcount,
     uniform,
 )
-from matcat.named import p8
+from matcat.named import p8, vamos
+from matcat.orderly import extend_all
 
 
 def brute_rank_from_bases(n, bases):
@@ -98,6 +100,27 @@ class TestFlatsAndRank:
                 assert fig1.closure(f) == f
         assert uniform(2, 4).closure(0b0011) == 0b1111
 
+    def test_closures_and_flats_match_the_definitions(self, catalogue7):
+        # every class on up to 7 elements, and the 9-element inputs of the
+        # pinned CLI outputs: U(3,9) and two single-element extensions of V8
+        mats = [rec.matroid() for rec in catalogue7]
+        mats += [uniform(3, 9)] + [rec.matroid() for rec in extend_all(vamos())[:2]]
+        for m in mats:
+            table = m.rank_table
+            fixed = []
+            for x in range(1 << m.n):
+                spanned = mask_of(
+                    e for e in range(m.n) if table[x | (1 << e)] == table[x]
+                )
+                assert m.closure(x) == x | spanned
+                if spanned == x:
+                    fixed.append(x)
+            flats, ranks, index = m._flat_data
+            assert flats == sorted(fixed, key=lambda f: (table[f], f))
+            assert ranks == [table[f] for f in flats]
+            assert index == {f: i for i, f in enumerate(flats)}
+            assert Matroid.from_rank_table(m.n, table) == m
+
     def test_intersection_closed(self, fig1):
         all_flats = fig1.flats().all_flats()
         fs = set(all_flats)
@@ -173,6 +196,17 @@ class TestMinors:
         for m in rng.sample([x for x in matroids6 if x.n >= 1], 40):
             e = rng.randrange(m.n)
             assert m.delete(e).dual() == m.dual().contract(e)
+
+    @settings(max_examples=10, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_delete_and_contract_commute(self, catalogue7, seed):
+        # M\e/f == M/f\e; deleting an element moves the labels above it down
+        rng = random.Random(seed)
+        for rec in rng.sample([r for r in catalogue7 if r.n >= 2], 40):
+            m = rec.matroid()
+            e, f = rng.sample(range(m.n), 2)
+            deleted_first = m.delete(e).contract(f - (f > e))
+            assert deleted_first == m.contract(f).delete(e - (e > f))
 
     def test_rank_table_against_basis_oracle(self, matroids6):
         rng = random.Random(3)
