@@ -251,6 +251,11 @@ def _johnson_usage_error(args):
         return "--k is required unless --self-dual or --nonsparse-rank is given"
     if not 1 <= args.k < args.n <= 12:
         return "need 1 <= k < n <= 12"
+    if args.estimate:
+        if not 0 < args.fraction <= 1:  # also refuses nan
+            return "--fraction must lie in (0, 1]"
+        if args.prefix_size < 0:
+            return "--prefix-size must be at least 0"
     return None
 
 

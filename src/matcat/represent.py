@@ -1,24 +1,40 @@
 """Representability over GF(2), GF(3), GF(4), GF(5) by backtracking search.
 
-A candidate matrix fixes one basis of the matroid to an identity block; the
+A candidate matrix [I_r | A] fixes one basis B of the matroid to the
+identity block, row i holding the identity 1 of the i-th element of B; the
 zero pattern of every other column is forced by its fundamental circuit, a
 spanning forest of the nonzero positions is normalized to 1 (projective
 scaling), and the remaining entries range over the nonzero field elements.
-A column assignment survives only while every subset of the processed
-columns has matrix rank equal to matroid rank, so a completed matrix is a
-verified representation.
+
+Bases are nonzero minors.  For a set R of rows and a set T of columns of A
+with |R| = |T|, the r-subset (B - B_R) + T is a basis of the column matroid
+exactly when det A[R, T] != 0, where B_R holds the basis elements of the
+rows in R.  The columns of A are placed in ascending order.  When column e
+is tried, each minor det A[R, T + e] over placed columns T is one cofactor
+expansion along e, its last column, with signs taken in that order: it
+reads the minors det A[R - i, T] cached when the last column of T was
+placed, so it costs O(|R|) field operations.  The column survives only if
+those minors are nonzero exactly on the matroid's bases.  On B, the placed
+columns and e, the matrix and the matroid both have rank r, and two rank-r
+matroids agree iff their bases agree; so a completed matrix represents the
+matroid.
 
 Representability over a field is invariant under duality: if M* is the
 column matroid of [I | A], then M is the column matroid of [-A^T | I] with
 the same column labels (Oxley, Matroid Theory, Thm 2.2.8).  The search cost
 grows steeply with rank, so a loopless matroid with 2r > n is searched
 through its dual, of rank n - r < n/2, and the dual's matrix is turned into
-one for the matroid.  The answer is exact, and the matrix returned is still
-checked against the matroid's own rank table.
+one for the matroid.
+
+Every matrix `representable` returns has passed `verify_representation`
+against the matroid itself: it has r rows, and its full-rank r-column
+subsets are exactly the matroid's bases.  A failure raises AssertionError,
+under ``python -O`` as well.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -67,32 +83,23 @@ class GF:
         cls._cache[q] = self
         return self
 
-    def matrix_rank(self, rows, ncols):
-        """Rank of a list-of-lists matrix over the field (destructive copy)."""
-        m = [row[:] for row in rows]
-        rank = 0
-        for c in range(ncols):
-            piv = None
-            for i in range(rank, len(m)):
-                if m[i][c]:
-                    piv = i
-                    break
+    def nonsingular(self, rows) -> bool:
+        """True when the square list-of-lists matrix rows is invertible over
+        the field (forward elimination; rows is left as it was)."""
+        add, mul, neg, inv = self.add, self.mul, self.neg, self.inv
+        m = list(rows)
+        for c in range(len(m)):
+            piv = next((i for i in range(c, len(m)) if m[i][c]), None)
             if piv is None:
-                continue
-            m[rank], m[piv] = m[piv], m[rank]
-            iv = self.inv[m[rank][c]]
-            m[rank] = [self.mul[iv][x] for x in m[rank]]
-            for i in range(len(m)):
-                if i != rank and m[i][c]:
-                    f = m[i][c]
-                    m[i] = [
-                        self.add[x][self.neg[self.mul[f][y]]]
-                        for x, y in zip(m[i], m[rank])
-                    ]
-            rank += 1
-            if rank == len(m):
-                break
-        return rank
+                return False
+            m[c], m[piv] = m[piv], m[c]
+            pivot = m[c]
+            iv = inv[pivot[c]]
+            for i in range(c + 1, len(m)):
+                if m[i][c]:
+                    f = neg[mul[m[i][c]][iv]]
+                    m[i] = [add[x][mul[f][y]] for x, y in zip(m[i], pivot)]
+        return True
 
 
 @dataclass(frozen=True)
@@ -100,19 +107,21 @@ class RepresentationMatrix:
     q: int
     entries: tuple  # rank rows of n field elements; column i <-> element i
 
-    def column_rank(self, subset_mask: int, gf: GF | None = None) -> int:
-        gf = gf or GF(self.q)
-        cols = list(bits(subset_mask))
-        rows = [[row[c] for c in cols] for row in self.entries]
-        return gf.matrix_rank(rows, len(cols))
-
 
 def verify_representation(m: Matroid, rep: RepresentationMatrix) -> bool:
-    """Full check of r(A) = column rank for every one of the 2^n subsets."""
-    gf = GF(rep.q)
-    table = m.rank_table
+    """Exact check that rep represents m: r = m.rank rows of m.n field
+    elements whose full-rank r-column subsets are exactly m's bases."""
+    r, q = m.rank, rep.q
+    if len(rep.entries) != r or any(
+        len(row) != m.n or not all(0 <= x < q for x in row) for row in rep.entries
+    ):
+        return False
+    gf = GF(q)
+    bases = set(m._bases)
     return all(
-        rep.column_rank(a, gf) == table[a] for a in range(1 << m.n)
+        gf.nonsingular([[row[c] for c in cols] for row in rep.entries])
+        == (mask_of(cols) in bases)
+        for cols in itertools.combinations(range(m.n), r)
     )
 
 
@@ -120,15 +129,23 @@ def representable(m: Matroid, q: int):
     """A RepresentationMatrix over GF(q), or None when none exists.
 
     Loops are stripped first; a loopless matroid with 2 * rank > n is
-    searched on its dual (see the module docstring).
+    searched on its dual (see the module docstring).  Whichever way it was
+    found, the matrix is checked against m itself.
     """
+    rep = _search(m, q)
+    if rep is not None and not verify_representation(m, rep):
+        raise AssertionError(f"GF({q}) matrix {rep.entries} does not represent {m!r}")
+    return rep
+
+
+def _search(m: Matroid, q: int):
+    """representable's answer for m, unverified."""
     if m.rank == 0:
         return RepresentationMatrix(q, ())
     if m.loops():
         # loops are zero columns; represent the loopless part and pad
         keep = m.full & ~m.loops()
-        sub = m.restrict(keep)
-        rep = representable(sub, q)
+        rep = _search(m.restrict(keep), q)
         if rep is None:
             return None
         kept = sorted(bits(keep))
@@ -142,14 +159,8 @@ def representable(m: Matroid, q: int):
     if 2 * m.rank > m.n:
         dual = m.dual()
         rep = _representable_direct(dual, q)
-        if rep is not None:
-            rep = _dual_matrix(rep, min(dual._bases), m.n)
-    else:
-        rep = _representable_direct(m, q)
-    if rep is None:
-        return None
-    assert verify_representation(m, rep)
-    return rep
+        return None if rep is None else _dual_matrix(rep, min(dual._bases), m.n)
+    return _representable_direct(m, q)
 
 
 def _dual_matrix(rep: RepresentationMatrix, basis: int, n: int):
@@ -178,7 +189,6 @@ def _representable_direct(m: Matroid, q: int):
     The columns of min(m._bases) hold the identity block, in ascending
     element order.  Loops come out as zero columns.
     """
-    gf = GF(q)
     table = m.rank_table
     r = m.rank
     basis = min(m._bases)
@@ -220,17 +230,41 @@ def _representable_direct(m: Matroid, q: int):
     matrix = [[0] * m.n for _ in range(r)]
     for i, b in enumerate(basis_elems):
         matrix[i][b] = 1
-    search = (gf, table, others, unknown_by_col, cols, nonzero, matrix)
-    if not _assign_columns(search, basis_elems[:], 0):
+    # the basis elements whose identity 1s sit in the rows of each row mask
+    row_elems = [mask_of(basis_elems[i] for i in bits(rows)) for rows in range(1 << r)]
+    check = (GF(q), table, r, basis, row_elems, _cofactor_terms(r))
+    search = (others, unknown_by_col, cols, nonzero, matrix, check)
+    # the empty minor is 1; with r = 0 there is no minor to extend
+    minors = [(0, 0, [1] + [0] * ((1 << r) - 1))] if r else []
+    if not _assign_columns(search, minors, 0):
         return None
     return RepresentationMatrix(q, tuple(tuple(row) for row in matrix))
 
 
-def _assign_columns(search, processed, idx):
-    """Fill the columns others[idx:] of the matrix, each checked against the
-    processed columns before it; True when every column is filled.  (Not a
-    closure: a recursive closure is a reference cycle.)"""
-    gf, table, others, unknown_by_col, cols, nonzero, matrix = search
+@functools.cache
+def _cofactor_terms(r):
+    """(row masks by size, terms) for r rows.
+
+    terms[R] lists (i, R - i, odd) for each row i of R: the cofactor of row i
+    in an expansion along the last column of a minor on rows R has sign -1
+    when odd, i.e. when an odd number of rows of R lie below row i.
+    """
+    by_size = [[] for _ in range(r + 1)]
+    terms = []
+    for rows in range(1 << r):
+        by_size[popcount(rows)].append(rows)
+        terms.append(tuple(
+            (i, rows & ~(1 << i), popcount(rows >> (i + 1)) & 1) for i in bits(rows)
+        ))
+    return by_size, terms
+
+
+def _assign_columns(search, minors, idx):
+    """Fill the columns others[idx:] of the matrix; True when every column is
+    filled.  minors holds (T, |T|, dets) for each set T of placed columns of
+    size below r, dets[R] = det A[R, T] for each row mask R of size |T|.
+    (Not a closure: a recursive closure is a reference cycle.)"""
+    others, unknown_by_col, cols, nonzero, matrix, check = search
     if idx == len(others):
         return True
     e = others[idx]
@@ -239,31 +273,41 @@ def _assign_columns(search, processed, idx):
         col = cols[e][:]
         for (i, _), v in zip(slots, values):
             col[i] = v
-        for i, row in enumerate(matrix):
-            row[e] = col[i]
-        if _column_fits(gf, table, matrix, processed, e):
-            processed.append(e)
-            if _assign_columns(search, processed, idx + 1):
+        grown = _minors_with_column(check, minors, e, col)
+        if grown is not None:
+            for i, row in enumerate(matrix):
+                row[e] = col[i]
+            if _assign_columns(search, minors + grown, idx + 1):
                 return True
-            processed.pop()
     for row in matrix:
         row[e] = 0
     return False
 
 
-def _column_fits(gf, table, matrix, processed, e):
-    """Every subset of processed + [e] holding e has matrix rank equal to
-    its matroid rank."""
-    r = len(matrix)
-    elems = processed + [e]
-    for size in range(1, min(r, len(elems)) + 1):
-        for sub in itertools.combinations(elems, size):
-            if e not in sub:
-                continue
-            rows = [[row[c] for c in sub] for row in matrix]
-            if gf.matrix_rank(rows, size) != table[mask_of(sub)]:
-                return False
-    return True
+def _minors_with_column(check, minors, e, col):
+    """The minors det A[R, T + e] for every cached T, each by cofactor
+    expansion along column e; those with |T + e| < r come back as new cache
+    entries.  None as soon as one of them is zero where (B - B_R) + T + e is
+    a basis of the matroid, or nonzero where it is not."""
+    gf, table, r, basis, row_elems, (by_size, terms) = check
+    add, mul, neg = gf.add, gf.mul, gf.neg
+    bit = 1 << e
+    grown = []
+    for placed, k, dets in minors:
+        placed |= bit
+        new = [0] * (1 << r)
+        for rows in by_size[k + 1]:
+            det = 0
+            for i, sub, odd in terms[rows]:
+                a, d = col[i], dets[sub]
+                if a and d:
+                    det = add[det][mul[neg[a] if odd else a][d]]
+            if (det != 0) != (table[basis & ~row_elems[rows] | placed] == r):
+                return None
+            new[rows] = det
+        if k + 1 < r:
+            grown.append((placed, k + 1, new))
+    return grown
 
 
 def excluded_minors(matroids, q: int, representable_cache=None):

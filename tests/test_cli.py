@@ -3,7 +3,7 @@ import os
 
 import pytest
 
-from matcat import store
+from matcat import paving, store
 from matcat.cli import (
     EXIT_BUDGET,
     EXIT_IO,
@@ -260,6 +260,35 @@ class TestOracleAndJohnson:
             "--prefix-size", "2", "--fraction", "1.0", "--seed", "4",
         ]) == EXIT_OK
         assert "estimate 14" in capsys.readouterr().out
+
+    def test_johnson_estimate_prefix_zero(self, capsys):
+        assert main(["johnson", "--n", "7", "--k", "3", "--estimate",
+                     "--prefix-size", "0"]) == EXIT_OK
+        assert "estimate 14" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "flag,value,message",
+        [
+            ("--fraction", "nan", "--fraction must lie in (0, 1]"),
+            ("--fraction", "inf", "--fraction must lie in (0, 1]"),
+            ("--fraction", "3", "--fraction must lie in (0, 1]"),
+            ("--fraction", "-1", "--fraction must lie in (0, 1]"),
+            ("--fraction", "0", "--fraction must lie in (0, 1]"),
+            ("--prefix-size", "-2", "--prefix-size must be at least 0"),
+        ],
+    )
+    def test_johnson_estimate_bad_argument(self, capsys, monkeypatch, flag, value,
+                                           message):
+        def no_search(*args, **kwargs):
+            raise AssertionError("search started on a refused argument")
+
+        monkeypatch.setattr(paving, "johnson_graph", no_search)
+        monkeypatch.setattr(paving, "estimate_iset_count", no_search)
+        rc = main(["johnson", "--n", "7", "--k", "3", "--estimate", flag, value])
+        assert rc == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.strip().splitlines() == [message]
 
     @pytest.mark.parametrize(
         "content",

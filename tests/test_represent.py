@@ -1,8 +1,17 @@
+import hashlib
+import itertools
+import os
 import random
+import subprocess
+import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from matcat.core import Matroid, free, uniform
+import matcat
+from matcat import represent
+from matcat.canon import relabel_family
+from matcat.core import Matroid, bits, free, uniform
 from matcat.named import ag32, f8, l8, p1, p2_doubleprime, p2_prime, p3, p8, vamos
 from matcat.represent import (
     GF,
@@ -40,6 +49,28 @@ class TestGFTables:
     def test_unsupported_field(self):
         with pytest.raises(ValueError):
             GF(7)
+
+    @pytest.mark.parametrize("q", [2, 3, 4, 5])
+    def test_nonsingular_matches_leibniz_determinant(self, q):
+        gf = GF(q)
+        rng = random.Random(q)
+
+        def det(rows):
+            total = 0
+            for perm in itertools.permutations(range(len(rows))):
+                term = 1
+                for i, j in enumerate(perm):
+                    term = gf.mul[term][rows[i][j]]
+                inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
+                total = gf.add[total][gf.neg[term] if inversions % 2 else term]
+            return total
+
+        for size in range(4):
+            for _ in range(60):
+                rows = [[rng.randrange(q) for _ in range(size)] for _ in range(size)]
+                before = [row[:] for row in rows]
+                assert gf.nonsingular(rows) == (det(rows) != 0)
+                assert rows == before
 
 
 class TestRepresentable:
@@ -164,3 +195,135 @@ class TestExcludedMinors:
         # its dual likewise, so expect exactly the two uniform ones
         found = excluded_minors(matroids6, 3)
         assert sorted((m.n, m.rank) for m in found) == [(5, 2), (5, 3)]
+
+
+# sha256 over every matrix representable returns (or None) for each class
+# with n <= 7 at q = 2..5 and each high_rank8 matroid at q = 2..4, in that
+# order; any change to the search order or the matrices it yields shows here
+MATRICES_SHA256 = "2ac9c6dd2f708d8b7013035aa801a4b7096f0bb1ac58eac99e75ad53d69daf59"
+
+
+def test_returned_matrices_pinned(catalogue7, high_rank8):
+    cases = [(rec.matroid(), q) for rec in catalogue7 for q in (2, 3, 4, 5)]
+    cases += [(m, q) for m in high_rank8 for q in (2, 3, 4)]
+    digest = hashlib.sha256()
+    for m, q in cases:
+        rep = representable(m, q)
+        digest.update(f"{q} {m!r} {None if rep is None else rep.entries}\n".encode())
+    assert len(cases) == 1932
+    assert digest.hexdigest() == MATRICES_SHA256
+
+
+def _flip_entry(rep, i, e):
+    """rep with entry (i, e) turned from zero to 1 or from nonzero to 0."""
+    rows = [list(row) for row in rep.entries]
+    rows[i][e] = 0 if rows[i][e] else 1
+    return RepresentationMatrix(rep.q, tuple(tuple(row) for row in rows))
+
+
+# run under python -O: representable must refuse a wrong matrix there too
+_OPTIMIZED_SCRIPT = """
+from matcat import represent
+from matcat.core import bits
+from matcat.named import p8
+
+m = p8()
+good = represent._representable_direct(m, 3)
+e = max(set(range(m.n)) - set(bits(min(m._bases))))
+rows = [list(row) for row in good.entries]
+rows[0][e] = 0 if rows[0][e] else 1
+wrong = represent.RepresentationMatrix(3, tuple(tuple(row) for row in rows))
+represent._representable_direct = lambda m, q: wrong
+try:
+    represent.representable(m, 3)
+except AssertionError:
+    print("refused", __debug__)
+else:
+    print("accepted", __debug__)
+"""
+
+
+class TestCheckCannotBeBypassed:
+    def test_verify_rejects_each_flipped_entry(self):
+        # entry (i, e) of A is the 1x1 minor deciding whether B - b_i + e is
+        # a basis, so flipping it between zero and nonzero changes the bases
+        m = p8()
+        rep = representable(m, 3)
+        assert verify_representation(m, rep)
+        basis = min(m._bases)
+        for e in range(m.n):
+            if not (basis >> e) & 1:
+                for i in range(m.rank):
+                    assert not verify_representation(m, _flip_entry(rep, i, e))
+
+    def test_verify_rejects_wrong_shape_and_values(self):
+        m = p8()
+        rep = representable(m, 3)
+        rows = rep.entries
+        for entries in (
+            rows[:-1],
+            rows + (rows[0],),
+            tuple(row[:-1] for row in rows),
+            ((3,) + rows[0][1:],) + rows[1:],
+            ((-1,) + rows[0][1:],) + rows[1:],
+        ):
+            assert not verify_representation(m, RepresentationMatrix(3, entries))
+
+    @pytest.mark.parametrize(
+        "m,q",
+        [
+            (p8(), 3),  # searched as given
+            (Matroid(9, 4, [h | 1 << 8 for h in p8().hyperplanes]), 3),  # a loop
+            (uniform(4, 6), 5),  # searched on its dual
+        ],
+        ids=["direct", "loop", "dual"],
+    )
+    def test_representable_refuses_a_wrong_search_result(self, monkeypatch, m, q):
+        def wrong_direct(mat, q):
+            rep = _representable_direct(mat, q)
+            e = max(set(range(mat.n)) - set(bits(min(mat._bases))))
+            return _flip_entry(rep, 0, e)
+
+        assert verify_representation(m, representable(m, q))
+        monkeypatch.setattr(represent, "_representable_direct", wrong_direct)
+        with pytest.raises(AssertionError):
+            representable(m, q)
+
+    def test_refusal_survives_python_optimize(self):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(matcat.__file__)))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p
+        )
+        out = subprocess.run(
+            [sys.executable, "-O", "-c", _OPTIMIZED_SCRIPT],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.split() == ["refused", "False"]
+
+
+class TestInvariance:
+    """representable(m, q) is None is a property of the isomorphism class and
+    of the dual pair."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_relabelling(self, catalogue7, data):
+        rec = data.draw(st.sampled_from(catalogue7))
+        perm = data.draw(st.permutations(range(rec.n)))
+        m = rec.matroid()
+        moved = Matroid.from_hyperplanes(m.n, relabel_family(m.hyperplanes, perm))
+        for q in (2, 3, 4, 5):
+            assert (representable(moved, q) is None) == (representable(m, q) is None)
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_duality(self, catalogue7, data):
+        # _representable_direct searches the dual on its own side, whichever
+        # side representable would pick
+        m = data.draw(st.sampled_from(catalogue7)).matroid()
+        for q in (2, 3, 4, 5):
+            expected = representable(m, q) is None
+            assert (representable(m.dual(), q) is None) == expected
+            assert (_representable_direct(m.dual(), q) is None) == expected
