@@ -165,7 +165,11 @@ def cmd_query(args) -> int:
         print(f"cannot read property table: {exc}", file=sys.stderr)
         return EXIT_IO
     if args.missing_bases:
-        triples = missing_base_triples(rows, args.max_n)
+        try:
+            triples = missing_base_triples(rows, args.max_n)
+        except ValueError as exc:
+            print(f"query error: {exc}", file=sys.stderr)
+            return EXIT_USAGE
         for n, r, b in triples:
             print(f"({n},{r},{b})")
         if not triples:

@@ -314,12 +314,13 @@ def excluded_minors(matroids, q: int, representable_cache=None):
     """Matroids not representable over GF(q) whose single-element deletions
     and contractions all are; input must be minor-closed (a full catalogue).
     """
-    from .canon import certificate_for
+    from .canon import certificate
 
     cache = representable_cache if representable_cache is not None else {}
 
     def rep_by_cert(mat):
-        cert = certificate_for(mat.n, mat.rank, mat.hyperplanes).bytes
+        # the input matroids keep their certificate for the next field's call
+        cert = certificate(mat).bytes
         if cert not in cache:
             cache[cert] = representable(mat, q) is not None
         return cache[cert]

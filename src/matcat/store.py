@@ -434,7 +434,15 @@ def _sortable(v):
 
 
 def missing_base_triples(rows, max_n: int):
-    """(n, r, b) with 1 <= b <= C(n,r) realized by no matroid of that shape."""
+    """(n, r, b) with 1 <= b <= C(n,r) realized by no matroid of that shape.
+
+    Sizes above the table's largest n are absent, not missing, so a max_n
+    beyond it raises ValueError.
+    """
+    largest = max((row["n"] for row in rows), default=None)
+    if largest is None or max_n > largest:
+        held = "no rows" if largest is None else f"n <= {largest}"
+        raise ValueError(f"max-n {max_n} is above the table, which holds {held}")
     present = {}
     for row in rows:
         if row["n"] <= max_n:

@@ -2,8 +2,7 @@
 
 Each test prints a single `ACCEPTANCE <k>: PASS/FAIL` line.  Criteria whose
 stated runtime is hours (the 9-element catalogue and its derived tables,
-GF(5) excluded minors at 8 elements, orderability at 8 elements) are gated
-behind MATCAT_EXTENDED=1.
+GF(5) excluded minors at 8 elements) are gated behind MATCAT_EXTENDED=1.
 """
 
 import random
@@ -308,7 +307,6 @@ def test_criterion_09_orderability_tables(catalogue7):
                   + (f"; mismatches {bad}" if bad else ""))
 
 
-@requires_extended
 def test_criterion_09x_orderability_n8(matroids8):
     sel = [m for m in matroids8 if m.n == 8 and m.rank == 4]
     bo = sbo = tr = 0

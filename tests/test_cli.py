@@ -223,6 +223,20 @@ class TestQuery:
                      "--table", small_table]) == EXIT_OK
         assert capsys.readouterr().out.strip() == "none"
 
+    @pytest.mark.parametrize("max_n", ["6", "99"])
+    def test_missing_bases_beyond_the_table(self, capsys, small_table, monkeypatch,
+                                            max_n):
+        # sizes the table does not hold are absent, not missing; the check
+        # comes before the loop, which for 99 would walk C(99, 49) base counts
+        monkeypatch.setattr(store, "math", None)
+        rc = main(["query", "--missing-bases", "--max-n", max_n, "--table", small_table])
+        assert rc == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"query error: max-n {max_n} is above the table, which holds n <= 5\n"
+        )
+
     def test_count_distinct(self, capsys, small_table):
         assert main([
             "query", "n=5 and rank=2", "--table", small_table,

@@ -1,9 +1,13 @@
 import gc
+import hashlib
+import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from matcat.core import Matroid, free, popcount, uniform
+from matcat.canon import relabel_family
+from matcat.core import Matroid, bits, free, popcount, uniform
 from matcat.lattice import FlatLattice, antichains
 from matcat.named import p8, vamos
 from matcat.orderable import (
@@ -60,6 +64,92 @@ class TestBaseOrderability:
         # the Vamos matroid is a classic SBO example despite non-representability
         assert base_orderable(vamos())
         assert strongly_base_orderable(vamos())
+
+
+def _orderable_by_definition(m, strong):
+    """For every ordered pair of bases (A, B), some bijection σ: A → B makes
+    (A − X) ∪ σ(X) and (B − σ(X)) ∪ X bases for every X ⊆ A (strong) or
+    every singleton X; nothing about A ∩ B or A − B is assumed."""
+    bases = set(m._bases)
+    for a_mask, b_mask in itertools.product(m._bases, repeat=2):
+        a = list(bits(a_mask))
+        sizes = range(len(a) + 1) if strong else (1,)
+        xs = [x for k in sizes for x in itertools.combinations(range(len(a)), k)]
+        if not any(
+            all(
+                (a_mask & ~_mask(a, x)) | _mask(image, x) in bases
+                and (b_mask & ~_mask(image, x)) | _mask(a, x) in bases
+                for x in xs
+            )
+            for image in itertools.permutations(bits(b_mask))
+        ):
+            return False
+    return True
+
+
+def _mask(elems, idxs):
+    return sum(1 << elems[i] for i in idxs)
+
+
+class TestAgainstTheDefinition:
+    def test_every_class_through_six(self, matroids6):
+        for m in matroids6:
+            assert base_orderable(m) == _orderable_by_definition(m, False), m
+            assert strongly_base_orderable(m) == _orderable_by_definition(m, True), m
+
+    def test_rank4_on_eight(self, catalogue8):
+        # the only shape here whose basis pairs reach |A − B| = 4, where the
+        # strong search leaves the matching for the subset search
+        sel = [rec.matroid() for rec in catalogue8 if rec.n == 8 and rec.rank == 4]
+        picks = [sel[i] for i in BO_NOT_SBO_84]
+        picks += random.Random(18).sample(sel, 8) + [vamos()]
+        for i, m in enumerate(picks):
+            want = (_orderable_by_definition(m, False), _orderable_by_definition(m, True))
+            assert (base_orderable(m), strongly_base_orderable(m)) == want, m
+            if i < len(BO_NOT_SBO_84):
+                assert want == (True, False)
+
+
+# positions, in catalogue order, of four of the 33 classes in the (8,4) cell
+# that are base-orderable but not strongly base-orderable
+BO_NOT_SBO_84 = (24, 309, 596, 748)
+
+# sha256 over (base_orderable, strongly_base_orderable) of every class with
+# n <= 7 and each high_rank8 matroid, in that order, computed by searches
+# over whole basis pairs rather than their difference
+ORDERABILITY_SHA256 = "20cdca69038db7237d227368a1bb0578189a78e043f3de715b58fc6bbbc4f980"
+
+
+def test_answers_pinned(catalogue7, high_rank8):
+    mats = [rec.matroid() for rec in catalogue7] + high_rank8
+    digest = hashlib.sha256()
+    for m in mats:
+        digest.update(f"{m!r} {base_orderable(m)} {strongly_base_orderable(m)}\n".encode())
+    assert len(mats) == 486
+    assert digest.hexdigest() == ORDERABILITY_SHA256
+
+
+class TestInvariance:
+    """Both flags belong to the isomorphism class and to the dual pair."""
+
+    @staticmethod
+    def flags(m):
+        return base_orderable(m), strongly_base_orderable(m)
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_relabelling(self, catalogue7, data):
+        rec = data.draw(st.sampled_from(catalogue7))
+        perm = data.draw(st.permutations(range(rec.n)))
+        m = rec.matroid()
+        moved = Matroid.from_hyperplanes(m.n, relabel_family(m.hyperplanes, perm))
+        assert self.flags(moved) == self.flags(m)
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_duality(self, catalogue7, data):
+        m = data.draw(st.sampled_from(catalogue7)).matroid()
+        assert self.flags(m.dual()) == self.flags(m)
 
 
 class TestTransversal:

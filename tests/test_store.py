@@ -227,3 +227,9 @@ class TestMissingBases:
             r["numBases"] for r in rows6 if r["n"] == 5 and r["rank"] == 2
         }
         assert present == set(range(1, 11))  # every 1..C(5,2)
+
+    def test_sizes_beyond_the_table_are_refused(self, rows6):
+        with pytest.raises(ValueError, match="holds n <= 6"):
+            missing_base_triples(rows6, 7)
+        with pytest.raises(ValueError, match="no rows"):
+            missing_base_triples([], 0)
