@@ -246,7 +246,16 @@ def cmd_oracle(args) -> int:
 def _johnson_usage_error(args):
     """The documented range a johnson command breaks, or None."""
     if args.nonsparse_rank is not None:
-        return None if args.nonsparse_rank >= 2 else "--nonsparse-rank must be at least 2"
+        rank, n = args.nonsparse_rank, args.n
+        if rank < 2:
+            return "--nonsparse-rank must be at least 2"
+        if not 1 <= n <= 12:
+            return "--nonsparse-rank needs 1 <= n <= 12"
+        if args.only_k is not None and not rank + 1 <= args.only_k <= n - 1:
+            return f"--only-k must lie in {rank + 1}..{n - 1} (rank + 1 to n - 1)"
+        return None
+    if args.only_k is not None:
+        return "--only-k needs --nonsparse-rank"
     if args.self_dual:
         if args.n % 2 or not 2 <= args.n <= 12:
             return "--self-dual needs an even --n from 2 to 12"

@@ -149,16 +149,25 @@ class Matroid:
         for h1, h2 in itertools.combinations(hyps, 2):
             if h1 & h2 == h1 or h1 & h2 == h2:
                 raise AxiomViolation(f"not an antichain: {h1:#x} vs {h2:#x}")
-        # complement form of weak circuit elimination
+        # complement form of weak circuit elimination: every e outside h1 | h2
+        # lies in a hyperplane containing h1 & h2, i.e. the union of those
+        # hyperplanes is E; checked once per distinct meet
+        covered = set()
         for h1, h2 in itertools.combinations(hyps, 2):
             meet = h1 & h2
-            outside = full & ~(h1 | h2)
-            for e in bits(outside):
-                need = meet | (1 << e)
-                if not any(h3 & need == need for h3 in hyps):
-                    raise AxiomViolation(
-                        f"no hyperplane covers ({h1:#x} & {h2:#x}) + element {e}"
-                    )
+            if meet in covered:
+                continue
+            union = 0
+            for h3 in hyps:
+                if h3 & meet == meet:
+                    union |= h3
+            missed = full & ~union
+            if missed:
+                e = (missed & -missed).bit_length() - 1
+                raise AxiomViolation(
+                    f"no hyperplane covers ({h1:#x} & {h2:#x}) + element {e}"
+                )
+            covered.add(meet)
         table = _closures_and_ranks(n, hyps)[1]
         rank = table[full]
         bad = [h for h in hyps if table[h] != rank - 1]

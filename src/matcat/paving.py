@@ -19,6 +19,22 @@ without them (the root, a resumed stack, an estimator prefix) is labelled
 once more to find them.  Each vertex's conflicts are a bitset over vertex
 indices, built once per search.
 
+Degree rule.  Without Z2 and without fixed cells (J(n,k) with n != 2k), a
+vertex is labelled only when it holds an element whose degree in the
+family, the number of members holding it, is at least top - 1, where top
+is the largest degree.  This is exact: all vertices have k elements, so
+the first refinement round of the canonical labelling orders the cells by
+ascending degree; cells then only split in place, so label n-1 goes to an
+element of largest degree in the child, and the largest canonical mask,
+whose preimage is the canonical deletion, holds label n-1.  Automorphisms
+of the child preserve degrees, so every vertex of the deletion orbit holds
+an element of largest degree in the child, which for the added vertex v
+means an element of degree at least top - 1 in the parent.  The allowed
+vertices form a union of Aut(parent)-orbits, so the first vertex of each
+surviving orbit is unchanged.  The rule does not apply under Z2, where the
+deletion may come from the complemented family, nor with fixed cells, where
+the first round does not sort the elements by degree alone.
+
 Non-sparse counting fixes a largest block {0..k-1}, enumerates independent
 sets of the auxiliary conflict graph G(k) under the block stabilizer, and
 weights each completed matroid by 1/c where c is the number of automorphism
@@ -153,6 +169,9 @@ class IsetSearch:
     collected: list = field(default_factory=list)
     # vertex -> bitset over vertex indices that cannot join it (itself included)
     _conflict: dict = field(init=False, repr=False, compare=False)
+    # element -> bitset over the indices of the vertices holding it, when the
+    # degree rule of the module docstring applies; None when it does not
+    _holders: list = field(init=False, repr=False, compare=False)
     # stacked family -> automorphism actions of the labelling that accepted it
     _actions: dict = field(init=False, repr=False, compare=False)
 
@@ -163,18 +182,36 @@ class IsetSearch:
             | 1 << i
             for i, v in enumerate(self.vertices)
         }
+        self._holders = None
+        uniform_size = len(set(map(popcount, self.vertices))) == 1
+        if uniform_size and not self.z2 and self.cells is None:
+            self._holders = [
+                sum(1 << i for i, v in enumerate(self.vertices) if v >> e & 1)
+                for e in range(self.n)
+            ]
         self._actions = {}
 
     def _children(self, members, actions):
         """Accepted canonical augmentations of one family, sorted by canonical
         form, each with its automorphism actions.  One candidate vertex per
-        orbit of Aut(members) (generated by actions) is labelled."""
+        orbit of Aut(members) (generated by actions) is labelled, and under
+        the degree rule only a vertex holding an element of degree at least
+        top - 1 in members, top the largest degree."""
         taken = 0
         for u in members:
             taken |= self._conflict[u]
+        free = ((1 << len(self.vertices)) - 1) & ~taken
+        if self._holders:
+            deg = [sum(u >> e & 1 for u in members) for e in range(self.n)]
+            top = max(deg)
+            allowed = 0
+            for e, d in enumerate(deg):
+                if d >= top - 1:
+                    allowed |= self._holders[e]
+            free &= allowed
         out = {}
         seen = set()
-        for i in bits(((1 << len(self.vertices)) - 1) & ~taken):
+        for i in bits(free):
             v = self.vertices[i]
             if v in seen:
                 continue
@@ -322,10 +359,13 @@ def count_self_dual_sparse(n: int, method: str = "certificate"):
     """Self-dual sparse paving classes of rank n/2 on n (even) elements."""
     if n % 2:
         raise ValueError("ground size must be even")
+    return _count_self_dual(n, collect_iset_orbits(johnson_graph(n, n // 2)), method)
+
+
+def _count_self_dual(n: int, reps, method: str) -> int:
+    """How many J(n, n/2) orbit representatives are self-dual."""
     k = n // 2
-    g = johnson_graph(n, k)
     full = (1 << n) - 1
-    reps = collect_iset_orbits(g)
     count = 0
     for members in reps:
         if method == "certificate":
@@ -405,13 +445,18 @@ def count_nonsparse_paving(n: int, rank: int, only_k: int | None = None):
     """Weighted counts of non-sparse paving matroids keyed by
     (largest hyperplane size k, number of size-k hyperplanes).
 
-    only_k restricts to one largest-hyperplane size; the k range near n/2
-    explodes combinatorially at paper scale (n = 10), so callers budget
-    those buckets explicitly.
+    only_k restricts to one largest-hyperplane size, from rank + 1 to n - 1;
+    the k range near n/2 explodes combinatorially at paper scale (n = 10),
+    so callers budget those buckets explicitly.  ValueError, before any
+    search, unless rank >= 2, 1 <= n <= 12 and only_k lies in its range.
     """
     d = rank - 1
     if d < 1:
         raise ValueError("rank must be at least 2")
+    if not 1 <= n <= 12:
+        raise ValueError("need 1 <= n <= 12")
+    if only_k is not None and not rank + 1 <= only_k <= n - 1:
+        raise ValueError(f"only_k must lie in {rank + 1}..{n - 1}")
     results = {}
     k_range = range(d + 2, n) if only_k is None else [only_k]
     for k in k_range:
@@ -444,10 +489,10 @@ def _orbit_count_on_masks(generators, masks):
 def paving_total(n: int, rank: int):
     """Sparse + weighted non-sparse paving classes of the given rank."""
     g = johnson_graph(n, rank)
-    sparse = sum(enumerate_isets_orderly(g).values())
+    reps = collect_iset_orbits(g)
+    sparse = len(reps)
     if g.with_complement:
-        selfdual = count_self_dual_sparse(n, method="z2")
-        sparse = 2 * sparse - selfdual
+        sparse = 2 * sparse - _count_self_dual(n, reps, "z2")
     nonsparse = sum(count_nonsparse_paving(n, rank).values(), Fraction(0))
     if nonsparse.denominator != 1:
         raise AssertionError("1/c weights did not resolve to an integer")

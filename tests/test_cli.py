@@ -305,6 +305,43 @@ class TestOracleAndJohnson:
         assert captured.err.strip().splitlines() == [message]
 
     @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["--n", "6", "--nonsparse-rank", "3", "--only-k", "9"],
+             "--only-k must lie in 4..5 (rank + 1 to n - 1)"),
+            (["--n", "6", "--nonsparse-rank", "3", "--only-k", "3"],
+             "--only-k must lie in 4..5 (rank + 1 to n - 1)"),
+            (["--n", "6", "--nonsparse-rank", "3", "--only-k", "1"],
+             "--only-k must lie in 4..5 (rank + 1 to n - 1)"),
+            (["--n", "16", "--nonsparse-rank", "3", "--only-k", "5"],
+             "--nonsparse-rank needs 1 <= n <= 12"),
+            (["--n", "13", "--nonsparse-rank", "3"],
+             "--nonsparse-rank needs 1 <= n <= 12"),
+            (["--n", "-3", "--nonsparse-rank", "2"],
+             "--nonsparse-rank needs 1 <= n <= 12"),
+            (["--n", "6", "--k", "3", "--only-k", "4"],
+             "--only-k needs --nonsparse-rank"),
+            (["--n", "8", "--self-dual", "--only-k", "5"],
+             "--only-k needs --nonsparse-rank"),
+        ],
+    )
+    def test_johnson_nonsparse_out_of_range(self, capsys, monkeypatch, argv, message):
+        def no_search(*args, **kwargs):
+            raise AssertionError("search started on a refused argument")
+
+        monkeypatch.setattr(paving.IsetSearch, "run", no_search)
+        assert main(["johnson", *argv]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.strip().splitlines() == [message]
+
+    @pytest.mark.parametrize("only_k,line", [("4", "total 2"), ("5", "total 1")])
+    def test_johnson_nonsparse_range_ends(self, capsys, only_k, line):
+        rc = main(["johnson", "--n", "6", "--nonsparse-rank", "3", "--only-k", only_k])
+        assert rc == EXIT_OK
+        assert capsys.readouterr().out.splitlines()[-1] == line
+
+    @pytest.mark.parametrize(
         "content",
         [
             None, b"garbage", b"MCJK", b"MCJK\x01garbage", b"MCJK\x01",

@@ -4,13 +4,16 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from matcat.canon import certificate_for, relabel_family
 from matcat.core import (
     INFINITY,
+    MAX_GROUND,
     AxiomViolation,
     Matroid,
     NotCircuitHyperplane,
     RankZero,
     UnionFind,
+    _closures_and_ranks,
     bits,
     free,
     from_elements,
@@ -19,7 +22,7 @@ from matcat.core import (
     uniform,
 )
 from matcat.named import p8, vamos
-from matcat.orderly import extend_all
+from matcat.orderly import brute_force_enumerate, extend_all
 
 
 def brute_rank_from_bases(n, bases):
@@ -29,6 +32,120 @@ def brute_rank_from_bases(n, bases):
         return max(popcount(a & b) for b in bases)
 
     return [r(a) for a in range(1 << n)]
+
+
+def reference_from_hyperplanes(n, hyps):
+    """Matroid.from_hyperplanes with weak circuit elimination checked as the
+    axiom reads: for every pair h1, h2 and every element e outside both, some
+    hyperplane contains (h1 & h2) + e."""
+    if not 0 <= n <= MAX_GROUND:
+        raise AxiomViolation(f"ground size {n} outside 0..{MAX_GROUND}")
+    full = (1 << n) - 1
+    hyps = sorted(set(int(h) for h in hyps))
+    for h in hyps:
+        if h & ~full:
+            raise AxiomViolation(f"mask {h:#x} uses bits beyond ground set")
+        if h == full:
+            raise AxiomViolation("E itself may not be a hyperplane")
+    for h1, h2 in itertools.combinations(hyps, 2):
+        if h1 & h2 == h1 or h1 & h2 == h2:
+            raise AxiomViolation(f"not an antichain: {h1:#x} vs {h2:#x}")
+    for h1, h2 in itertools.combinations(hyps, 2):
+        meet = h1 & h2
+        for e in bits(full & ~(h1 | h2)):
+            need = meet | (1 << e)
+            if not any(h3 & need == need for h3 in hyps):
+                raise AxiomViolation(
+                    f"no hyperplane covers ({h1:#x} & {h2:#x}) + element {e}"
+                )
+    table = _closures_and_ranks(n, hyps)[1]
+    rank = table[full]
+    bad = [h for h in hyps if table[h] != rank - 1]
+    if bad:
+        raise AxiomViolation(f"family member {bad[0]:#x} is not at corank 1")
+    return Matroid(n, rank, hyps)
+
+
+def axiom_outcome(build, n, hyps):
+    """The matroid built, or the message of the AxiomViolation raised."""
+    try:
+        return build(n, hyps)
+    except AxiomViolation as exc:
+        return f"AxiomViolation: {exc}"
+
+
+def assert_agrees_with_reference(n, hyps):
+    assert axiom_outcome(Matroid.from_hyperplanes, n, hyps) == axiom_outcome(
+        reference_from_hyperplanes, n, hyps
+    ), (n, hyps)
+
+
+class TestAxiomCheckAgainstReference:
+    """from_hyperplanes tests weak elimination through the union of the
+    hyperplanes on each meet; the reference tests it element by element."""
+
+    def test_every_oracle_antichain(self, monkeypatch):
+        families = []
+        build = Matroid.from_hyperplanes
+
+        def record(n, hyps):
+            hyps = list(hyps)
+            families.append((n, hyps))
+            return build(n, hyps)
+
+        monkeypatch.setattr(Matroid, "from_hyperplanes", staticmethod(record))
+        for n in range(6):
+            brute_force_enumerate(n)
+        monkeypatch.undo()
+        assert len(families) > 7000
+        outcomes = set()
+        for n, hyps in families:
+            assert_agrees_with_reference(n, hyps)
+            outcomes.add(type(axiom_outcome(Matroid.from_hyperplanes, n, hyps)))
+        assert outcomes == {Matroid, str}
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_random_families(self, data):
+        n = data.draw(st.integers(0, 7))
+        hyps = data.draw(st.lists(st.integers(0, (1 << n) - 1), max_size=12))
+        if data.draw(st.booleans()):
+            # the maximal members, an antichain
+            hyps = [h for h in hyps if not any(h != g and h & g == h for g in hyps)]
+        assert_agrees_with_reference(n, hyps)
+
+    def test_catalogue_families_with_one_hyperplane_dropped(self, catalogue7):
+        for rec in catalogue7:
+            hyps = rec.matroid().hyperplanes
+            assert_agrees_with_reference(rec.n, hyps)
+            for i in range(len(hyps)):
+                assert_agrees_with_reference(rec.n, hyps[:i] + hyps[i + 1:])
+
+
+class TestCatalogueInvariants:
+    """Relabelling, duality and minors on random classes with n <= 7."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_certificate_invariant_under_relabelling(self, catalogue7, data):
+        rec = data.draw(st.sampled_from(catalogue7))
+        perm = data.draw(st.permutations(range(rec.n)))
+        m = rec.matroid()
+        moved = Matroid.from_hyperplanes(m.n, relabel_family(m.hyperplanes, perm))
+        assert certificate_for(moved.n, moved.rank, moved.hyperplanes).bytes == rec.cert
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_contraction_is_dual_deletion(self, catalogue7, data):
+        m = data.draw(st.sampled_from([r for r in catalogue7 if r.n >= 1])).matroid()
+        e = data.draw(st.integers(0, m.n - 1))
+        assert m.contract(e) == m.dual().delete(e).dual()
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_dual_involution(self, catalogue7, data):
+        m = data.draw(st.sampled_from(catalogue7)).matroid()
+        assert m.dual().dual() == m
 
 
 class TestFromHyperplanes:

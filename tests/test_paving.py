@@ -303,6 +303,22 @@ class TestOrbitReduction:
             nodes.append(len(search.collected))
         assert nodes == [47, 4, 1]
 
+    @pytest.mark.parametrize(
+        "n,vertices,cells",
+        [
+            # the degree rule would drop accepted children on both
+            (7, johnson_graph(7, 3).vertices, ((0, 1, 2), (3, 4, 5, 6))),
+            (4, tuple(sorted(
+                mask_of(c) for size in (1, 2) for c in itertools.combinations(range(4), size)
+            )), None),
+        ],
+        ids=["fixed-cells", "mixed-sizes"],
+    )
+    def test_searches_outside_the_degree_rule(self, n, vertices, cells):
+        search = _CheckedSearch(n, vertices, conflict_threshold=2, cells=cells)
+        search.run()
+        assert len(search.collected) == search.nodes
+
     def test_actions_are_automorphisms(self):
         g = johnson_graph(8, 4)
         full = (1 << g.n) - 1
@@ -383,3 +399,30 @@ class TestNonSparseCounts:
         table = count_nonsparse_paving(7, 3)
         for val in table.values():
             assert val.denominator == 1
+
+    @pytest.mark.parametrize(
+        "n,rank,only_k",
+        [(6, 3, 9), (6, 3, 3), (6, 3, 1), (16, 3, 5), (13, 3, None), (-3, 2, None),
+         (6, 1, None)],
+    )
+    def test_out_of_range_refused_before_search(self, monkeypatch, n, rank, only_k):
+        def no_search(*args, **kwargs):
+            raise AssertionError("search started on a refused argument")
+
+        monkeypatch.setattr(IsetSearch, "run", no_search)
+        with pytest.raises(ValueError):
+            count_nonsparse_paving(n, rank, only_k=only_k)
+
+    def test_paving_total_8_4_runs_one_johnson_search(self, monkeypatch):
+        j84 = johnson_graph(8, 4).vertices
+        runs = []
+        run = IsetSearch.run
+
+        def counted(search, *args, **kwargs):
+            if search.vertices == j84:
+                runs.append(search)
+            return run(search, *args, **kwargs)
+
+        monkeypatch.setattr(IsetSearch, "run", counted)
+        assert paving_total(8, 4) == 322
+        assert len(runs) == 1
