@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import EmptyGroundSet, UnionFind, bits, popcount
+from .core import EmptyGroundSet, bits, popcount
 from .errors import BudgetExceeded
 
 
@@ -43,7 +43,7 @@ def relabel_family(masks, perm):
 
 def _compose(p, q):
     """Permutation applying q first, then p."""
-    return tuple(p[q[i]] for i in range(len(p)))
+    return tuple(map(p.__getitem__, q))
 
 
 def _invert(p):
@@ -53,15 +53,29 @@ def _invert(p):
     return tuple(inv)
 
 
+def orbit_minima(size: int, perms) -> list:
+    """For each point of 0..size-1, the least point of its orbit under perms."""
+    least = [-1] * size
+    for a in range(size):
+        if least[a] < 0:
+            least[a] = a
+            stack = [a]
+            while stack:
+                x = stack.pop()
+                for p in perms:
+                    y = p[x]
+                    if least[y] < 0:
+                        least[y] = a
+                        stack.append(y)
+    return least
+
+
 def _orbit_partition(n, gens):
-    uf = UnionFind(range(n))
-    for g in gens:
-        for i in range(n):
-            uf.union(i, g[i])
+    """The element orbits, each ascending, ordered by their least element."""
     groups = {}
-    for i in range(n):
-        groups.setdefault(uf.find(i), []).append(i)
-    return tuple(tuple(g) for g in sorted(groups.values()))
+    for i, a in enumerate(orbit_minima(n, gens)):
+        groups.setdefault(a, []).append(i)
+    return tuple(tuple(g) for g in groups.values())
 
 
 def _transversal(n, point, gens) -> dict:
@@ -80,25 +94,93 @@ def _transversal(n, point, gens) -> dict:
     return transversal
 
 
+class _StabilizerChain:
+    """Base, strong generators and transversals of a permutation group on
+    {0..n-1}, grown one generator at a time (Schreier-Sims).
+
+    Level j holds a base point, the strong generators that fix the base
+    points of the levels above it, and a transversal: each point of the
+    base point's orbit mapped to a group element sending the base point
+    there, and to its inverse.  Every Schreier generator of a level is
+    sifted through the levels below it, and a nonidentity residue becomes a
+    new strong generator, so the group order is the product of the orbit
+    lengths.
+    """
+
+    def __init__(self, n: int):
+        self.identity = tuple(range(n))
+        # [base point, strong generators, transversal, inverse transversal]
+        self.levels = []
+
+    def _sift(self, g, start=0):
+        """(residue, depth): g divided by transversal elements from level
+        start down, until a level's orbit misses its base point's image."""
+        for depth in range(start, len(self.levels)):
+            point, _, _, inv = self.levels[depth]
+            t = inv.get(g[point])
+            if t is None:
+                return g, depth
+            g = _compose(t, g)
+        return g, len(self.levels)
+
+    def add(self, g) -> bool:
+        """Add g to the group; False when it was in the group already."""
+        g, depth = self._sift(tuple(g))
+        if g == self.identity:
+            return False
+        self._add_strong(0, depth, g)
+        return True
+
+    def _add_strong(self, top, depth, g):
+        """Make g, which fixes the base points above level depth, a strong
+        generator of levels top..depth, deepest first."""
+        if depth == len(self.levels):
+            point = next(x for x, y in enumerate(g) if x != y)
+            e = self.identity
+            self.levels.append([point, [], {point: e}, {point: e}])
+        for j in range(depth, top - 1, -1):
+            self._extend_level(j, g)
+
+    def _extend_level(self, j, g):
+        _, gens, trans, inv = self.levels[j]
+        gens.append(g)
+        work = [(x, g) for x in trans]
+        while work:
+            x, s = work.pop()
+            y = s[x]
+            sx = _compose(s, trans[x])
+            ty = inv.get(y)
+            if ty is None:
+                trans[y] = sx
+                inv[y] = _invert(sx)
+                work.extend((y, h) for h in gens)
+                continue
+            if sx == trans[y]:
+                continue  # the Schreier generator is the identity
+            residue, depth = self._sift(_compose(ty, sx), j + 1)
+            if residue != self.identity:
+                self._add_strong(j + 1, depth, residue)
+
+    def order(self) -> int:
+        order = 1
+        for level in self.levels:
+            order *= len(level[2])
+        return order
+
+
 def group_order(n: int, gens) -> int:
-    """Order of the permutation group generated by gens (stabilizer chain)."""
-    identity = tuple(range(n))
-    gens = [tuple(g) for g in gens if tuple(g) != identity]
-    order = 1
-    for point in range(n):
-        if not gens:
-            break
-        transversal = _transversal(n, point, gens)
-        order *= len(transversal)
-        stab = set()
-        for x, tx in transversal.items():
-            for g in gens:
-                rep = transversal[g[x]]
-                sg = _compose(_invert(rep), _compose(g, tx))
-                if sg != identity:
-                    stab.add(sg)
-        gens = list(stab)
-    return order
+    """Order of the permutation group generated by gens."""
+    chain = _StabilizerChain(n)
+    for g in gens:
+        chain.add(g)
+    return chain.order()
+
+
+def reduce_generators(n: int, gens) -> tuple:
+    """The generators, in order, that do not lie in the group of those kept
+    before them; they generate the same group."""
+    chain = _StabilizerChain(n)
+    return tuple(g for g in gens if chain.add(g))
 
 
 @dataclass

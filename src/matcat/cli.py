@@ -274,8 +274,9 @@ def _johnson_usage_error(args):
 
 def cmd_johnson(args) -> int:
     from .paving import (
+        _count_self_dual,
+        collect_iset_orbits,
         count_nonsparse_paving,
-        count_self_dual_sparse,
         enumerate_isets_orderly,
         estimate_iset_count,
         johnson_graph,
@@ -297,8 +298,9 @@ def cmd_johnson(args) -> int:
         print(f"total {total}")
         return EXIT_OK
     if args.self_dual:
-        a = count_self_dual_sparse(args.n, method="z2")
-        b = count_self_dual_sparse(args.n, method="certificate")
+        reps = collect_iset_orbits(johnson_graph(args.n, args.n // 2))
+        a = _count_self_dual(args.n, reps, "z2")
+        b = _count_self_dual(args.n, reps, "certificate")
         print(f"self-dual sparse paving classes: {a} (z2) / {b} (certificate)")
         return EXIT_OK if a == b else EXIT_MISMATCH
     g = johnson_graph(args.n, args.k)

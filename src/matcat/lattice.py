@@ -7,12 +7,33 @@ pair, their intersection would sit below both inside the cut), so cut
 candidates are enumerated as independent sets of the modular-pair graph
 rather than as arbitrary antichains; that keeps lattices with huge antichain
 counts (free matroids) tractable while producing exactly the same cuts.
+
+The search is one depth-first walk that adds flats in ascending index
+order, so it meets the cuts in lexicographic order of their ascending
+minimal-flat tuples.  Given permutations of the flats induced by
+automorphisms, it yields only the first cut of each orbit, which is the one
+with the least tuple, and it prunes by flat orbits: it starts only from
+flats that are least in their orbit, and below a first flat a it adds only
+flats whose orbit minimum is a or more.  The pruning is exact.  If a tuple
+holds a flat x whose orbit minimum m is less than its first flat, some
+automorphism maps x to m; the image of the cut is a cut whose tuple holds m
+and so starts below the tuple, which is therefore not least in its orbit.
+Every tuple grown from it holds x as well, so the whole subtree goes.  The
+walk still meets some cuts that are not first in their orbits; the orbit of
+each cut it yields is listed, and later members of that orbit are skipped.
+Only the members that hold the yielded cut's least flat a are kept for
+that.  Every minimal flat of a member has orbit minimum a or more, so index
+a or more, and a flat inside a has a smaller index, so a member holds a
+only as a minimal flat.  A member that holds a starts with a, and the walk
+meets it under a; any other member starts above a yet holds a flat of
+orbit minimum a, and the pruning drops it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .canon import orbit_minima, relabel_mask
 from .core import Matroid, bits
 
 
@@ -45,32 +66,65 @@ def _modular_closed(members: int, adj, meet) -> bool:
     return True
 
 
-def _grow_cuts(out, adj, meet, up, below, chosen, members, rest):
-    """Append, in search order, each cut whose minimal flats are chosen plus
-    one flat of the bitset rest, and the cuts that grow from it.
+def _grow_cuts(adj, meet, up, below, firsts, later):
+    """Yield every non-empty cut whose least minimal flat lies in the bitset
+    firsts and whose other minimal flats lie in later[least], in
+    lexicographic order of the ascending minimal-flat tuples.
 
-    A module function rather than a nested one: a recursive closure is a
-    reference cycle, which would keep every cut list alive until the
-    cyclic garbage collector runs.
+    The walk is depth-first with an explicit stack; a node's children add
+    one larger flat that is neither comparable nor modular with any chosen
+    flat, tried in ascending order.  A node whose up-set is not closed is
+    not a cut, but its children may be.
     """
-    while rest:
-        b = rest & -rest
-        i = b.bit_length() - 1
-        rest ^= b
-        nmembers = members | up[i]
-        nchosen = chosen + (i,)
-        if len(nchosen) == 1 or _modular_closed(nmembers, adj, meet):
-            out.append(ModularCut(nmembers, nchosen))
-        # antichain + pairwise non-modular: drop comparables and modular
-        # partners of i from the candidate pool (rest holds flats above i only)
-        _grow_cuts(
-            out, adj, meet, up, below, nchosen, nmembers,
-            rest & ~adj[i] & ~up[i] & ~below[i],
-        )
+    for a in bits(firsts):
+        yield ModularCut(up[a], (a,))
+        stack = [[(a,), up[a], later[a] & ~adj[a] & ~up[a] & ~below[a]]]
+        while stack:
+            top = stack[-1]
+            rest = top[2]
+            if not rest:
+                stack.pop()
+                continue
+            b = rest & -rest
+            i = b.bit_length() - 1
+            top[2] = rest = rest ^ b
+            members = top[1] | up[i]
+            chosen = top[0] + (i,)
+            if _modular_closed(members, adj, meet):
+                yield ModularCut(members, chosen)
+            rest &= ~adj[i] & ~up[i] & ~below[i]
+            if rest:
+                stack.append([chosen, members, rest])
+
+
+def _cut_orbit(cut, perms) -> tuple:
+    """(orbit size, member bitsets of the other cuts in the orbit of cut
+    that hold its least minimal flat) under the flat permutations; perms
+    pairs each with the up-sets of the flats' images.
+
+    An automorphism maps the minimal flats of a cut onto the minimal flats
+    of its image, whose members are the union of their up-sets.
+    """
+    first = cut.minimal_elements[0]
+    orbit = {cut.members}
+    ahead = []
+    queue = [cut.minimal_elements]
+    while queue:
+        mins = queue.pop()
+        for fp, up_fp in perms:
+            members = 0
+            for i in mins:
+                members |= up_fp[i]
+            if members not in orbit:
+                orbit.add(members)
+                queue.append([fp[i] for i in mins])
+                if members >> first & 1:
+                    ahead.append(members)
+    return len(orbit), ahead
 
 
 class FlatLattice:
-    """Flats of a matroid with rank grading, covers, and join structure."""
+    """Flats of a matroid with rank grading, covers, and modular cuts."""
 
     def __init__(self, m: Matroid):
         self.matroid = m
@@ -113,40 +167,32 @@ class FlatLattice:
     def atoms(self):
         return [i for i in range(self.nf) if self.ranks[i] == 1]
 
-    def join_index(self, i: int, j: int) -> int:
-        common = self.up[i] & self.up[j]
-        return (common & -common).bit_length() - 1
-
-    def meet_index(self, i: int, j: int) -> int:
-        return self.index[self.flats[i] & self.flats[j]]
-
-    def is_modular_pair_idx(self, i: int, j: int) -> bool:
-        return (
-            self.ranks[i] + self.ranks[j]
-            == self.ranks[self.join_index(i, j)] + self.ranks[self.meet_index(i, j)]
-        )
-
     # -- modular cuts ---------------------------------------------------------
 
     def _pair_tables(self):
-        """(modular-pair adjacency bitsets, meet index matrix), cached."""
+        """(modular-pair adjacency bitsets, meet index matrix), cached.
+
+        Flats F, G are a modular pair iff r(F) + r(G) = r(F | G) + r(F & G),
+        read off the matroid's rank table.  The meet matrix is filled for
+        modular pairs only, the pairs that _modular_closed reads.
+        """
         cached = getattr(self, "_pairs", None)
         if cached is not None:
             return cached
+        flats, ranks, index = self.flats, self.ranks, self.index
+        table = self.matroid.rank_table
         nf = self.nf
         adj = [0] * nf
         meet = [[0] * nf for _ in range(nf)]
-        for i in range(nf):
-            meet[i][i] = i
+        for i, fi in enumerate(flats):
+            ri = ranks[i]
+            row = meet[i]
             for j in range(i + 1, nf):
-                k = self.meet_index(i, j)
-                meet[i][j] = k
-                meet[j][i] = k
-                if self.ranks[i] + self.ranks[j] == self.ranks[
-                    self.join_index(i, j)
-                ] + self.ranks[k]:
+                fj = flats[j]
+                if ri + ranks[j] == table[fi | fj] + table[fi & fj]:
                     adj[i] |= 1 << j
                     adj[j] |= 1 << i
+                    row[j] = meet[j][i] = index[fi & fj]
         self._pairs = (adj, meet)
         return self._pairs
 
@@ -155,11 +201,60 @@ class FlatLattice:
 
     def modular_cuts(self):
         """Every modular cut, the empty cut included, each exactly once."""
-        adj, meet = self._pair_tables()
-        out = [ModularCut(0, ())]
-        full = (1 << self.nf) - 1
-        _grow_cuts(out, adj, meet, self.up, self._below_table(), (), 0, full)
+        return [cut for cut, _ in self.cut_orbit_representatives()]
+
+    def flat_permutations(self, generators) -> list:
+        """The distinct non-identity permutations of flat indices that the
+        element permutations in generators induce."""
+        flats, index = self.flats, self.index
+        identity = list(range(self.nf))
+        out = []
+        for g in generators:
+            fp = [index[relabel_mask(flat, g)] for flat in flats]
+            if fp != identity and fp not in out:
+                out.append(fp)
         return out
+
+    def cut_orbit_representatives(self, flat_perms=()):
+        """Yield (cut, orbit size) for the first cut of each orbit of the
+        group that flat_perms generate, in modular_cuts() order.
+
+        The first cut of an orbit has the lexicographically least minimal-flat
+        tuple in it; the walk skips the subtrees that cannot hold such a cut
+        (see the module docstring).  With no permutations every cut is its
+        own orbit and the walk yields them all.
+        """
+        adj, meet = self._pair_tables()
+        up, below, nf = self.up, self._below_table(), self.nf
+        yield ModularCut(0, ()), 1
+        # by_min[a]: the flats whose orbit minimum is a; later[a]: those whose
+        # orbit minimum is a or more; firsts: the orbit minima
+        by_min = [0] * nf
+        for x, a in enumerate(orbit_minima(nf, flat_perms)):
+            by_min[a] |= 1 << x
+        later = [0] * (nf + 1)
+        firsts = 0
+        for a in range(nf - 1, -1, -1):
+            later[a] = later[a + 1] | by_min[a]
+            if by_min[a]:
+                firsts |= 1 << a
+        cuts = _grow_cuts(adj, meet, up, below, firsts, later)
+        if not flat_perms:
+            for cut in cuts:
+                yield cut, 1
+            return
+        # each permutation with the up-set of the image of each flat
+        perms = [(fp, [up[y] for y in fp]) for fp in flat_perms]
+        # the cuts the walk has still to meet after the first cut of their
+        # orbit; the walk meets each cut once, so it leaves the set when met
+        ahead = set()
+        for cut in cuts:
+            if cut.members in ahead:
+                ahead.remove(cut.members)
+                continue
+            size, later_cuts = _cut_orbit(cut, perms)
+            ahead.update(later_cuts)
+            yield cut, size
 
     def _below_table(self):
         """below[i]: bitset of flats strictly inside flat i, cached."""

@@ -1,7 +1,13 @@
 """Isomorph-free generation of all matroids on up to N elements.
 
 Canonical construction path (McKay 1998): a parent is extended once per
-Aut(parent)-orbit of its modular cuts, and a child survives only when its new
+Aut(parent)-orbit of its modular cuts, by the orbit's first cut in the
+lexicographic order of minimal-flat tuples (an orderly, Read/Faradzev-style
+choice).  FlatLattice.cut_orbit_representatives walks only the subtrees
+that can hold such a first cut and yields each with its orbit size, so the
+candidate count still covers every cut.  The automorphism generators of the
+parent are first cut down by a stabilizer-chain sift to a set in which none
+lies in the group of those before it.  A child survives only when its new
 element lies in the orbit of the element with the lowest canonical label.
 Cuts in one orbit give isomorphic children with the same verdict, and two
 accepted children of one parent are isomorphic only when their cuts share an
@@ -19,7 +25,7 @@ import multiprocessing
 import os
 from dataclasses import dataclass, field
 
-from .canon import certificate_for, element_has_minimal_signature, relabel_mask
+from .canon import certificate_for, element_has_minimal_signature, reduce_generators
 from .core import Matroid
 from .errors import BudgetExceeded
 from .lattice import FlatLattice
@@ -81,19 +87,16 @@ def _extend_records(n, rank, hyps):
     """(accepted child records, modular-cut candidate count) for one parent.
 
     Only the first cut of each Aut(parent)-orbit, in modular_cuts() order, is
-    extended and tested; the count still covers every modular cut.
+    extended and tested; the count still covers every modular cut, as the
+    sum of the orbit sizes.
     """
     lat = FlatLattice(Matroid(n, rank, hyps))
     gens = certificate_for(n, rank, hyps).generators if n else ()
-    flat_perms = _flat_permutations(lat, gens)
+    flat_perms = lat.flat_permutations(reduce_generators(n, gens))
     records = []
-    seen = set()
     candidates = 0
-    for cut in lat.modular_cuts():
-        candidates += 1
-        if cut.members in seen:
-            continue
-        seen |= _cut_orbit(lat, cut, flat_perms)
+    for cut, orbit_size in lat.cut_orbit_representatives(flat_perms):
+        candidates += orbit_size
         child_hyps, child_rank = lat.extension_hyperplanes(cut)
         # the one cheap necessary test: the lowest canonical label lives in
         # the first cell of the root refinement, which holds only elements of
@@ -111,35 +114,6 @@ def _extend_records(n, rank, hyps):
             )
         )
     return sorted(records, key=CatalogueRecord.sort_key), candidates
-
-
-def _flat_permutations(lat: FlatLattice, generators) -> list:
-    """Each element automorphism as a permutation of flat indices."""
-    return [
-        [lat.index[relabel_mask(flat, g)] for flat in lat.flats] for g in generators
-    ]
-
-
-def _cut_orbit(lat: FlatLattice, cut, flat_perms) -> set:
-    """Member bitsets of every cut in the orbit of cut under the flat perms.
-
-    An automorphism maps the minimal flats of a cut onto the minimal flats
-    of its image, whose members are the union of their up-sets.
-    """
-    up = lat.up
-    orbit = {cut.members}
-    queue = [cut.minimal_elements]
-    while queue:
-        mins = queue.pop()
-        for fp in flat_perms:
-            image = [fp[i] for i in mins]
-            members = 0
-            for i in image:
-                members |= up[i]
-            if members not in orbit:
-                orbit.add(members)
-                queue.append(image)
-    return orbit
 
 
 def _worker(args):

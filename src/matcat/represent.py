@@ -314,26 +314,43 @@ def excluded_minors(matroids, q: int, representable_cache=None):
     """Matroids not representable over GF(q) whose single-element deletions
     and contractions all are; input must be minor-closed (a full catalogue).
     """
-    from .canon import certificate
+    from .canon import certificate, certificate_for
 
     cache = representable_cache if representable_cache is not None else {}
 
-    def rep_by_cert(mat):
-        # the input matroids keep their certificate for the next field's call
-        cert = certificate(mat).bytes
-        if cert not in cache:
-            cache[cert] = representable(mat, q) is not None
-        return cache[cert]
+    def minors_representable(m):
+        # each minor's certificate stays on m, as bytes, for the next field's
+        # call; the minor itself is built again when a field has to search it
+        certs = getattr(m, "_minor_certificates", None)
+        if certs is None:
+            certs = m._minor_certificates = [None] * (2 * m.n)
+        for i, cert in enumerate(certs):
+            minor = None
+            if cert is None:
+                minor = _minor(m, i)
+                cert = certs[i] = certificate_for(
+                    minor.n, minor.rank, minor.hyperplanes
+                ).bytes
+            if cert not in cache:
+                if minor is None:
+                    minor = _minor(m, i)
+                cache[cert] = representable(minor, q) is not None
+            if not cache[cert]:
+                return False
+        return True
 
     out = []
     for m in matroids:
-        if rep_by_cert(m):
-            continue
-        minors_ok = all(
-            rep_by_cert(child)
-            for e in range(m.n)
-            for child in (m.delete(e), m.contract(e))
-        )
-        if minors_ok:
+        # the input matroids keep their certificate for the next field's call
+        cert = certificate(m).bytes
+        if cert not in cache:
+            cache[cert] = representable(m, q) is not None
+        if not cache[cert] and minors_representable(m):
             out.append(m)
     return out
+
+
+def _minor(m, i):
+    """m delete e for i = 2e, m contract e for i = 2e + 1."""
+    e = i >> 1
+    return m.contract(e) if i & 1 else m.delete(e)

@@ -16,10 +16,12 @@ from matcat.canon import (
     group_order,
     hyperplane_graph,
     is_isomorphic,
+    reduce_generators,
     relabel_family,
     relabel_mask,
 )
 from matcat.core import EmptyGroundSet, Matroid, free, mask_of, uniform
+from matcat.lattice import FlatLattice
 from matcat.named import ag32_prime, f8, p8
 
 
@@ -178,6 +180,82 @@ class TestGroupOrder:
     def test_klein_four(self):
         gens = [(1, 0, 3, 2), (2, 3, 0, 1)]
         assert group_order(4, gens) == 4
+
+
+def _group_elements(n, gens):
+    """Every element of the group gens generate, by closure from the identity."""
+    identity = tuple(range(n))
+    elements = {identity}
+    queue = [identity]
+    while queue:
+        p = queue.pop()
+        for g in gens:
+            q = tuple(g[p[i]] for i in range(n))
+            if q not in elements:
+                elements.add(q)
+                queue.append(q)
+    return elements
+
+
+def _flat_orbits(lat, flat_perms):
+    """The orbit of each flat index under the flat permutations, as frozensets."""
+    orbits = []
+    for x in range(lat.nf):
+        orbit = {x}
+        queue = [x]
+        while queue:
+            y = queue.pop()
+            for fp in flat_perms:
+                if fp[y] not in orbit:
+                    orbit.add(fp[y])
+                    queue.append(fp[y])
+        orbits.append(frozenset(orbit))
+    return orbits
+
+
+class TestReducedGenerators:
+    def test_same_group_and_flat_orbits_through_seven(self, catalogue7):
+        for rec in catalogue7:
+            n = rec.n
+            gens = certificate_for(n, rec.rank, rec.hyperplanes).generators
+            reduced = reduce_generators(n, gens)
+            assert all(g in gens for g in reduced)
+            order = len(_group_elements(n, gens))
+            assert group_order(n, gens) == group_order(n, reduced) == order, rec
+            # none lies in the group of the generators kept before it
+            for k in range(1, len(reduced) + 1):
+                assert group_order(n, reduced[:k]) > group_order(n, reduced[: k - 1])
+            lat = FlatLattice(rec.matroid())
+            full = [[lat.index[relabel_mask(f, g)] for f in lat.flats] for g in gens]
+            assert _flat_orbits(lat, lat.flat_permutations(reduced)) == _flat_orbits(
+                lat, full
+            ), rec
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_relabelled_class(self, data, catalogue7):
+        rec = data.draw(st.sampled_from(catalogue7))
+        perm = data.draw(st.permutations(range(rec.n)))
+        hyps = [relabel_mask(h, perm) for h in rec.hyperplanes]
+        m = Matroid(rec.n, rec.rank, hyps)
+        gens = certificate_for(m.n, m.rank, m.hyperplanes).generators
+        reduced = reduce_generators(m.n, gens)
+        want = certificate_for(rec.n, rec.rank, rec.hyperplanes).aut_order
+        assert group_order(m.n, reduced) == want
+        # flat orbits of the relabelled class are the relabelled flat orbits
+        lat, lat0 = FlatLattice(m), FlatLattice(rec.matroid())
+        orbits = {
+            frozenset(lat.flats[i] for i in orbit)
+            for orbit in _flat_orbits(lat, lat.flat_permutations(reduced))
+        }
+        orig = certificate_for(rec.n, rec.rank, rec.hyperplanes).generators
+        orbits0 = {
+            frozenset(relabel_mask(lat0.flats[i], perm) for i in orbit)
+            for orbit in _flat_orbits(
+                lat0, lat0.flat_permutations(reduce_generators(rec.n, orig))
+            )
+        }
+        assert orbits == orbits0
 
 
 class TestCanonicalFamilyCells:

@@ -457,3 +457,19 @@ def test_budget_in_props_exits_3(small_catalogue, workdir, monkeypatch, capsys):
     assert capsys.readouterr().err.strip().splitlines() == [
         "budget exceeded: ingleton search passed 1 table cells"
     ]
+
+
+def test_johnson_self_dual_runs_one_search(monkeypatch, capsys):
+    runs = []
+    run = paving.IsetSearch.run
+
+    def counted(search, *args, **kwargs):
+        runs.append(search.vertices)
+        return run(search, *args, **kwargs)
+
+    monkeypatch.setattr(paving.IsetSearch, "run", counted)
+    assert main(["johnson", "--n", "8", "--self-dual"]) == EXIT_OK
+    assert capsys.readouterr().out == (
+        "self-dual sparse paving classes: 144 (z2) / 144 (certificate)\n"
+    )
+    assert runs == [johnson_graph(8, 4).vertices]

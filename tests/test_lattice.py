@@ -161,6 +161,20 @@ class TestModularCuts:
                 assert count == len(modular_cuts(parent))
 
 
+class TestPairTables:
+    def test_match_is_modular_pair_through_six(self, matroids6):
+        for m in matroids6:
+            lat = FlatLattice(m)
+            adj, meet = lat._pair_tables()
+            flats = lat.flats
+            for i, f in enumerate(flats):
+                for j, g in enumerate(flats):
+                    want = i != j and is_modular_pair(m, f, g)
+                    assert bool(adj[i] >> j & 1) == want, (m, f, g)
+                    if want:
+                        assert flats[meet[i][j]] == f & g
+
+
 class TestExtend:
     def test_extend_delete_round_trip(self, matroids6):
         rng = random.Random(12)

@@ -2,7 +2,7 @@ import os
 
 import pytest
 
-from matcat.canon import certificate, certificate_for
+from matcat.canon import certificate, certificate_for, reduce_generators, relabel_mask
 from matcat.core import Matroid
 from matcat.errors import BudgetExceeded as ResourceBudgetExceeded
 from matcat.lattice import FlatLattice
@@ -154,6 +154,61 @@ class TestOrbitReduction:
             for child in children:
                 totals[child.n] += 1
         assert totals[1:] == TABLE1_TOTALS[1:]
+
+
+def _orbit_representatives_by_listing(parent):
+    """The loop the pruned walk replaced: list every modular cut, and keep
+    the first cut of each orbit under the flat permutations of every
+    automorphism generator, found by a breadth-first orbit search.
+    Returns (representatives, number of cuts)."""
+    lat = FlatLattice(parent)
+    gens = certificate(parent).generators if parent.n else ()
+    flat_perms = [
+        [lat.index[relabel_mask(flat, g)] for flat in lat.flats] for g in gens
+    ]
+    cuts = lat.modular_cuts()
+    reps = []
+    seen = set()
+    for cut in cuts:
+        if cut.members in seen:
+            continue
+        reps.append(cut)
+        orbit = {cut.members}
+        queue = [cut.minimal_elements]
+        while queue:
+            mins = queue.pop()
+            for fp in flat_perms:
+                image = [fp[i] for i in mins]
+                members = 0
+                for i in image:
+                    members |= lat.up[i]
+                if members not in orbit:
+                    orbit.add(members)
+                    queue.append(image)
+        seen |= orbit
+    return reps, len(cuts)
+
+
+class TestPrunedCutWalk:
+    def test_matches_listing_every_cut_through_seven(self, extensions7):
+        for rec, _, candidates in extensions7:
+            parent = rec.matroid()
+            want, cut_count = _orbit_representatives_by_listing(parent)
+            lat = FlatLattice(parent)
+            gens = certificate(parent).generators if parent.n else ()
+            flat_perms = lat.flat_permutations(reduce_generators(parent.n, gens))
+            walk = list(lat.cut_orbit_representatives(flat_perms))
+            assert [cut for cut, _ in walk] == want, rec
+            assert sum(size for _, size in walk) == cut_count == candidates, rec
+
+    def test_no_permutations_yield_every_cut(self, catalogue6):
+        for rec in catalogue6:
+            lat = FlatLattice(rec.matroid())
+            walk = list(lat.cut_orbit_representatives())
+            assert all(size == 1 for _, size in walk)
+            # lexicographic order of the minimal-flat tuples, each once
+            tuples = [cut.minimal_elements for cut, _ in walk]
+            assert all(a < b for a, b in zip(tuples, tuples[1:]))
 
 
 class TestMaskCodec:

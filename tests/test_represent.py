@@ -196,6 +196,42 @@ class TestExcludedMinors:
         found = excluded_minors(matroids6, 3)
         assert sorted((m.n, m.rank) for m in found) == [(5, 2), (5, 3)]
 
+    def test_minors_are_certified_once_across_fields(self, catalogue7, monkeypatch):
+        from matcat import canon
+
+        mats = [rec.matroid() for rec in catalogue7]
+        calls = []
+        certificate_for = canon.certificate_for
+
+        def counted(n, rank, hyps):
+            calls.append(n)
+            return certificate_for(n, rank, hyps)
+
+        monkeypatch.setattr(canon, "certificate_for", counted)
+        found = {}
+        for q in (2, 3, 4, 5):
+            found[q] = excluded_minors(mats, q)
+            # each input certified once, and each minor of an input at most
+            # once: a later field reuses the certificates cached on the inputs
+            certified = sum(
+                cert is not None
+                for m in mats
+                for cert in getattr(m, "_minor_certificates", ())
+            )
+            assert len(calls) == len(mats) + certified
+        calls.clear()
+        assert excluded_minors(mats, 3, {}) == found[3]
+        assert calls == []
+        shape = {q: [(m.n, m.rank) for m in found[q]] for q in found}
+        assert shape[2] == [(4, 2)]
+        assert sorted(shape[3]) == [(5, 2), (5, 3), (7, 3), (7, 4)]
+        assert sorted(shape[4]) == [(6, 2), (6, 3), (6, 4), (7, 3), (7, 4)]
+        seven = {}
+        for n, rank in shape[5]:
+            if n == 7:
+                seven[rank] = seven.get(rank, 0) + 1
+        assert seven == {2: 1, 3: 5, 4: 5, 5: 1}
+
 
 # sha256 over every matrix representable returns (or None) for each class
 # with n <= 7 at q = 2..5 and each high_rank8 matroid at q = 2..4, in that
