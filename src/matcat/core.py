@@ -356,8 +356,11 @@ class Matroid:
         return self.dual().parallel_classes()
 
     def simplify(self) -> "Matroid":
-        """Remove loops and collapse each parallel class to its least element."""
+        """Remove loops and collapse each parallel class to its least element;
+        self when there is nothing to remove."""
         reps = sorted((c & -c).bit_length() - 1 for c in self.parallel_classes())
+        if len(reps) == self.n:
+            return self
         table = self.rank_table
         new = [0] * (1 << len(reps))
         for m in range(1 << len(reps)):

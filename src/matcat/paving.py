@@ -19,6 +19,12 @@ without them (the root, a resumed stack, an estimator prefix) is labelled
 once more to find them.  Each vertex's conflicts are a bitset over vertex
 indices, built once per search.
 
+Label memo.  A family P + v + w is reached once from P + v and once from
+P + w, and both times labelled as the same child.  A search keeps the
+labellings of the last 1024 children it labelled, keyed by the child's
+sorted vertex tuple, and reuses them; labelling is deterministic, so the
+search is unchanged.  The memo is not checkpointed.
+
 Degree rule.  Without Z2 and without fixed cells (J(n,k) with n != 2k), a
 vertex is labelled only when it holds an element whose degree in the
 family, the number of members holding it, is at least top - 1, where top
@@ -50,7 +56,9 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .canon import canonical_family, certificate_for, relabel_mask, _compose, _invert
+from .canon import (
+    canonical_family, certificate_for, relabel_mask, _compose, _invert, _require_partition,
+)
 from .core import Matroid, UnionFind, bits, mask_of, popcount
 from .errors import BudgetExceeded
 from .named import sparse_paving
@@ -174,6 +182,10 @@ class IsetSearch:
     _holders: list = field(init=False, repr=False, compare=False)
     # stacked family -> automorphism actions of the labelling that accepted it
     _actions: dict = field(init=False, repr=False, compare=False)
+    # child family -> its labelling, the last _MEMO_SIZE labelled, oldest first
+    _memo: dict = field(init=False, repr=False, compare=False)
+
+    _MEMO_SIZE = 1024
 
     def __post_init__(self):
         t = self.conflict_threshold
@@ -190,6 +202,7 @@ class IsetSearch:
                 for e in range(self.n)
             ]
         self._actions = {}
+        self._memo = {}
 
     def _children(self, members, actions):
         """Accepted canonical augmentations of one family, sorted by canonical
@@ -218,7 +231,12 @@ class IsetSearch:
             if actions:
                 seen |= _orbit(v, actions)
             child = tuple(sorted(members + (v,)))
-            fc = _family_canon(self.n, child, self.z2, self.cells)
+            fc = self._memo.get(child)
+            if fc is None:
+                fc = _family_canon(self.n, child, self.z2, self.cells)
+                if len(self._memo) >= self._MEMO_SIZE:
+                    del self._memo[next(iter(self._memo))]
+                self._memo[child] = fc
             if v not in fc.deletion_orbit:
                 continue
             if fc.value not in out:
@@ -310,6 +328,8 @@ def load_iset_checkpoint(path: str) -> IsetSearch:
             nodes=_int(data["nodes"]),
             max_size=None if max_size is None else _int(max_size),
         )
+        if search.cells is not None:
+            _require_partition(search.n, search.cells)
         _check_stack(search)
     except (TypeError, ValueError) as exc:
         raise ValueError(f"bad checkpoint payload: {exc}") from None

@@ -245,7 +245,9 @@ def compute_row(rec: CatalogueRecord, opts: RowOptions) -> dict:
     d = m.dual()
     s = m.simplify()
     row["_dualCert"] = certificate_for(d.n, d.rank, d.hyperplanes).bytes
-    row["_simplificationCert"] = certificate_for(s.n, s.rank, s.hyperplanes).bytes
+    row["_simplificationCert"] = (
+        cert.bytes if s is m else certificate_for(s.n, s.rank, s.hyperplanes).bytes
+    )
     row["_cert"] = cert.bytes
     return row
 

@@ -1,12 +1,18 @@
 import gc
 import hashlib
 import itertools
+import math
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from matcat.canon import (
+    _compose,
+    _equitable_refine,
+    _invert,
+    _orbit_closure,
+    _orbit_partition,
     automorphism_mapping,
     canonical_family,
     certificate,
@@ -20,9 +26,11 @@ from matcat.canon import (
     relabel_family,
     relabel_mask,
 )
-from matcat.core import EmptyGroundSet, Matroid, free, mask_of, uniform
+from matcat.core import EmptyGroundSet, Matroid, free, mask_of, popcount, uniform
+from matcat.errors import BudgetExceeded
 from matcat.lattice import FlatLattice
 from matcat.named import ag32_prime, f8, p8
+from matcat.paving import collect_iset_orbits, johnson_graph
 
 
 def random_permutation(n, rng):
@@ -297,6 +305,18 @@ class TestSignaturePrefilter:
                 m.n, m.hyperplanes, distinguished_element(m)
             ), rec
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=st.integers(1, 7),
+        data=st.data(),
+    )
+    def test_matches_every_signature_at_once(self, n, data):
+        masks = data.draw(st.lists(st.integers(0, (1 << n) - 1), max_size=12))
+        e = data.draw(st.integers(0, n - 1))
+        assert element_has_minimal_signature(n, masks, e) == _all_signatures_minimal(
+            n, masks, e
+        )
+
     def test_shorter_signature_is_smaller(self):
         # signatures: 0 -> [2, 2], 1 -> [2], 2 -> [2]; a prefix is smaller
         masks = (0b011, 0b101)
@@ -315,10 +335,10 @@ class TestCanonicalOutputPinned:
             "1df7c57d8dd820c4fc04eb428e391b269940697767b5d2d241841a4ef11479a5"
         )
 
-    def test_canonical_family_digest(self, catalogue6):
-        # (masks, perm, generators) of every class with n <= 6, then of each
-        # 6-element class under three cell restrictions
-        digest = hashlib.sha256()
+    @staticmethod
+    def _digest_calls(catalogue6):
+        # every class with n <= 6, then each 6-element class under three
+        # cell restrictions
         restrictions = (
             ((0, 1, 2), (3, 4, 5)), ((0,), (1, 2, 3, 4, 5)), ((4, 5), (0, 1, 2, 3)),
         )
@@ -328,13 +348,192 @@ class TestCanonicalOutputPinned:
             for rec in catalogue6 if rec.n == 6
             for cells in restrictions
         ]
-        for n, masks, cells in calls:
-            cf = canonical_family(n, masks, cells=cells)
-            digest.update(repr((cf.masks, cf.perm, cf.generators)).encode())
         assert len(calls) == 168 + 3 * 98
+        return calls
+
+    def test_canonical_family_digest(self, catalogue6):
+        # (masks, perm): the canonical form and its witness
+        digest = hashlib.sha256()
+        for n, masks, cells in self._digest_calls(catalogue6):
+            cf = canonical_family(n, masks, cells=cells)
+            digest.update(repr((cf.masks, cf.perm)).encode())
         assert digest.hexdigest() == (
-            "90edf73c0514d1d771ba81b0f8e1ad43a735c63fcda92db2637bc2adee302bb5"
+            "15d8189b1ad4c51dc4d7bded17003d7060b61fbc9932eb3912361ea3892a327f"
         )
+
+    def test_canonical_group_digest(self, catalogue6):
+        # (group order, element orbits) of the generators found; the
+        # generator lists themselves may change with the search
+        digest = hashlib.sha256()
+        for n, masks, cells in self._digest_calls(catalogue6):
+            gens = canonical_family(n, masks, cells=cells).generators
+            digest.update(repr((group_order(n, gens), _orbit_partition(n, gens))).encode())
+        assert digest.hexdigest() == (
+            "452440e20bac5e5914c64f9de641a6a59a97c51615d199231a4d2277a5002a2a"
+        )
+
+
+def _all_signatures_minimal(n, masks, e):
+    """Reference prefilter: every element's size list, then one comparison."""
+    sig = [[] for _ in range(n)]
+    for m in sorted(masks, key=int.bit_count):
+        size = m.bit_count()
+        while m:
+            b = m & -m
+            sig[b.bit_length() - 1].append(size)
+            m ^= b
+    return sig[e] == min(sig)
+
+
+# -- reference kernel: the search without backjumps or the degree start -------
+
+
+class _RefSearch:
+    def __init__(self, n, masks, budget):
+        self.n_masks = len(masks)
+        self.hyps_of = [
+            [i for i, m in enumerate(masks) if m & b] for b in [1 << e for e in range(n)]
+        ]
+        self.budget = budget
+        self.nodes = 0
+        self.first = None
+        self.best = None
+        self.gens = []
+
+
+def _ref_leaf(s, cells):
+    perm = [0] * len(s.hyps_of)
+    for label, cell in enumerate(cells):
+        perm[cell[0]] = label
+    vals = [0] * s.n_masks
+    for e, hyps in enumerate(s.hyps_of):
+        b = 1 << perm[e]
+        for i in hyps:
+            vals[i] |= b
+    value = tuple(sorted(vals))
+    perm = tuple(perm)
+    if s.first is None:
+        s.first = s.best = (value, perm)
+        return
+    for ref_value, ref_perm in (s.first, s.best):
+        if value == ref_value and perm != ref_perm:
+            g = _compose(_invert(ref_perm), perm)
+            if g not in s.gens:
+                s.gens.append(g)
+            break
+    if value < s.best[0]:
+        s.best = (value, perm)
+
+
+def _ref_search(s, cells, keys, fixed, fixing):
+    s.nodes += 1
+    if s.nodes > s.budget:
+        raise BudgetExceeded(f"canonical search passed {s.budget} nodes")
+    cells = _equitable_refine(s.hyps_of, cells, keys)
+    target = None
+    for i, cell in enumerate(cells):
+        if len(cell) > 1 and (target is None or len(cell) < len(cells[target])):
+            target = i
+    if target is None:
+        _ref_leaf(s, cells)
+        return
+    cell = cells[target]
+    n = len(s.hyps_of)
+    start = sum(map(len, cells[:target]))
+    delta = (1 << 4 * (n - start - 1)) - (1 << 4 * (n - start - len(cell)))
+    closed = 0
+    seen = len(s.gens)
+    for v in cell:
+        if closed >> v & 1:
+            continue
+        rest = [u for u in cell if u != v]
+        sub_keys = keys.copy()
+        for i in s.hyps_of[v]:
+            sub_keys[i] += delta
+        _ref_search(
+            s, cells[:target] + [[v], rest] + cells[target + 1:], sub_keys,
+            fixed + [v], [g for g in fixing if g[v] == v],
+        )
+        new = [g for g in s.gens[seen:] if all(g[p] == p for p in fixed)]
+        seen = len(s.gens)
+        fixing = fixing + new
+        closed |= 1 << v
+        closed = _orbit_closure(closed, closed if new else 1 << v, fixing)
+
+
+def _ref_canonical_family(n, masks, cells=None):
+    """(masks, perm, generators, nodes) of the reference kernel."""
+    masks = tuple(sorted(masks))
+    cells = [list(range(n))] if cells is None else [sorted(c) for c in cells if c]
+    s = _RefSearch(n, masks, 2_000_000)
+    keys = [0] * len(masks)
+    end = 0
+    for cell in cells:
+        end += len(cell)
+        digit = 1 << 4 * (n - end)
+        for e in cell:
+            for i in s.hyps_of[e]:
+                keys[i] += digit
+    _ref_search(s, cells, keys, [], [])
+    value, perm = s.best
+    return value, perm, tuple(s.gens), s.nodes
+
+
+def _assert_same_as_reference(n, masks, cells=None):
+    cf = canonical_family(n, masks, cells=cells)
+    value, perm, gens, _ = _ref_canonical_family(n, masks, cells)
+    assert (cf.masks, cf.perm) == (value, perm), (n, masks, cells)
+    assert group_order(n, cf.generators) == group_order(n, gens), (n, masks, cells)
+    assert _orbit_partition(n, cf.generators) == _orbit_partition(n, gens)
+
+
+class TestKernelAgainstReference:
+    """Backjumps and the degree start leave the canonical form, its witness,
+    the group and its orbits as the plain search finds them."""
+
+    def test_every_class_through_seven(self, catalogue7):
+        for rec in catalogue7:
+            if rec.n:
+                _assert_same_as_reference(rec.n, rec.hyperplanes)
+
+    def test_cell_restrictions_on_six(self, catalogue6):
+        for n, masks, cells in TestCanonicalOutputPinned._digest_calls(catalogue6):
+            if cells is not None:
+                _assert_same_as_reference(n, masks, cells)
+
+    @pytest.mark.parametrize("n,k", [(7, 3), (8, 4)])
+    def test_johnson_families_and_extensions(self, n, k):
+        g = johnson_graph(n, k)
+        for family in collect_iset_orbits(g):
+            _assert_same_as_reference(n, family)
+            for v in g.vertices:
+                if all(popcount(v & u) < k - 1 for u in family):
+                    _assert_same_as_reference(n, tuple(sorted(family + (v,))))
+
+    @pytest.mark.parametrize("rank,n", [(3, 6), (4, 8), (4, 9)])
+    def test_uniform_needs_n_minus_one_generators(self, rank, n):
+        cf = canonical_family(n, uniform(rank, n).hyperplanes)
+        assert len(cf.generators) == n - 1
+        assert group_order(n, cf.generators) == math.factorial(n)
+
+    def test_u48_visits_fewer_nodes(self):
+        hyps = uniform(4, 8).hyperplanes
+        assert canonical_family(8, hyps).nodes < _ref_canonical_family(8, hyps)[3]
+
+
+class TestCellsValidation:
+    @pytest.mark.parametrize(
+        "cells",
+        [[[0], [2]], [[0, 1], [2, 2]], [[0, 1, 2, 3]], [[0, 1], [2], [1]]],
+        ids=["missing", "repeated", "outside", "shared"],
+    )
+    def test_not_a_partition(self, cells):
+        with pytest.raises(ValueError):
+            canonical_family(3, [0b011, 0b110], cells=cells)
+
+    def test_empty_cells_are_ignored(self):
+        got = canonical_family(3, [0b011, 0b110], cells=[[0, 1], [], [2]])
+        assert got == canonical_family(3, [0b011, 0b110], cells=[[0, 1], [2]])
 
 
 def test_labelling_leaves_no_reference_cycles(catalogue7):

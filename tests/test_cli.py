@@ -385,6 +385,16 @@ class TestOracleAndJohnson:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("cannot load checkpoint")
 
+    @pytest.mark.parametrize("cells", [((0, 1), (2, 3)), ((0, 1, 2), (2, 3, 4, 5))])
+    def test_johnson_resume_cells_not_a_partition(self, tmp_path, capsys, cells):
+        ck = str(tmp_path / "cells.jck")
+        save_iset_checkpoint(johnson_search(johnson_graph(6, 3), cells=cells), ck)
+        rc = main(["johnson", "--n", "6", "--k", "3", "--checkpoint", ck, "--resume"])
+        assert rc == EXIT_IO
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("cannot load checkpoint: bad checkpoint payload")
+
     def test_johnson_resume_needs_checkpoint(self):
         assert main(["johnson", "--n", "6", "--k", "3", "--resume"]) == EXIT_USAGE
 

@@ -23,6 +23,7 @@ from matcat.core import (
 )
 from matcat.named import p8, vamos
 from matcat.orderly import brute_force_enumerate, extend_all
+from matcat.props import classify
 
 
 def brute_rank_from_bases(n, bases):
@@ -340,7 +341,12 @@ class TestLoopsParallelSimplify:
         assert m.loops() == 0b1
 
     def test_simplify_fixpoint(self, fig1):
-        assert fig1.simplify() == fig1
+        assert fig1.simplify() is fig1
+
+    def test_simplify_builds_new_only_when_not_simple(self, matroids6):
+        for m in matroids6:
+            s = m.simplify()
+            assert (s is m) == classify(m).simple
 
     def test_simplify_collapses(self):
         # parallel pair {0,1}, coloop 2, loop 3

@@ -9,6 +9,7 @@ import pytest
 from matcat.canon import canonical_family, certificate, relabel_family, relabel_mask
 from matcat.core import mask_of, popcount, uniform
 from matcat.named import P8_CIRCUIT_HYPERPLANES, p8
+from matcat import paving
 from matcat.paving import (
     BudgetExceeded,
     IsetSearch,
@@ -202,6 +203,9 @@ class TestOrbitEnumeration:
             lambda d: d.update(counts=[1]),
             lambda d: d.update(stack=[[1, "2"]]),
             lambda d: d.update(cells=[3]),
+            lambda d: d.update(cells=[[0, 1], [2, 3]]),
+            lambda d: d.update(cells=[[0, 1, 2], [2, 3, 4]]),
+            lambda d: d.update(cells=[[0, 1, 2], [3, 4, 5]]),
             lambda d: d.update(max_size=1.5),
             lambda d: d.update(stack=[[0b00011, 0b00101]]),
             lambda d: d.update(stack=[[0b00011, 0b00011]]),
@@ -243,6 +247,38 @@ class TestOrbitEnumeration:
             assert hashlib.sha256(fh.read()).hexdigest() == (
                 "bc88f51f8eeee9074bbe997a4ba2fd73a83b99543e2e33b4638c79479592ec1b"
             )
+
+    def test_label_memo_changes_nothing(self, tmp_path, monkeypatch):
+        # a J(9,4) search to 3000 nodes with and without the memo
+        labelled = []
+
+        def counting(*args):
+            labelled.append(None)
+            return _family_canon(*args)
+
+        monkeypatch.setattr(paving, "_family_canon", counting)
+        runs = []
+        for memo in (None, _NoMemo()):
+            labelled.clear()
+            path = str(tmp_path / f"memo{len(runs)}.ckpt")
+            search = johnson_search(johnson_graph(9, 4))
+            if memo is not None:
+                search._memo = memo
+            with pytest.raises(BudgetExceeded):
+                search.run(budget=3000, checkpoint_path=path)
+            assert len(search._memo) <= IsetSearch._MEMO_SIZE
+            with open(path, "rb") as fh:
+                runs.append((fh.read(), search.stack, search.counts, len(labelled)))
+        (blob, stack, counts, with_memo), (blob0, stack0, counts0, without) = runs
+        assert (blob, stack, counts) == (blob0, stack0, counts0)
+        assert with_memo < without
+
+
+class _NoMemo(dict):
+    """A label memo that keeps nothing."""
+
+    def __setitem__(self, key, value):
+        pass
 
 
 def _direct_children(search, members):

@@ -153,6 +153,10 @@ class TestPropertyTable:
             target = by_id[row["simplificationId"]]
             assert target["simple"]
 
+    def test_simple_rows_are_their_own_simplification(self, rows6):
+        for row in rows6:
+            assert (row["simplificationId"] == row["id"]) == row["simple"]
+
     def test_uncomputed_columns_render_as_dash(self, catalogue6):
         records = assign_ids([r for r in catalogue6 if r.n <= 2])
         rows = build_property_table(
