@@ -144,13 +144,11 @@ class _StabilizerChain:
             g = _compose(t, g)
         return g, len(self.levels)
 
-    def add(self, g) -> bool:
-        """Add g to the group; False when it was in the group already."""
+    def add(self, g):
+        """Add g to the group."""
         g, depth = self._sift(tuple(g))
-        if g == self.identity:
-            return False
-        self._add_strong(0, depth, g)
-        return True
+        if g != self.identity:
+            self._add_strong(0, depth, g)
 
     def _add_strong(self, top, depth, g):
         """Make g, which fixes the base points above level depth, a strong
@@ -195,13 +193,6 @@ def group_order(n: int, gens) -> int:
     for g in gens:
         chain.add(g)
     return chain.order()
-
-
-def reduce_generators(n: int, gens) -> tuple:
-    """The generators, in order, that do not lie in the group of those kept
-    before them; they generate the same group."""
-    chain = _StabilizerChain(n)
-    return tuple(g for g in gens if chain.add(g))
 
 
 @dataclass
@@ -465,7 +456,6 @@ class Certificate:
     n: int
     rank: int
     bytes: bytes
-    canonical_hyperplanes: tuple
     perm: tuple
     generators: tuple
 
@@ -491,20 +481,36 @@ class Certificate:
 
 
 def certificate_for(n: int, rank: int, hyperplanes) -> Certificate:
+    """Certificate of a raw record; a Matroid's is cached by certificate."""
     cf = canonical_family(n, hyperplanes)
     body = b"".join(m.to_bytes(2, "big") for m in cf.masks)
-    return Certificate(
-        n, rank, bytes([n, rank]) + body, cf.masks, cf.perm, cf.generators
-    )
+    return Certificate(n, rank, bytes([n, rank]) + body, cf.perm, cf.generators)
 
 
 def certificate(m) -> Certificate:
     """Certificate of a Matroid; cached on the instance."""
     cached = getattr(m, "_certificate", None)
     if cached is None:
-        cached = certificate_for(m.n, m.rank, m.hyperplanes)
-        m._certificate = cached
+        cached = m._certificate = certificate_for(m.n, m.rank, m.hyperplanes)
     return cached
+
+
+def minor(m, i):
+    """m delete e for i = 2e, m contract e for i = 2e + 1."""
+    e = i >> 1
+    return m.contract(e) if i & 1 else m.delete(e)
+
+
+def minor_certificate(m, i) -> bytes:
+    """Certificate bytes of minor(m, i), cached on m; each of the 2n slots
+    is labelled when first read, and the minor itself is not kept."""
+    certs = getattr(m, "_minor_certificates", None)
+    if certs is None:
+        certs = m._minor_certificates = [None] * (2 * m.n)
+    cert = certs[i]
+    if cert is None:
+        cert = certs[i] = certificate(minor(m, i)).bytes
+    return cert
 
 
 def is_isomorphic(m1, m2) -> bool:

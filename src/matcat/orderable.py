@@ -248,7 +248,7 @@ def brute_force_transversal_certs(n: int, max_sets: int | None = None):
     max_sets of them, default n); independence-family deduplication keeps
     the certificate workload tiny.  Exponential; intended for n <= 6.
     """
-    from .canon import certificate_for
+    from .canon import certificate
 
     limit = n if max_sets is None else max_sets
     contains = _contains_tables(n)
@@ -274,8 +274,7 @@ def brute_force_transversal_certs(n: int, max_sets: int | None = None):
                 for t in _submask_iter(s)
                 if (fam >> t) & 1
             )
-        mat = Matroid.from_rank_table(n, table)
-        certs.add(certificate_for(mat.n, mat.rank, mat.hyperplanes).bytes)
+        certs.add(certificate(Matroid.from_rank_table(n, table)).bytes)
     return certs
 
 

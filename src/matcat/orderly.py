@@ -5,9 +5,7 @@ Aut(parent)-orbit of its modular cuts, by the orbit's first cut in the
 lexicographic order of minimal-flat tuples (an orderly, Read/Faradzev-style
 choice).  FlatLattice.cut_orbit_representatives walks only the subtrees
 that can hold such a first cut and yields each with its orbit size, so the
-candidate count still covers every cut.  The automorphism generators of the
-parent are first cut down by a stabilizer-chain sift to a set in which none
-lies in the group of those before it.  A child survives only when its new
+candidate count still covers every cut.  A child survives only when its new
 element lies in the orbit of the element with the lowest canonical label.
 Cuts in one orbit give isomorphic children with the same verdict, and two
 accepted children of one parent are isomorphic only when their cuts share an
@@ -25,7 +23,7 @@ import multiprocessing
 import os
 from dataclasses import dataclass, field
 
-from .canon import certificate_for, element_has_minimal_signature, reduce_generators
+from .canon import certificate, certificate_for, element_has_minimal_signature
 from .core import Matroid
 from .errors import BudgetExceeded
 from .lattice import FlatLattice
@@ -90,9 +88,9 @@ def _extend_records(n, rank, hyps):
     extended and tested; the count still covers every modular cut, as the
     sum of the orbit sizes.
     """
-    lat = FlatLattice(Matroid(n, rank, hyps))
-    gens = certificate_for(n, rank, hyps).generators if n else ()
-    flat_perms = lat.flat_permutations(reduce_generators(n, gens))
+    parent = Matroid(n, rank, hyps)
+    lat = FlatLattice(parent)
+    flat_perms = lat.flat_permutations(certificate(parent).generators)
     records = []
     candidates = 0
     for cut, orbit_size in lat.cut_orbit_representatives(flat_perms):
@@ -248,7 +246,8 @@ def save_checkpoint(job: EnumerationJob, path: str) -> None:
 
 
 def load_checkpoint(path: str) -> EnumerationJob:
-    """Read a checkpoint written by save_checkpoint; ValueError if malformed."""
+    """Read a checkpoint written by save_checkpoint; ValueError if it is
+    malformed or its level, cursor and record sizes do not fit together."""
     with open(path) as fh:
         header = fh.readline().rstrip("\n")
         if header != _CKPT_HEADER:
@@ -270,6 +269,15 @@ def load_checkpoint(path: str) -> EnumerationJob:
                 {"P": job.parents, "C": job.children, "E": job.emitted}[tag].append(rec)
         except KeyError as exc:
             raise ValueError(f"bad checkpoint field {exc}") from None
+    # such a job would resume and end normally, with wrong totals
+    level, cursor, parents = job.level, job.next_parent, len(job.parents)
+    if not 0 <= level <= job.max_n:
+        raise ValueError(f"bad checkpoint level {level} for max_n={job.max_n}")
+    if not 0 <= cursor <= parents:
+        raise ValueError(f"bad checkpoint next_parent {cursor} for {parents} parents")
+    for tag, records, n in ("P", job.parents, level), ("C", job.children, level + 1):
+        if any(rec.n != n for rec in records):
+            raise ValueError(f"bad checkpoint: a {tag} record is not on {n} elements")
     return job
 
 
@@ -320,7 +328,7 @@ def brute_force_enumerate(n: int):
         except Exception:
             continue
         labeled += 1
-        cert = certificate_for(m.n, m.rank, m.hyperplanes)
+        cert = certificate(m)
         if cert.bytes not in seen:
             seen[cert.bytes] = CatalogueRecord(
                 None, m.n, m.rank, pack_masks(m.hyperplanes), cert.bytes
@@ -349,10 +357,8 @@ def verify_duality_closure(records) -> DualityReport:
         cells = {}
         for rec in recs:
             cells[rec.rank] = cells.get(rec.rank, 0) + 1
-            d = rec.matroid().dual()
             checked += 1
-            dcert = certificate_for(d.n, d.rank, d.hyperplanes).bytes
-            if dcert not in certs:
+            if certificate(rec.matroid().dual()).bytes not in certs:
                 missing.append((n, rec.cert.hex()))
         for r, c in cells.items():
             if cells.get(n - r, 0) != c:

@@ -57,7 +57,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .canon import (
-    canonical_family, certificate_for, relabel_mask, _compose, _invert, _require_partition,
+    canonical_family, certificate, relabel_mask, _compose, _invert, _require_partition,
 )
 from .core import Matroid, UnionFind, bits, mask_of, popcount
 from .errors import BudgetExceeded
@@ -390,11 +390,7 @@ def _count_self_dual(n: int, reps, method: str) -> int:
     for members in reps:
         if method == "certificate":
             m = sparse_paving_from_independent_set(n, k - 1, members)
-            d = m.dual()
-            if (
-                certificate_for(m.n, m.rank, m.hyperplanes).bytes
-                == certificate_for(d.n, d.rank, d.hyperplanes).bytes
-            ):
+            if certificate(m).bytes == certificate(m.dual()).bytes:
                 count += 1
         elif method == "z2":
             comp = tuple(sorted(full ^ v for v in members))
@@ -490,7 +486,7 @@ def count_nonsparse_paving(n: int, rank: int, only_k: int | None = None):
         for members in search.collected:
             blocks = (k0,) + members
             m = paving_from_blocks(n, d, blocks)
-            cert = certificate_for(m.n, m.rank, m.hyperplanes)
+            cert = certificate(m)
             k_hyps = [h for h in m.hyperplanes if popcount(h) == k]
             c = _orbit_count_on_masks(cert.generators, k_hyps)
             key = (k, len(k_hyps))

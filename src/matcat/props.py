@@ -19,13 +19,13 @@ matroid that was asked about.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import INFINITY, Matroid, bits, popcount
+from .canon import minor, minor_certificate
+from .core import INFINITY, Matroid, popcount
 from .errors import BudgetExceeded
 
 
@@ -169,20 +169,17 @@ def _lift_mask(mask: int, e: int) -> int:
 
 def _ingleton_by_minor(m: Matroid, violators8):
     certs = set(violators8)
-    from .canon import certificate_for
-
-    for e in range(m.n):
-        for child, contracted in ((m.delete(e), False), (m.contract(e), True)):
-            cb = certificate_for(child.n, child.rank, child.hyperplanes).bytes
-            if cb not in certs:
-                continue
-            w = _ingleton_full(child)
-            extra = (1 << e) if contracted else 0
-            quad = [_lift_mask(x, e) | extra for x in (w.a, w.b, w.c, w.d)]
-            lhs, rhs = ingleton_sides(m.rank_table, *quad)
-            if lhs <= rhs:  # lifted witness must stay strict
-                raise AssertionError("witness lifting failed")
-            return IngletonWitness(*quad, lhs, rhs)
+    for i in range(2 * m.n):
+        if minor_certificate(m, i) not in certs:
+            continue
+        w = _ingleton_full(minor(m, i))
+        e = i >> 1
+        extra = (1 << e) if i & 1 else 0  # i odd: the minor contracts e
+        quad = [_lift_mask(x, e) | extra for x in (w.a, w.b, w.c, w.d)]
+        lhs, rhs = ingleton_sides(m.rank_table, *quad)
+        if lhs <= rhs:  # lifted witness must stay strict
+            raise AssertionError("witness lifting failed")
+        return IngletonWitness(*quad, lhs, rhs)
     return None
 
 

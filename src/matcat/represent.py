@@ -38,6 +38,7 @@ import functools
 import itertools
 from dataclasses import dataclass
 
+from .canon import certificate, minor, minor_certificate
 from .core import Matroid, UnionFind, bits, mask_of, popcount
 
 
@@ -313,44 +314,25 @@ def _minors_with_column(check, minors, e, col):
 def excluded_minors(matroids, q: int, representable_cache=None):
     """Matroids not representable over GF(q) whose single-element deletions
     and contractions all are; input must be minor-closed (a full catalogue).
+    representable_cache maps certificate bytes to GF(q) verdicts; the inputs
+    keep their own and their minors' certificates for a later field's call.
     """
-    from .canon import certificate, certificate_for
-
     cache = representable_cache if representable_cache is not None else {}
 
     def minors_representable(m):
-        # each minor's certificate stays on m, as bytes, for the next field's
-        # call; the minor itself is built again when a field has to search it
-        certs = getattr(m, "_minor_certificates", None)
-        if certs is None:
-            certs = m._minor_certificates = [None] * (2 * m.n)
-        for i, cert in enumerate(certs):
-            minor = None
-            if cert is None:
-                minor = _minor(m, i)
-                cert = certs[i] = certificate_for(
-                    minor.n, minor.rank, minor.hyperplanes
-                ).bytes
+        for i in range(2 * m.n):
+            cert = minor_certificate(m, i)
             if cert not in cache:
-                if minor is None:
-                    minor = _minor(m, i)
-                cache[cert] = representable(minor, q) is not None
+                cache[cert] = representable(minor(m, i), q) is not None
             if not cache[cert]:
                 return False
         return True
 
     out = []
     for m in matroids:
-        # the input matroids keep their certificate for the next field's call
         cert = certificate(m).bytes
         if cert not in cache:
             cache[cert] = representable(m, q) is not None
         if not cache[cert] and minors_representable(m):
             out.append(m)
     return out
-
-
-def _minor(m, i):
-    """m delete e for i = 2e, m contract e for i = 2e + 1."""
-    e = i >> 1
-    return m.contract(e) if i & 1 else m.delete(e)

@@ -18,7 +18,7 @@ import re
 from dataclasses import dataclass, replace
 from functools import partial
 
-from .core import INFINITY
+from .core import INFINITY, MAX_GROUND
 from .orderly import CatalogueRecord, format_masks, pack_masks, parse_masks
 
 CATALOGUE_HEADER = "#matcat-catalogue v1"
@@ -84,8 +84,14 @@ def _parse_record(line: str, lineno: int, records: list) -> CatalogueRecord:
         raise FormatError("expected integers and hex masks", line=lineno) from None
     if rid != len(records):
         raise FormatError(f"ids not dense: saw {rid}", line=lineno)
+    if not 0 <= n <= MAX_GROUND:
+        raise FormatError(f"n = {n} outside 0..{MAX_GROUND}", line=lineno)
+    if not 0 <= rank <= n:
+        raise FormatError(f"rank {rank} outside 0..{n}", line=lineno)
     if list(masks) != sorted(masks):
         raise FormatError("masks not ascending", line=lineno)
+    if masks and (masks[0] < 0 or masks[-1] >= (1 << n) - 1):
+        raise FormatError("a mask has bits outside E or equals E", line=lineno)
     if records and (n, rank) < (records[-1].n, records[-1].rank):
         raise FormatError("records not sorted by (n, rank)", line=lineno)
     return CatalogueRecord(rid, n, rank, pack_masks(masks))
@@ -94,9 +100,10 @@ def _parse_record(line: str, lineno: int, records: list) -> CatalogueRecord:
 def read_catalogue(path: str, verify_certificates: bool = False) -> list:
     """Parse and validate a catalogue file.
 
-    Always checks the checksum, dense ids, ascending masks and (n, rank) sort
-    order; verify_certificates additionally recomputes certificates and
-    checks the order within each (n, rank) block (slow for large files).
+    Always checks the checksum, dense ids, n and rank in range, masks that
+    are ascending proper subsets of E, and (n, rank) sort order, but not the
+    matroid axioms; verify_certificates additionally recomputes certificates
+    and checks the order within each (n, rank) block (slow for large files).
     The file is read one line at a time and hashed as it goes.  A bad record
     is reported only after the checksum holds, so a damaged file raises
     ChecksumMismatch whatever else is wrong with it.
@@ -190,14 +197,14 @@ def block_options(n: int, extended: bool = False) -> RowOptions:
 
 
 def compute_row(rec: CatalogueRecord, opts: RowOptions) -> dict:
-    from .canon import certificate_for
+    from .canon import certificate
     from .orderable import base_orderable, strongly_base_orderable, transversal
     from .props import classify, ingleton_violating
     from .represent import representable
 
     m = rec.matroid()
     flags = classify(m)
-    cert = certificate_for(m.n, m.rank, m.hyperplanes)
+    cert = certificate(m)
     row = {
         "id": rec.id,
         "n": m.n,
@@ -242,12 +249,8 @@ def compute_row(rec: CatalogueRecord, opts: RowOptions) -> dict:
     else:
         row["transversal"] = None
     # certificates of derived matroids resolve to ids in a later pass
-    d = m.dual()
-    s = m.simplify()
-    row["_dualCert"] = certificate_for(d.n, d.rank, d.hyperplanes).bytes
-    row["_simplificationCert"] = (
-        cert.bytes if s is m else certificate_for(s.n, s.rank, s.hyperplanes).bytes
-    )
+    row["_dualCert"] = certificate(m.dual()).bytes
+    row["_simplificationCert"] = certificate(m.simplify()).bytes
     row["_cert"] = cert.bytes
     return row
 
@@ -323,17 +326,17 @@ def parse_property_tsv(text: str) -> list:
     lines = text.splitlines()
     if not lines or lines[0] != TABLE_HEADER:
         raise FormatError("missing property-table header", line=1)
-    header = lines[1].split("\t")
-    if tuple(header) != COLUMNS:
+    if len(lines) < 2 or tuple(lines[1].split("\t")) != COLUMNS:
         raise FormatError("unexpected column header", line=2)
     rows = []
     for lineno, line in enumerate(lines[2:], start=3):
         cells = line.split("\t")
         if len(cells) != len(COLUMNS):
             raise FormatError("wrong cell count", line=lineno)
-        rows.append(
-            {c: _parse_cell(c, t) for c, t in zip(COLUMNS, cells)}
-        )
+        try:
+            rows.append({c: _parse_cell(c, t) for c, t in zip(COLUMNS, cells)})
+        except ValueError:
+            raise FormatError("cells must be integers, inf or -", line=lineno) from None
     return rows
 
 

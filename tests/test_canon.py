@@ -22,7 +22,8 @@ from matcat.canon import (
     group_order,
     hyperplane_graph,
     is_isomorphic,
-    reduce_generators,
+    minor,
+    minor_certificate,
     relabel_family,
     relabel_mask,
 )
@@ -222,20 +223,18 @@ def _flat_orbits(lat, flat_perms):
 
 
 class TestReducedGenerators:
+    """The parent's generators go to flat_permutations as the search found
+    them; their flat orbits are the orbits of the whole group."""
+
     def test_same_group_and_flat_orbits_through_seven(self, catalogue7):
         for rec in catalogue7:
             n = rec.n
             gens = certificate_for(n, rec.rank, rec.hyperplanes).generators
-            reduced = reduce_generators(n, gens)
-            assert all(g in gens for g in reduced)
-            order = len(_group_elements(n, gens))
-            assert group_order(n, gens) == group_order(n, reduced) == order, rec
-            # none lies in the group of the generators kept before it
-            for k in range(1, len(reduced) + 1):
-                assert group_order(n, reduced[:k]) > group_order(n, reduced[: k - 1])
+            group = _group_elements(n, gens)
+            assert group_order(n, gens) == len(group), rec
             lat = FlatLattice(rec.matroid())
-            full = [[lat.index[relabel_mask(f, g)] for f in lat.flats] for g in gens]
-            assert _flat_orbits(lat, lat.flat_permutations(reduced)) == _flat_orbits(
+            full = [[lat.index[relabel_mask(f, g)] for f in lat.flats] for g in group]
+            assert _flat_orbits(lat, lat.flat_permutations(gens)) == _flat_orbits(
                 lat, full
             ), rec
 
@@ -247,23 +246,48 @@ class TestReducedGenerators:
         hyps = [relabel_mask(h, perm) for h in rec.hyperplanes]
         m = Matroid(rec.n, rec.rank, hyps)
         gens = certificate_for(m.n, m.rank, m.hyperplanes).generators
-        reduced = reduce_generators(m.n, gens)
         want = certificate_for(rec.n, rec.rank, rec.hyperplanes).aut_order
-        assert group_order(m.n, reduced) == want
+        assert group_order(m.n, gens) == want
         # flat orbits of the relabelled class are the relabelled flat orbits
         lat, lat0 = FlatLattice(m), FlatLattice(rec.matroid())
         orbits = {
             frozenset(lat.flats[i] for i in orbit)
-            for orbit in _flat_orbits(lat, lat.flat_permutations(reduced))
+            for orbit in _flat_orbits(lat, lat.flat_permutations(gens))
         }
         orig = certificate_for(rec.n, rec.rank, rec.hyperplanes).generators
         orbits0 = {
             frozenset(relabel_mask(lat0.flats[i], perm) for i in orbit)
-            for orbit in _flat_orbits(
-                lat0, lat0.flat_permutations(reduce_generators(rec.n, orig))
-            )
+            for orbit in _flat_orbits(lat0, lat0.flat_permutations(orig))
         }
         assert orbits == orbits0
+
+
+class TestMinorCertificates:
+    def test_each_slot_is_the_minor_certificate_through_six(self, catalogue6):
+        for rec in catalogue6:
+            m = rec.matroid()
+            for e in range(m.n):
+                assert minor_certificate(m, 2 * e) == certificate(m.delete(e)).bytes
+                assert minor_certificate(m, 2 * e + 1) == certificate(m.contract(e)).bytes
+                assert minor(m, 2 * e) == m.delete(e)
+                assert minor(m, 2 * e + 1) == m.contract(e)
+
+    def test_slots_fill_when_first_read(self, monkeypatch):
+        from matcat import canon
+
+        m = uniform(3, 4)
+        calls = []
+        certificate_for = canon.certificate_for
+
+        def counted(n, rank, hyps):
+            calls.append(n)
+            return certificate_for(n, rank, hyps)
+
+        monkeypatch.setattr(canon, "certificate_for", counted)
+        first = minor_certificate(m, 5)
+        assert [i for i, c in enumerate(m._minor_certificates) if c] == [5]
+        assert minor_certificate(m, 5) == first
+        assert calls == [3]
 
 
 class TestCanonicalFamilyCells:

@@ -89,6 +89,23 @@ class TestEnum:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("cannot load checkpoint")
 
+    def test_resume_inconsistent_checkpoint(self, tmp_path, capsys):
+        ck = tmp_path / "cursor.ckpt"
+        assert main(["enum", "--max-n", "5", "--budget", "20", "--out",
+                     str(tmp_path / "c.txt"), "--checkpoint", str(ck)]) == EXIT_BUDGET
+        lines = ck.read_text().splitlines()
+        meta = lines[1].split()
+        lines[1] = " ".join(
+            "next_parent=9999" if kv.startswith("next_parent=") else kv for kv in meta
+        )
+        ck.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        rc = main(["enum", "--max-n", "5", "--out", str(tmp_path / "c.txt"),
+                   "--checkpoint", str(ck), "--resume"])
+        assert rc == EXIT_IO
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "bad checkpoint next_parent 9999" in err[0]
+
     def test_resume_checkpoint_for_other_max_n(self, workdir):
         ck = str(workdir / "other.ckpt")
         out = str(workdir / "other.txt")
@@ -133,6 +150,18 @@ class TestProps:
         captured = capsys.readouterr()
         assert captured.err == ""
         assert captured.out.splitlines()[-1] == f"wrote 0 rows to {out}"
+
+    @pytest.mark.parametrize("record", ["0 3 2 1,2,ffff", "0 70 2 1", "0 3 4 1"])
+    def test_out_of_range_record(self, tmp_path, capsys, record):
+        from matcat.store import CATALOGUE_HEADER
+
+        body = f"{CATALOGUE_HEADER}\n{record}\n"
+        cat = tmp_path / "range.txt"
+        cat.write_text(body + f"#sha256 {hashlib.sha256(body.encode()).hexdigest()}\n")
+        rc = main(["props", "--catalogue", str(cat), "--out", str(tmp_path / "o.tsv")])
+        assert rc == EXIT_IO
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("cannot read catalogue: line 2:")
 
 
 def _sha256(path):
@@ -252,6 +281,22 @@ class TestQuery:
     def test_bad_expression(self, capsys, small_table):
         rc = main(["query", "bogus=1", "--table", small_table, "--count"])
         assert rc == EXIT_USAGE
+
+    @pytest.mark.parametrize(
+        "body, line",
+        [
+            ("", 2),
+            ("\t".join(COLUMNS) + "\n" + "\t".join(["x"] * len(COLUMNS)) + "\n", 3),
+        ],
+    )
+    def test_malformed_table(self, tmp_path, capsys, body, line):
+        table = tmp_path / "bad.tsv"
+        table.write_text(TABLE_HEADER + "\n" + body)
+        assert main(["query", "--count", "--table", str(table)]) == EXIT_IO
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [err[0]] and err[0].startswith(
+            f"cannot read property table: line {line}:"
+        )
 
 
 class TestOracleAndJohnson:

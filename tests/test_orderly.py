@@ -2,7 +2,7 @@ import os
 
 import pytest
 
-from matcat.canon import certificate, certificate_for, reduce_generators, relabel_mask
+from matcat.canon import certificate, certificate_for, relabel_mask
 from matcat.core import Matroid
 from matcat.errors import BudgetExceeded as ResourceBudgetExceeded
 from matcat.lattice import FlatLattice
@@ -195,8 +195,7 @@ class TestPrunedCutWalk:
             parent = rec.matroid()
             want, cut_count = _orbit_representatives_by_listing(parent)
             lat = FlatLattice(parent)
-            gens = certificate(parent).generators if parent.n else ()
-            flat_perms = lat.flat_permutations(reduce_generators(parent.n, gens))
+            flat_perms = lat.flat_permutations(certificate(parent).generators)
             walk = list(lat.cut_orbit_representatives(flat_perms))
             assert [cut for cut, _ in walk] == want, rec
             assert sum(size for _, size in walk) == cut_count == candidates, rec
@@ -329,6 +328,54 @@ class TestCheckpointing:
         cat = tmp_path / "catalogue.txt"
         write_catalogue(assign_ids(records), str(cat))
         assert len(read_catalogue(str(cat))) == len(records)
+
+    @pytest.fixture
+    def budget_checkpoint(self, tmp_path):
+        """The lines of a real checkpoint of enumerate_matroids(6), taken
+        inside a level, with its path."""
+        path = tmp_path / "ck4.txt"
+        with pytest.raises(ResourceBudgetExceeded):
+            enumerate_matroids(6, budget=40, checkpoint_path=str(path), checkpoint_every=1)
+        lines = path.read_text().splitlines()
+        assert any(line.startswith("C ") for line in lines)
+        return path, lines
+
+    @staticmethod
+    def _with_meta(lines, key, value):
+        meta = dict(kv.split("=") for kv in lines[1].split())
+        meta[key] = str(value)
+        return lines[:1] + [" ".join(f"{k}={v}" for k, v in meta.items())] + lines[2:]
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("next_parent", 9999, "next_parent 9999"),
+            ("next_parent", -1, "next_parent -1"),
+            ("level", 7, "level 7 for max_n=6"),
+            ("level", -1, "level -1"),
+        ],
+    )
+    def test_cursor_out_of_range_refused(self, budget_checkpoint, key, value, message):
+        path, lines = budget_checkpoint
+        path.write_text("\n".join(self._with_meta(lines, key, value)) + "\n")
+        with pytest.raises(ValueError, match=f"bad checkpoint {message}"):
+            load_checkpoint(str(path))
+
+    @pytest.mark.parametrize("tag", ["P", "C"])
+    def test_record_on_the_wrong_level_refused(self, budget_checkpoint, tag):
+        path, lines = budget_checkpoint
+        # an emitted record, from an earlier level, filed under tag
+        stray = next(line for line in lines if line.startswith("E 1 "))
+        path.write_text("\n".join(lines + [tag + stray[1:]]) + "\n")
+        with pytest.raises(ValueError, match=f"bad checkpoint: a {tag} record"):
+            load_checkpoint(str(path))
+
+    def test_consistent_checkpoint_still_resumes(self, budget_checkpoint):
+        path, lines = budget_checkpoint
+        job = load_checkpoint(str(path))
+        assert 0 < job.next_parent <= len(job.parents)
+        records = enumerate_matroids(6, resume_job=job)
+        assert totals_by_n(records, 6) == TABLE1_TOTALS[:7]
 
     def test_unsupported_range(self):
         with pytest.raises(ValueError):

@@ -120,6 +120,22 @@ class TestIngleton:
         assert lhs > rhs
         assert ingleton_violating(child, mode="full") is not None
 
+    def test_minor_mode_lifts_a_contraction(self):
+        from matcat.canon import certificate
+        from matcat.lattice import FlatLattice, ModularCut
+
+        # the free coextension of the Vamos matroid gives it back by
+        # contracting the new element 8, and by no deletion
+        lat = FlatLattice(vamos().dual())
+        top = lat.index[lat.matroid.full]
+        child = lat.extend(ModularCut(1 << top, (top,))).dual()
+        assert child.contract(8) == vamos()
+        w = ingleton_violating(
+            child, mode="minor", violators8={certificate(vamos()).bytes}
+        )
+        assert w is not None and w.lhs > w.rhs
+        assert (w.lhs, w.rhs) == ingleton_sides(child.rank_table, w.a, w.b, w.c, w.d)
+
     def test_budget(self):
         # 2r = n: searched as given, and the scan passes the budget at once
         with pytest.raises(BudgetExceeded):

@@ -90,6 +90,13 @@ class TestCatalogueFile:
             ("2 1 1 0", "ids not dense"),
             ("1 0 0 -", "not sorted by"),
             ("1 1 1", "expected `id n rank masks`"),
+            ("1 70 2 1", "n = 70 outside 0..15"),
+            ("1 -1 0 -", "n = -1 outside 0..15"),
+            ("1 3 4 1", "rank 4 outside 0..3"),
+            ("1 3 -1 1", "rank -1 outside 0..3"),
+            ("1 3 2 1,2,ffff", "outside E or equals E"),
+            ("1 3 2 1,2,7", "outside E or equals E"),
+            ("1 3 2 -1,2", "outside E or equals E"),
         ],
     )
     def test_bad_record_reports_its_line(self, tmp_path, bad, message):
@@ -109,6 +116,18 @@ class TestCatalogueFile:
         path.write_text(body + f"#sha256 {'0' * 64}\n")
         with pytest.raises(ChecksumMismatch):
             read_catalogue(str(path))
+
+    def test_family_that_is_no_matroid_still_reads(self, tmp_path):
+        # the range checks are cheap; the axioms are not checked on read
+        import hashlib
+
+        from matcat.store import CATALOGUE_HEADER
+
+        body = CATALOGUE_HEADER + "\n0 3 2 1,2\n"
+        path = tmp_path / "family.txt"
+        path.write_text(body + f"#sha256 {hashlib.sha256(body.encode()).hexdigest()}\n")
+        [rec] = read_catalogue(str(path))
+        assert (rec.n, rec.rank, rec.hyperplanes) == (3, 2, (1, 2))
 
     def test_missing_footer_reports_last_line(self, catalogued, tmp_path):
         lines = open(catalogued).read().splitlines()[:-1]
@@ -167,6 +186,30 @@ class TestPropertyTable:
         assert "\t-\t" in tsv
         rows2 = parse_property_tsv(tsv)
         assert all(r["repGF2"] is None for r in rows2)
+
+
+    @pytest.mark.parametrize(
+        "rank, labellings", [(2, [(5, 2), (5, 3)]), (0, [(5, 0), (5, 5), (0, 0)])]
+    )
+    def test_compute_row_labels_each_matroid_once(self, monkeypatch, rank, labellings):
+        # U(2,5) is simple, so its simplification is itself and its cached
+        # certificate is reused; U(0,5), five loops, simplifies to U(0,0)
+        from matcat import canon
+        from matcat.core import uniform
+        from matcat.orderly import CatalogueRecord, pack_masks
+        from matcat.store import compute_row
+
+        m = uniform(rank, 5)
+        calls = []
+        certificate_for = canon.certificate_for
+
+        def counted(n, r, hyps):
+            calls.append((n, r))
+            return certificate_for(n, r, hyps)
+
+        monkeypatch.setattr(canon, "certificate_for", counted)
+        compute_row(CatalogueRecord(0, 5, rank, pack_masks(m.hyperplanes)), RowOptions())
+        assert calls == labellings
 
 
 class TestQuery:
