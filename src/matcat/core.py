@@ -318,10 +318,15 @@ class Matroid:
 
     def restrict(self, keep_mask: int) -> "Matroid":
         """Delete every element outside keep_mask (relabels downward)."""
-        m = self
-        for e in sorted(bits(self.full & ~keep_mask), reverse=True):
-            m = m.delete(e)
-        return m
+        keep = self.full & keep_mask
+        if keep == self.full:
+            return self
+        # lifted[x] is x with bit i moved to the i-th kept element
+        lifted = [0]
+        for e in bits(keep):
+            lifted += [x | (1 << e) for x in lifted]
+        table = self.rank_table
+        return Matroid.from_rank_table(popcount(keep), [table[x] for x in lifted])
 
     # -- loops, parallelism, simplification ----------------------------------
 

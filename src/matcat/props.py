@@ -2,10 +2,13 @@
 
 The Ingleton search runs over flat quadruples only: every term of the
 inequality is unchanged when any argument is replaced by its closure, so a
-violation exists iff one exists among flats.  For fixed (A, B) the remaining
-(C, D) space is scanned as one vectorized table; pairs with
+violation exists iff one exists among flats.  Pairs (A, B) with
 r(A) + r(B) = r(A u B) are skipped since the violation amount is bounded by
-that modular defect.
+that modular defect.  The (C, D) tables of the other pairs are scanned in
+blocks, one numpy call for as many pairs as fit in 2^16 table cells, taken
+in the order of a loop over A and then B; the witness is the first
+violating pair's first largest (C, D) cell, and a budget is charged nf^2
+cells for each pair up to that one, as the loop would charge them.
 
 Satisfying the inequality for every quadruple is invariant under duality
 (Ingleton 1971), and the search cost grows steeply with the number of flats,
@@ -128,37 +131,41 @@ def ingleton_violating(
     return _ingleton_full(m, budget)
 
 
+# table cells per numpy call of the Ingleton scan; bounds its memory
+_BLOCK_CELLS = 1 << 16
+
+
 def _ingleton_full(m: Matroid, budget=None):
     table = np.asarray(m.rank_table, dtype=np.int16)
     flats, ranks, _ = m._flat_data
     fl = np.asarray(flats, dtype=np.int32)
     nf = len(fl)
-    union_rank = table[np.bitwise_or.outer(fl, fl)]
+    union = np.bitwise_or.outer(fl, fl)
+    union_rank = table[union]
+    rk = np.asarray(ranks, dtype=np.int16)
+    defect = rk[:, None] + rk[None, :] - union_rank
+    # the flat pairs (A, B), A before B, with a positive modular defect, in
+    # the order of the pair loop: by A, then by B
+    pair_a, pair_b = np.nonzero(np.triu(defect > 0, 1))
+    step = max(1, _BLOCK_CELLS // (nf * nf))
     work = 0
-    for i in range(nf):
-        a = flats[i]
-        ra = ranks[i]
-        ua = np.bitwise_or(fl, a)
-        pa = table[ua].astype(np.int32)
-        for j in range(i + 1, nf):
-            b = flats[j]
-            u = a | b
-            s = ra + ranks[j] - int(table[u])
-            if s <= 0:
-                continue
-            work += nf * nf
-            if budget is not None and work > budget:
-                raise BudgetExceeded(f"ingleton search passed {budget} table cells")
-            p = table[np.bitwise_or(fl, u)].astype(np.int32) - pa - table[
-                np.bitwise_or(fl, b)
-            ].astype(np.int32)
-            grid = p[:, None] + p[None, :] + union_rank
-            k = int(grid.argmax())
-            ci, di = divmod(k, nf)
-            if int(grid[ci, di]) > -s:
-                c, d = flats[ci], flats[di]
-                lhs, rhs = ingleton_sides(m.rank_table, a, b, c, d)
-                return IngletonWitness(a, b, c, d, lhs, rhs)
+    for start in range(0, len(pair_a), step):
+        ia, ib = pair_a[start:start + step], pair_b[start:start + step]
+        # p[k, c] = r(A u B u C) - r(A u C) - r(B u C) for the k-th pair, so
+        # that lhs - rhs = defect(A, B) + p[k, c] + p[k, d] + r(C u D)
+        p = table[union[ia, ib][:, None] | fl] - union_rank[ia] - union_rank[ib]
+        grid = (p[:, :, None] + p[:, None, :] + union_rank).reshape(len(ia), -1)
+        hits = np.flatnonzero(grid.max(axis=1) > -defect[ia, ib])
+        # each pair scanned up to the first violating one costs nf^2 cells
+        work += (int(hits[0]) + 1 if len(hits) else len(ia)) * nf * nf
+        if budget is not None and work > budget:
+            raise BudgetExceeded(f"ingleton search passed {budget} table cells")
+        if len(hits):
+            k = hits[0]
+            ci, di = divmod(int(grid[k].argmax()), nf)
+            a, b, c, d = (flats[x] for x in (ia[k], ib[k], ci, di))
+            lhs, rhs = ingleton_sides(m.rank_table, a, b, c, d)
+            return IngletonWitness(a, b, c, d, lhs, rhs)
     return None
 
 

@@ -28,8 +28,17 @@ one for the matroid.
 
 Every matrix `representable` returns has passed `verify_representation`
 against the matroid itself: it has r rows, and its full-rank r-column
-subsets are exactly the matroid's bases.  A failure raises AssertionError,
-under ``python -O`` as well.
+subsets are exactly the matroid's bases.  The check row-reduces its own copy
+of the matrix to reduced echelon form A', whose pivot columns P come from
+the matrix and not from the search; each r-subset is (P - P_R) + T for one
+pair (R, T) and has full rank exactly when det A'[R, T] != 0.  These minors
+are filled by increasing |T|, each by one expansion along the lowest row of
+R, so the check costs one elimination plus O(|T|) field operations per
+r-subset, where one elimination per r-subset was paid before.  It shares no
+code with the search: for a matroid searched as given P is the search's own
+basis, and a check through the search's minor cache would repeat an error
+in that arithmetic instead of catching it.  A failure raises
+AssertionError, under ``python -O`` as well.
 """
 
 from __future__ import annotations
@@ -84,24 +93,6 @@ class GF:
         cls._cache[q] = self
         return self
 
-    def nonsingular(self, rows) -> bool:
-        """True when the square list-of-lists matrix rows is invertible over
-        the field (forward elimination; rows is left as it was)."""
-        add, mul, neg, inv = self.add, self.mul, self.neg, self.inv
-        m = list(rows)
-        for c in range(len(m)):
-            piv = next((i for i in range(c, len(m)) if m[i][c]), None)
-            if piv is None:
-                return False
-            m[c], m[piv] = m[piv], m[c]
-            pivot = m[c]
-            iv = inv[pivot[c]]
-            for i in range(c + 1, len(m)):
-                if m[i][c]:
-                    f = neg[mul[m[i][c]][iv]]
-                    m[i] = [add[x][mul[f][y]] for x, y in zip(m[i], pivot)]
-        return True
-
 
 @dataclass(frozen=True)
 class RepresentationMatrix:
@@ -111,19 +102,73 @@ class RepresentationMatrix:
 
 def verify_representation(m: Matroid, rep: RepresentationMatrix) -> bool:
     """Exact check that rep represents m: r = m.rank rows of m.n field
-    elements whose full-rank r-column subsets are exactly m's bases."""
-    r, q = m.rank, rep.q
+    elements whose full-rank r-column subsets are exactly m's bases.
+
+    The matrix is row-reduced once, and every r-subset is then decided by
+    one cofactor expansion (see the module docstring); nothing is taken from
+    the search that produced rep.
+    """
+    r, n, q = m.rank, m.n, rep.q
     if len(rep.entries) != r or any(
-        len(row) != m.n or not all(0 <= x < q for x in row) for row in rep.entries
+        len(row) != n or not all(0 <= x < q for x in row) for row in rep.entries
     ):
         return False
     gf = GF(q)
-    bases = set(m._bases)
-    return all(
-        gf.nonsingular([[row[c] for c in cols] for row in rep.entries])
-        == (mask_of(cols) in bases)
-        for cols in itertools.combinations(range(m.n), r)
-    )
+    add, mul, neg = gf.add, gf.mul, gf.neg
+    rows, pivots = _reduced_echelon(gf, rep.entries)
+    table = m.rank_table
+    pivot_mask = mask_of(pivots)
+    if table[pivot_mask] != r:  # also when there are fewer than r pivots
+        return False
+    # det[S] = det A'[R, T] for S = (P - P_R) + T, filled by increasing |T|;
+    # expanding along the lowest row i of R reads det[S + p_i - t]
+    det = [0] * (1 << n)
+    det[pivot_mask] = 1
+    free_cols = [c for c in range(n) if not (pivot_mask >> c) & 1]
+    for k in range(1, min(r, n - r) + 1):
+        col_sets = [
+            (mask_of(cols), cols) for cols in itertools.combinations(free_cols, k)
+        ]
+        for row_set in itertools.combinations(range(r), k):
+            low = rows[row_set[0]]
+            kept = pivot_mask & ~mask_of(pivots[i] for i in row_set)
+            lifted = kept | (1 << pivots[row_set[0]])
+            for cols_mask, cols in col_sets:
+                subset = kept | cols_mask
+                d = 0
+                for j, t in enumerate(cols):
+                    a, sub = low[t], det[lifted | (cols_mask & ~(1 << t))]
+                    if a and sub:
+                        term = mul[a][sub]
+                        d = add[d][neg[term] if j & 1 else term]
+                if (d != 0) != (table[subset] == r):
+                    return False
+                det[subset] = d
+    return True
+
+
+def _reduced_echelon(gf: GF, entries):
+    """(rows, pivot columns) of the reduced row echelon form of entries over
+    gf; entries is left as it was."""
+    add, mul, neg, inv = gf.add, gf.mul, gf.neg, gf.inv
+    rows = [list(row) for row in entries]
+    pivots = []
+    for c in range(len(rows[0]) if rows else 0):
+        k = len(pivots)
+        piv = next((i for i in range(k, len(rows)) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[k], rows[piv] = rows[piv], rows[k]
+        iv = inv[rows[k][c]]
+        pivot = rows[k] = [mul[iv][x] for x in rows[k]]
+        for i, row in enumerate(rows):
+            if i != k and row[c]:
+                f = neg[row[c]]
+                rows[i] = [add[x][mul[f][y]] for x, y in zip(row, pivot)]
+        pivots.append(c)
+        if len(pivots) == len(rows):
+            break
+    return rows, pivots
 
 
 def representable(m: Matroid, q: int):

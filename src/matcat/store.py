@@ -88,8 +88,8 @@ def _parse_record(line: str, lineno: int, records: list) -> CatalogueRecord:
         raise FormatError(f"n = {n} outside 0..{MAX_GROUND}", line=lineno)
     if not 0 <= rank <= n:
         raise FormatError(f"rank {rank} outside 0..{n}", line=lineno)
-    if list(masks) != sorted(masks):
-        raise FormatError("masks not ascending", line=lineno)
+    if any(a >= b for a, b in zip(masks, masks[1:])):
+        raise FormatError("masks not strictly ascending", line=lineno)
     if masks and (masks[0] < 0 or masks[-1] >= (1 << n) - 1):
         raise FormatError("a mask has bits outside E or equals E", line=lineno)
     if records and (n, rank) < (records[-1].n, records[-1].rank):
@@ -101,7 +101,7 @@ def read_catalogue(path: str, verify_certificates: bool = False) -> list:
     """Parse and validate a catalogue file.
 
     Always checks the checksum, dense ids, n and rank in range, masks that
-    are ascending proper subsets of E, and (n, rank) sort order, but not the
+    are strictly ascending proper subsets of E, and (n, rank) sort order, but not the
     matroid axioms; verify_certificates additionally recomputes certificates
     and checks the order within each (n, rank) block (slow for large files).
     The file is read one line at a time and hashed as it goes.  A bad record

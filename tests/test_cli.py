@@ -163,6 +163,23 @@ class TestProps:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("cannot read catalogue: line 2:")
 
+    @pytest.mark.parametrize(
+        "command", [["props"], ["exminors", "--field", "2", "--max-n", "3"]]
+    )
+    def test_repeated_mask_record(self, tmp_path, capsys, command):
+        # were it read, the repeated hyperplane would count twice in numHyperplanes
+        from matcat.store import CATALOGUE_HEADER
+
+        body = f"{CATALOGUE_HEADER}\n0 3 2 1,1,2\n"
+        cat = tmp_path / "repeated.txt"
+        cat.write_text(body + f"#sha256 {hashlib.sha256(body.encode()).hexdigest()}\n")
+        argv = command + ["--catalogue", str(cat)]
+        if command[0] == "props":
+            argv += ["--out", str(tmp_path / "o.tsv")]
+        assert main(argv) == EXIT_IO
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["cannot read catalogue: line 2: masks not strictly ascending"]
+
 
 def _sha256(path):
     with open(path, "rb") as fh:

@@ -326,6 +326,20 @@ class TestMinors:
             deleted_first = m.delete(e).contract(f - (f > e))
             assert deleted_first == m.contract(f).delete(e - (e > f))
 
+    def test_restrict_matches_deleting_one_element_at_a_time(self, catalogue7):
+        # the reference deletes the dropped elements from the highest down;
+        # its chain for keep ends with the chain for keep plus the lowest
+        # dropped element, then one more deletion
+        for rec in catalogue7:
+            m = rec.matroid()
+            chained = {m.full: m}
+            for keep in range(m.full, -1, -1):
+                if keep != m.full:
+                    low = m.full & ~keep & -(m.full & ~keep)
+                    chained[keep] = chained[keep | low].delete(low.bit_length() - 1)
+                assert m.restrict(keep) == chained[keep]
+            assert m.restrict(m.full) is m and m.restrict(-1) is m
+
     def test_rank_table_against_basis_oracle(self, matroids6):
         rng = random.Random(3)
         for m in rng.sample(matroids6, 30):

@@ -1,5 +1,7 @@
+import itertools
 import random
 
+import numpy as np
 import pytest
 
 from matcat.core import INFINITY, Matroid, free, popcount, uniform
@@ -16,7 +18,9 @@ from matcat.named import (
     vamos,
 )
 from matcat.props import (
+    _BLOCK_CELLS,
     BudgetExceeded,
+    IngletonWitness,
     _ingleton_full,
     classify,
     ingleton_sides,
@@ -199,3 +203,91 @@ class TestIngletonDualSide:
             assert (m.n, m.rank) == (9, 5)
             assert _ingleton_full(m.dual()) is not None
             _assert_own_witness(m, ingleton_violating(m, mode="full"))
+
+
+def reference_ingleton_full(m: Matroid, budget=None):
+    """The Ingleton scan as a loop over flat pairs (A, B), one (C, D) grid
+    per pair; the blocked scan must return the same witness and raise at the
+    same budgets."""
+    table = np.asarray(m.rank_table, dtype=np.int16)
+    flats, ranks, _ = m._flat_data
+    fl = np.asarray(flats, dtype=np.int32)
+    nf = len(fl)
+    union_rank = table[np.bitwise_or.outer(fl, fl)]
+    work = 0
+    for i in range(nf):
+        a = flats[i]
+        ra = ranks[i]
+        ua = np.bitwise_or(fl, a)
+        pa = table[ua].astype(np.int32)
+        for j in range(i + 1, nf):
+            b = flats[j]
+            u = a | b
+            s = ra + ranks[j] - int(table[u])
+            if s <= 0:
+                continue
+            work += nf * nf
+            if budget is not None and work > budget:
+                raise BudgetExceeded(f"ingleton search passed {budget} table cells")
+            p = table[np.bitwise_or(fl, u)].astype(np.int32) - pa - table[
+                np.bitwise_or(fl, b)
+            ].astype(np.int32)
+            grid = p[:, None] + p[None, :] + union_rank
+            k = int(grid.argmax())
+            ci, di = divmod(k, nf)
+            if int(grid[ci, di]) > -s:
+                c, d = flats[ci], flats[di]
+                lhs, rhs = ingleton_sides(m.rank_table, a, b, c, d)
+                return IngletonWitness(a, b, c, d, lhs, rhs)
+    return None
+
+
+def _outcome(search, m, budget=None):
+    try:
+        return search(m, budget)
+    except BudgetExceeded:
+        return BudgetExceeded
+
+
+class TestBlockedScan:
+    def test_same_answer_through_seven(self, catalogue7):
+        for rec in catalogue7:
+            m = rec.matroid()
+            assert _ingleton_full(m) == reference_ingleton_full(m), m
+
+    def test_same_answer_on_high_rank8(self, high_rank8):
+        for m in high_rank8:
+            assert _ingleton_full(m) == reference_ingleton_full(m), m
+
+    def test_same_witness_on_violators(self):
+        # a single-element extension of an 8-element violator; the block that
+        # holds its first violating flat pair holds a later one as well
+        two_in_a_block = Matroid.from_hyperplanes(9, [
+            0x16, 0x19, 0x26, 0x29, 0x2A, 0x33, 0x3C, 0x43, 0x49, 0x4C, 0x55,
+            0x5A, 0x61, 0x62, 0x64, 0x68, 0x83, 0x89, 0x8A, 0x8C, 0x91, 0x92,
+            0x94, 0x98, 0xA5, 0xA8, 0xC1, 0xC6, 0xC8, 0xF0, 0x10F, 0x111,
+            0x112, 0x114, 0x118, 0x121, 0x124, 0x128, 0x130, 0x141, 0x142,
+            0x144, 0x148, 0x150, 0x160, 0x181, 0x184, 0x188, 0x190, 0x1A2,
+            0x1C0,
+        ])
+        cases = [vamos(), f8(), _with_coloop(vamos()), _with_coloop(f8())]
+        cases.append(two_in_a_block)
+        for m in cases + [x.dual() for x in cases]:
+            w = _ingleton_full(m)
+            assert w is not None and w == reference_ingleton_full(m), m
+
+    @pytest.mark.parametrize("m", [vamos(), uniform(3, 6)], ids=["vamos", "U36"])
+    def test_raises_at_the_same_budgets(self, m):
+        # budgets k * nf^2 - 1, k * nf^2 and k * nf^2 + 1 for k = 0, 1, ...,
+        # until k - 1 pairs are enough for the reference: one pair past the
+        # last pair it scans
+        cells = len(m._flat_data[0]) ** 2
+        for pairs in itertools.count():
+            wants = []
+            for budget in (pairs * cells - 1, pairs * cells, pairs * cells + 1):
+                wants.append(_outcome(reference_ingleton_full, m, budget))
+                assert _outcome(_ingleton_full, m, budget) == wants[-1], budget
+            if wants[0] is not BudgetExceeded:
+                break
+        assert wants[0] == reference_ingleton_full(m)
+        assert pairs > _BLOCK_CELLS // cells  # the scan spans two blocks

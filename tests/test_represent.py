@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 import matcat
 from matcat import represent
 from matcat.canon import relabel_family
-from matcat.core import Matroid, bits, free, uniform
+from matcat.core import Matroid, bits, free, mask_of, uniform
 from matcat.named import ag32, f8, l8, p1, p2_doubleprime, p2_prime, p3, p8, vamos
 from matcat.represent import (
     GF,
@@ -21,6 +21,41 @@ from matcat.represent import (
     representable,
     verify_representation,
 )
+
+
+def nonsingular(gf, rows) -> bool:
+    """True when the square list-of-lists matrix rows is invertible over gf
+    (forward elimination; rows is left as it was)."""
+    add, mul, neg, inv = gf.add, gf.mul, gf.neg, gf.inv
+    m = list(rows)
+    for c in range(len(m)):
+        piv = next((i for i in range(c, len(m)) if m[i][c]), None)
+        if piv is None:
+            return False
+        m[c], m[piv] = m[piv], m[c]
+        pivot = m[c]
+        iv = inv[pivot[c]]
+        for i in range(c + 1, len(m)):
+            if m[i][c]:
+                f = neg[mul[m[i][c]][iv]]
+                m[i] = [add[x][mul[f][y]] for x, y in zip(m[i], pivot)]
+    return True
+
+
+def brute_force_verify(m, rep) -> bool:
+    """verify_representation's answer by one elimination per r-subset."""
+    r, q = m.rank, rep.q
+    if len(rep.entries) != r or any(
+        len(row) != m.n or not all(0 <= x < q for x in row) for row in rep.entries
+    ):
+        return False
+    gf = GF(q)
+    bases = set(m._bases)
+    return all(
+        nonsingular(gf, [[row[c] for c in cols] for row in rep.entries])
+        == (mask_of(cols) in bases)
+        for cols in itertools.combinations(range(m.n), r)
+    )
 
 
 class TestGFTables:
@@ -69,7 +104,7 @@ class TestGFTables:
             for _ in range(60):
                 rows = [[rng.randrange(q) for _ in range(size)] for _ in range(size)]
                 before = [row[:] for row in rows]
-                assert gf.nonsingular(rows) == (det(rows) != 0)
+                assert nonsingular(gf, rows) == (det(rows) != 0)
                 assert rows == before
 
 
@@ -337,6 +372,98 @@ class TestCheckCannotBeBypassed:
         )
         assert out.returncode == 0, out.stderr
         assert out.stdout.split() == ["refused", "False"]
+
+
+def _changed_entries(rep):
+    """rep with one entry x moved to x + 1 mod q, for every entry: zero to
+    nonzero, nonzero to zero (from q - 1) and, for q > 2, nonzero to nonzero."""
+    for i, row in enumerate(rep.entries):
+        for e, x in enumerate(row):
+            rows = [list(r) for r in rep.entries]
+            rows[i][e] = (x + 1) % rep.q
+            yield RepresentationMatrix(rep.q, tuple(tuple(r) for r in rows))
+
+
+class TestVerifierAgainstBruteForce:
+    """verify_representation row-reduces once and expands minors over the
+    r-subsets; one elimination per r-subset is the reference."""
+
+    @pytest.mark.parametrize("q", [2, 3, 4, 5])
+    def test_every_class_through_seven(self, catalogue7, q):
+        rng = random.Random(q)
+        accepted = 0
+        for rec in catalogue7:
+            m = rec.matroid()
+            cases = [RepresentationMatrix(q, tuple(
+                tuple(rng.randrange(q) for _ in range(m.n)) for _ in range(m.rank)
+            ))]
+            rep = represent._search(m, q)
+            if rep is not None:
+                cases += [rep, *_changed_entries(rep)]
+            for x in cases:
+                got = verify_representation(m, x)
+                assert got == brute_force_verify(m, x), (m, x)
+                accepted += got
+        assert accepted > 0
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_scaled_and_changed_matrices(self, catalogue7, data):
+        # scaling a column by a nonzero element or adding a multiple of one
+        # row to another keeps the column matroid; a changed entry may not
+        m = data.draw(st.sampled_from(catalogue7)).matroid()
+        q = data.draw(st.sampled_from([2, 3, 4, 5]))
+        gf = GF(q)
+        rep = represent._search(m, q)
+        if rep is None or not m.rank:
+            rows = data.draw(st.lists(
+                st.lists(st.integers(0, q - 1), min_size=m.n, max_size=m.n),
+                min_size=m.rank, max_size=m.rank,
+            ))
+        else:
+            rows = [list(row) for row in rep.entries]
+            for e in range(m.n):
+                s = data.draw(st.integers(1, q - 1))
+                for row in rows:
+                    row[e] = gf.mul[s][row[e]]
+            if m.rank > 1:
+                i, j = data.draw(st.permutations(range(m.rank)))[:2]
+                f = data.draw(st.integers(0, q - 1))
+                rows[j] = [gf.add[y][gf.mul[f][x]] for x, y in zip(rows[i], rows[j])]
+            for _ in range(data.draw(st.integers(0, 2))):
+                i = data.draw(st.integers(0, m.rank - 1))
+                e = data.draw(st.integers(0, m.n - 1))
+                rows[i][e] = data.draw(st.integers(0, q - 1))
+        x = RepresentationMatrix(q, tuple(tuple(row) for row in rows))
+        assert verify_representation(m, x) == brute_force_verify(m, x)
+
+    def test_reads_nothing_of_the_search(self, monkeypatch):
+        def forbidden(*args):
+            raise RuntimeError("the verifier called the search's kernel")
+
+        m = p8()
+        rep = representable(m, 3)
+        monkeypatch.setattr(represent, "_cofactor_terms", forbidden)
+        monkeypatch.setattr(represent, "_minors_with_column", forbidden)
+        assert verify_representation(m, rep)
+        assert not verify_representation(m, _flip_entry(rep, 0, m.n - 1))
+
+    def test_catches_a_sign_error_in_the_search(self, monkeypatch):
+        # with one cofactor sign flipped the search finds [[1,0,1,1],[0,1,1,1]]
+        # for U(2,4) over GF(3), whose last two columns are parallel; a check
+        # that shared the search's expansion would repeat the error
+        terms = represent._cofactor_terms
+
+        def one_sign_flipped(r):
+            by_size, cofactors = terms(r)
+            cofactors = list(cofactors)
+            (i, sub, odd), *rest = cofactors[0b11]
+            cofactors[0b11] = ((i, sub, 1 - odd), *rest)
+            return by_size, cofactors
+
+        monkeypatch.setattr(represent, "_cofactor_terms", one_sign_flipped)
+        with pytest.raises(AssertionError):
+            representable(uniform(2, 4), 3)
 
 
 class TestInvariance:

@@ -79,7 +79,7 @@ class TestCatalogueFile:
         digest = hashlib.sha256(body.encode()).hexdigest()
         path = tmp_path / "descending.txt"
         path.write_text(body + f"#sha256 {digest}\n")
-        with pytest.raises(FormatError, match="masks not ascending"):
+        with pytest.raises(FormatError, match="masks not strictly ascending"):
             read_catalogue(str(path))
 
     @pytest.mark.parametrize(
@@ -97,6 +97,7 @@ class TestCatalogueFile:
             ("1 3 2 1,2,ffff", "outside E or equals E"),
             ("1 3 2 1,2,7", "outside E or equals E"),
             ("1 3 2 -1,2", "outside E or equals E"),
+            ("1 3 2 1,1,2", "masks not strictly ascending"),
         ],
     )
     def test_bad_record_reports_its_line(self, tmp_path, bad, message):
