@@ -38,6 +38,23 @@ colour and the first refinement round is the partition of the elements by
 ascending degree.  It is built from the degrees directly, with the colour
 changes the round would make, and the round is not run.  The element lists
 of the masks are read from a table filled as masks are met.
+
+Known automorphisms.  A caller that already holds automorphisms of the
+family, such as the parent automorphisms that map a modular cut onto
+itself, passes them as known; the search starts with them as generators
+found before the root, so they prune from the first node on (McKay and
+Piperno 2014).  Pruning, by orbit closure or by a backjump, skips a subtree
+only when it is the image, under an automorphism, of a subtree earlier in
+the search order; each leaf it holds then has an earlier leaf of the same
+value.  So the least leaf that comes first in the full search order is
+never skipped, with or without known automorphisms, and the least value and
+the witness perm stay the same.  The group stays the same too: the known
+automorphisms lie in it, and on the first path every element of a target
+cell's orbit under the path's stabilizer is either reached, which yields a
+generator mapping the first child onto it, or skipped as an image under
+generators held.  Only the generator list changes; it starts with the known
+automorphisms, and element orbits and the group order read from it are
+unchanged.
 """
 
 from __future__ import annotations
@@ -298,7 +315,7 @@ class _Search:
 
     __slots__ = ("n_masks", "hyps_of", "budget", "nodes", "first", "best", "gens")
 
-    def __init__(self, n, masks, budget):
+    def __init__(self, n, masks, budget, known):
         self.n_masks = len(masks)
         self.hyps_of = [[] for _ in range(n)]
         for i, m in enumerate(masks):
@@ -311,7 +328,7 @@ class _Search:
         self.nodes = 0
         self.first = None          # (value, perm, path) of the first leaf
         self.best = None           # (value, perm, path) of the least leaf
-        self.gens = []
+        self.gens = list(known)
 
 
 def _leaf(s, cells, fixed):
@@ -415,19 +432,24 @@ def _require_partition(n, cells):
         raise ValueError(f"cells {cells!r} do not partition range({n})")
 
 
-def canonical_family(n, masks, cells=None, node_budget=2_000_000):
+def canonical_family(n, masks, cells=None, node_budget=2_000_000, known=()):
     """Canonicalize a family of masks under permutations of {0..n-1}.
 
     cells, when given, is an ordered partition of the elements restricting
     the group to permutations preserving each cell; the canonical form is
     then minimal over that subgroup only.  ValueError if it is not one.
+    known holds automorphisms of the family (tuples, preserving each cell)
+    that seed the search; the form, its perm and the group are the same
+    with or without them (see the module docstring), and the generators
+    returned start with them.
     """
     masks = tuple(sorted(masks))
     if cells is not None:
         _require_partition(n, cells)
     if n == 0:
         return CanonicalForm(0, masks, (), ())
-    s = _Search(n, masks, node_budget)
+    known = [tuple(g) for g in known]
+    s = _Search(n, masks, node_budget, known)
     if cells is None and len(set(map(int.bit_count, masks))) <= 1:
         keys = [m.bit_count() for m in masks]
         cells = _degree_cells(s.hyps_of, keys)
@@ -444,7 +466,7 @@ def canonical_family(n, masks, cells=None, node_budget=2_000_000):
                 for i in s.hyps_of[e]:
                     keys[i] += digit
         cells = _equitable_refine(s.hyps_of, cells, keys)
-    _search(s, cells, keys, [], [])
+    _search(s, cells, keys, [], known)
     value, perm, _ = s.best
     return CanonicalForm(n, value, perm, tuple(s.gens), s.nodes)
 
@@ -480,18 +502,20 @@ class Certificate:
         return ids
 
 
-def certificate_for(n: int, rank: int, hyperplanes) -> Certificate:
-    """Certificate of a raw record; a Matroid's is cached by certificate."""
-    cf = canonical_family(n, hyperplanes)
+def certificate_for(n: int, rank: int, hyperplanes, known=()) -> Certificate:
+    """Certificate of a raw record; a Matroid's is cached by certificate.
+    known: automorphisms that seed the search, as for canonical_family."""
+    cf = canonical_family(n, hyperplanes, known=known)
     body = b"".join(m.to_bytes(2, "big") for m in cf.masks)
     return Certificate(n, rank, bytes([n, rank]) + body, cf.perm, cf.generators)
 
 
-def certificate(m) -> Certificate:
-    """Certificate of a Matroid; cached on the instance."""
+def certificate(m, known=()) -> Certificate:
+    """Certificate of a Matroid; cached on the instance.  known seeds the
+    search when it runs, as for canonical_family."""
     cached = getattr(m, "_certificate", None)
     if cached is None:
-        cached = m._certificate = certificate_for(m.n, m.rank, m.hyperplanes)
+        cached = m._certificate = certificate_for(m.n, m.rank, m.hyperplanes, known)
     return cached
 
 

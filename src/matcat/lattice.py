@@ -33,6 +33,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .canon import orbit_minima, relabel_mask
 from .core import Matroid, bits
 
@@ -123,8 +125,23 @@ def _cut_orbit(cut, perms) -> tuple:
     return len(orbit), ahead
 
 
+def _bitset_rows(matrix) -> list:
+    """Each row of a boolean matrix as an int bitset, column j at bit j."""
+    packed = np.packbits(matrix, axis=1, bitorder="little")
+    width, data = packed.shape[1], packed.tobytes()
+    return [
+        int.from_bytes(data[k : k + width], "little")
+        for k in range(0, len(data), width)
+    ]
+
+
 class FlatLattice:
-    """Flats of a matroid with rank grading, covers, and modular cuts."""
+    """Flats of a matroid with rank grading, covers, and modular cuts.
+
+    The containment, modular-pair and meet tables are built with one numpy
+    operation each over all flat pairs, and each row is kept as an int
+    bitset over flat indices.
+    """
 
     def __init__(self, m: Matroid):
         self.matroid = m
@@ -134,16 +151,15 @@ class FlatLattice:
         self.index = dict(index)
         nf = len(flats)
         self.nf = nf
+        self._masks = fl = np.asarray(flats, dtype=np.int64)
+        # contains[i, j]: flat j contains flat i
+        contains = np.bitwise_and.outer(fl, fl) == fl[:, None]
         # up[i]: bitset of flats containing flat i (including i itself)
-        up = []
-        for fi in flats:
-            acc = 0
-            for j, fj in enumerate(flats):
-                if fi & fj == fi:
-                    acc |= 1 << j
-            up.append(acc)
-        self.up = up = tuple(up)
-        self.strictly_above = [up[i] & ~(1 << i) for i in range(nf)]
+        self.up = tuple(_bitset_rows(contains))
+        np.fill_diagonal(contains, False)
+        self.strictly_above = _bitset_rows(contains)
+        # below[i]: bitset of flats strictly inside flat i
+        self.below = _bitset_rows(contains.T)
 
     # -- basic lattice structure -------------------------------------------
 
@@ -174,26 +190,22 @@ class FlatLattice:
 
         Flats F, G are a modular pair iff r(F) + r(G) = r(F | G) + r(F & G),
         read off the matroid's rank table.  The meet matrix is filled for
-        modular pairs only, the pairs that _modular_closed reads.
+        modular pairs only, the pairs that _modular_closed reads, and is 0
+        elsewhere.
         """
         cached = getattr(self, "_pairs", None)
         if cached is not None:
             return cached
-        flats, ranks, index = self.flats, self.ranks, self.index
-        table = self.matroid.rank_table
-        nf = self.nf
-        adj = [0] * nf
-        meet = [[0] * nf for _ in range(nf)]
-        for i, fi in enumerate(flats):
-            ri = ranks[i]
-            row = meet[i]
-            for j in range(i + 1, nf):
-                fj = flats[j]
-                if ri + ranks[j] == table[fi | fj] + table[fi & fj]:
-                    adj[i] |= 1 << j
-                    adj[j] |= 1 << i
-                    row[j] = meet[j][i] = index[fi & fj]
-        self._pairs = (adj, meet)
+        m, fl = self.matroid, self._masks
+        table = np.asarray(m.rank_table, dtype=np.int16)
+        rk = np.asarray(self.ranks, dtype=np.int16)
+        inter = np.bitwise_and.outer(fl, fl)
+        modular = rk[:, None] + rk[None, :] == table[fl[:, None] | fl] + table[inter]
+        np.fill_diagonal(modular, False)
+        position = np.zeros(1 << m.n, dtype=np.int64)
+        position[fl] = np.arange(self.nf)
+        meet = np.where(modular, position[inter], 0).tolist()
+        self._pairs = (_bitset_rows(modular), meet)
         return self._pairs
 
     def _upset_is_modular_closed(self, members: int) -> bool:
@@ -204,20 +216,15 @@ class FlatLattice:
         return [cut for cut, _ in self.cut_orbit_representatives()]
 
     def flat_permutations(self, generators) -> list:
-        """The distinct non-identity permutations of flat indices that the
-        element permutations in generators induce."""
+        """The permutation of flat indices that each element permutation in
+        generators induces, one per generator and in their order."""
         flats, index = self.flats, self.index
-        identity = list(range(self.nf))
-        out = []
-        for g in generators:
-            fp = [index[relabel_mask(flat, g)] for flat in flats]
-            if fp != identity and fp not in out:
-                out.append(fp)
-        return out
+        return [[index[relabel_mask(flat, g)] for flat in flats] for g in generators]
 
     def cut_orbit_representatives(self, flat_perms=()):
         """Yield (cut, orbit size) for the first cut of each orbit of the
-        group that flat_perms generate, in modular_cuts() order.
+        group that flat_perms generate, in modular_cuts() order; identity
+        and repeated permutations are ignored.
 
         The first cut of an orbit has the lexicographically least minimal-flat
         tuple in it; the walk skips the subtrees that cannot hold such a cut
@@ -225,8 +232,14 @@ class FlatLattice:
         own orbit and the walk yields them all.
         """
         adj, meet = self._pair_tables()
-        up, below, nf = self.up, self._below_table(), self.nf
+        up, below, nf = self.up, self.below, self.nf
         yield ModularCut(0, ()), 1
+        identity = list(range(nf))
+        distinct = []
+        for fp in flat_perms:
+            if fp != identity and fp not in distinct:
+                distinct.append(fp)
+        flat_perms = distinct
         # by_min[a]: the flats whose orbit minimum is a; later[a]: those whose
         # orbit minimum is a or more; firsts: the orbit minima
         by_min = [0] * nf
@@ -255,20 +268,6 @@ class FlatLattice:
             size, later_cuts = _cut_orbit(cut, perms)
             ahead.update(later_cuts)
             yield cut, size
-
-    def _below_table(self):
-        """below[i]: bitset of flats strictly inside flat i, cached."""
-        cached = getattr(self, "_below_sets", None)
-        if cached is None:
-            cached = [0] * self.nf
-            for a in range(self.nf):
-                for b in bits(self.strictly_above[a]):
-                    cached[b] |= 1 << a
-            self._below_sets = cached
-        return cached
-
-    def _below(self, i: int) -> int:
-        return self._below_table()[i]
 
     def verify_cut(self, cut: ModularCut) -> None:
         """Raise InvalidCut unless members form an up-closed modular cut."""
@@ -369,7 +368,7 @@ def antichains(lat: FlatLattice):
     nf = lat.nf
     comparable = [0] * nf
     for i in range(nf):
-        comparable[i] = lat.strictly_above[i] | lat._below(i)
+        comparable[i] = lat.strictly_above[i] | lat.below[i]
 
     yield from _grow_antichains(comparable, (), (1 << nf) - 1, 0)
 
@@ -411,7 +410,7 @@ def modular_cuts_naive(m: Matroid):
 def _minimal_of(lat: FlatLattice, members: int):
     mins = []
     for i in bits(members):
-        if not lat._below(i) & members:
+        if not lat.below[i] & members:
             mins.append(i)
     return tuple(mins)
 

@@ -14,6 +14,19 @@ exactly once.  One cheap necessary test runs before a child is labelled: its
 new element must have a minimal one-round signature (the sizes of the
 hyperplanes through it).  Parents are independent, so levels parallelize
 over a worker pool without affecting the (sorted) output.
+
+The step for one parent runs in this order.  It takes the parent's
+automorphism generators, the ones its own labelling returned when it was
+accepted one level down; only a parent that has none carried (the empty
+matroid, or a parent of a resumed checkpoint) is labelled again.  It builds
+the flat lattice, maps each generator to a permutation of the flats, and
+walks the cut-orbit representatives.  Each representative's child passes
+the signature test, and is then labelled with known automorphisms: the
+parent generators whose flat permutation maps the cut's minimal flats onto
+themselves, extended to fix the new element.  Each such permutation maps
+the cut onto itself, so it maps the child onto itself; the search keeps
+its result (canon's "Known automorphisms").  The accepted child's
+generators are kept for the next level only, and never checkpointed.
 """
 
 from __future__ import annotations
@@ -21,6 +34,7 @@ from __future__ import annotations
 import math
 import multiprocessing
 import os
+import struct
 from dataclasses import dataclass, field
 
 from .canon import certificate, certificate_for, element_has_minimal_signature
@@ -31,23 +45,34 @@ from .lattice import FlatLattice
 
 def pack_masks(masks) -> bytes:
     """Two big-endian bytes per mask, packed in ascending mask order."""
-    return b"".join(m.to_bytes(2, "big") for m in sorted(masks))
+    return pack_ascending(sorted(masks))
+
+
+def pack_ascending(masks) -> bytes:
+    """pack_masks of masks that are already ascending."""
+    return struct.pack(f">{len(masks)}H", *masks)
 
 
 def unpack_masks(blob: bytes) -> tuple:
-    return tuple(
-        int.from_bytes(blob[i : i + 2], "big") for i in range(0, len(blob), 2)
-    )
+    return struct.unpack(f">{len(blob) >> 1}H", blob)
 
 
 def format_masks(masks) -> str:
     """The text mask field: lowercase hex joined by commas, `-` when empty."""
-    return ",".join(format(h, "x") for h in masks) or "-"
+    return ",".join([format(h, "x") for h in masks]) or "-"
+
+
+def format_packed(blob: bytes) -> str:
+    """format_masks(unpack_masks(blob)), read straight off the bytes: four
+    hex digits per mask, leading zeros dropped."""
+    if not blob:
+        return "-"
+    return ",".join([t.lstrip("0") or "0" for t in blob.hex(",", 2).split(",")])
 
 
 def parse_masks(text: str) -> tuple:
     """Masks of a text mask field, in file order; ValueError if malformed."""
-    return () if text == "-" else tuple(int(t, 16) for t in text.split(","))
+    return () if text == "-" else tuple([int(t, 16) for t in text.split(",")])
 
 
 @dataclass(frozen=True, slots=True)
@@ -81,16 +106,22 @@ def extend_all(parent: Matroid) -> list:
     return _extend_records(parent.n, parent.rank, parent.hyperplanes)[0]
 
 
-def _extend_records(n, rank, hyps):
+def _extend_records(n, rank, hyps, gens=None, carry=None):
     """(accepted child records, modular-cut candidate count) for one parent.
 
-    Only the first cut of each Aut(parent)-orbit, in modular_cuts() order, is
-    extended and tested; the count still covers every modular cut, as the
-    sum of the orbit sizes.
+    gens are automorphism generators of the parent, labelled afresh when
+    None.  Only the first cut of each Aut(parent)-orbit, in modular_cuts()
+    order, is extended and tested; the count still covers every modular
+    cut, as the sum of the orbit sizes.  When carry is a dict, it receives
+    the generators of each accepted child under its certificate.
     """
     parent = Matroid(n, rank, hyps)
+    if gens is None:
+        gens = certificate(parent).generators
     lat = FlatLattice(parent)
-    flat_perms = lat.flat_permutations(certificate(parent).generators)
+    flat_perms = lat.flat_permutations(gens)
+    # each generator fixing the new element, with the flat permutation it induces
+    lifted = [(g + (n,), fp) for g, fp in zip(gens, flat_perms)]
     records = []
     candidates = 0
     for cut, orbit_size in lat.cut_orbit_representatives(flat_perms):
@@ -102,7 +133,11 @@ def _extend_records(n, rank, hyps):
         # refinement itself, and the orbit test after it is exact.
         if not element_has_minimal_signature(n + 1, child_hyps, n):
             continue
-        cert = certificate_for(n + 1, child_rank, child_hyps)
+        # a parent automorphism that maps the cut's minimal flats onto
+        # themselves maps the cut onto itself and is one of the child's
+        mins = cut.minimal_elements
+        known = [g for g, fp in lifted if all(fp[i] in mins for i in mins)]
+        cert = certificate_for(n + 1, child_rank, child_hyps, known)
         ids = cert.orbit_ids()
         if ids[n] != ids[cert.perm.index(0)]:
             continue
@@ -111,12 +146,18 @@ def _extend_records(n, rank, hyps):
                 None, n + 1, child_rank, pack_masks(child_hyps), cert.bytes
             )
         )
+        if carry is not None:
+            carry[cert.bytes] = cert.generators
     return sorted(records, key=CatalogueRecord.sort_key), candidates
 
 
 def _worker(args):
-    n, rank, hyps = args
-    return _extend_records(n, rank, hyps)
+    """One parent: (child records, candidate count, the children's
+    generators by certificate, or None when carry is false)."""
+    n, rank, hyps, gens, carry = args
+    carried = {} if carry else None
+    records, candidates = _extend_records(n, rank, hyps, gens, carried)
+    return records, candidates, carried
 
 
 def default_jobs() -> int:
@@ -141,6 +182,9 @@ class EnumerationJob:
     children: list = field(default_factory=list)
     emitted: list = field(default_factory=lambda: [EMPTY_MATROID])
     candidates_used: int = 0
+    # parent certificate -> automorphism generators found when the parent
+    # was accepted; kept for one level and not checkpointed
+    generators: dict = field(default_factory=dict, compare=False, repr=False)
 
 
 def enumerate_matroids(
@@ -178,15 +222,20 @@ def enumerate_matroids(
 
 def _advance_level(job, pool, budget, checkpoint_path, checkpoint_every, progress):
     parents = job.parents
+    carry = job.level + 1 < job.max_n
     pending = [
-        (rec.n, rec.rank, rec.hyperplanes) for rec in parents[job.next_parent:]
+        (rec.n, rec.rank, rec.hyperplanes, job.generators.get(rec.cert), carry)
+        for rec in parents[job.next_parent:]
     ]
     if pool is None:
         results = map(_worker, pending)
     else:
         results = pool.imap(_worker, pending, chunksize=4)
     done = job.next_parent
-    for recs, cand in results:
+    carried = {}
+    for recs, cand, gens in results:
+        if gens:
+            carried.update(gens)
         job.children.extend(recs)
         job.candidates_used += cand
         done += 1
@@ -206,6 +255,7 @@ def _advance_level(job, pool, budget, checkpoint_path, checkpoint_every, progres
     job.parents = level_children
     job.next_parent = 0
     job.children = []
+    job.generators = carried
     job.emitted.extend(level_children)
     if checkpoint_path:
         save_checkpoint(job, checkpoint_path)
@@ -217,7 +267,7 @@ _CKPT_HEADER = "#matcat-enum-checkpoint v1"
 
 
 def _rec_line(rec: CatalogueRecord) -> str:
-    return f"{rec.n} {rec.rank} {format_masks(rec.hyperplanes)} {rec.cert.hex()}"
+    return f"{rec.n} {rec.rank} {format_packed(rec.hyp_bytes)} {rec.cert.hex()}"
 
 
 def _rec_parse(line: str) -> CatalogueRecord:
@@ -269,6 +319,8 @@ def load_checkpoint(path: str) -> EnumerationJob:
                 {"P": job.parents, "C": job.children, "E": job.emitted}[tag].append(rec)
         except KeyError as exc:
             raise ValueError(f"bad checkpoint field {exc}") from None
+        except struct.error as exc:
+            raise ValueError(f"bad checkpoint mask: {exc}") from None
     # such a job would resume and end normally, with wrong totals
     level, cursor, parents = job.level, job.next_parent, len(job.parents)
     if not 0 <= level <= job.max_n:

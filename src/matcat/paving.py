@@ -144,7 +144,9 @@ def _family_canon(n: int, masks: tuple, z2: bool, cells=None) -> _FamilyCanon:
     chosen, flip = cf, 0
     if z2:
         comp = tuple(sorted(full ^ m for m in masks))
-        cf2 = canonical_family(n, comp, cells=cells)
+        # complementing commutes with relabelling: the complemented family
+        # has the same automorphisms, which seed its search
+        cf2 = canonical_family(n, comp, cells=cells, known=cf.generators)
         if cf2.masks < cf.masks:
             chosen, flip = cf2, full
         if cf2.masks == cf.masks:
@@ -390,7 +392,9 @@ def _count_self_dual(n: int, reps, method: str) -> int:
     for members in reps:
         if method == "certificate":
             m = sparse_paving_from_independent_set(n, k - 1, members)
-            if certificate(m).bytes == certificate(m.dual()).bytes:
+            cert = certificate(m)
+            # Aut(M*) = Aut(M), which seeds the dual's search
+            if cert.bytes == certificate(m.dual(), cert.generators).bytes:
                 count += 1
         elif method == "z2":
             comp = tuple(sorted(full ^ v for v in members))

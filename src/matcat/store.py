@@ -14,12 +14,13 @@ from __future__ import annotations
 import hashlib
 import math
 import multiprocessing
+import operator
 import re
 from dataclasses import dataclass, replace
 from functools import partial
 
 from .core import INFINITY, MAX_GROUND
-from .orderly import CatalogueRecord, format_masks, pack_masks, parse_masks
+from .orderly import CatalogueRecord, format_packed, pack_ascending, parse_masks
 
 CATALOGUE_HEADER = "#matcat-catalogue v1"
 TABLE_HEADER = "#matcat-properties v1"
@@ -55,7 +56,7 @@ def assign_ids(records) -> list:
 
 
 def _record_line(rec: CatalogueRecord) -> str:
-    return f"{rec.id} {rec.n} {rec.rank} {format_masks(rec.hyperplanes)}"
+    return f"{rec.id} {rec.n} {rec.rank} {format_packed(rec.hyp_bytes)}"
 
 
 def write_catalogue(records, path: str) -> None:
@@ -63,9 +64,7 @@ def write_catalogue(records, path: str) -> None:
     keys = [(r.n, r.rank, r.cert) for r in records]
     if any(k[2] is not None for k in keys) and keys != sorted(keys):
         raise FormatError("records not sorted by (n, rank, certificate)")
-    body = CATALOGUE_HEADER + "\n"
-    for rec in records:
-        body += _record_line(rec) + "\n"
+    body = "\n".join([CATALOGUE_HEADER, *map(_record_line, records), ""])
     digest = hashlib.sha256(body.encode()).hexdigest()
     with open(path, "w") as fh:
         fh.write(body)
@@ -78,7 +77,7 @@ def _parse_record(line: str, lineno: int, records: list) -> CatalogueRecord:
     if len(parts) != 4:
         raise FormatError("expected `id n rank masks`", line=lineno)
     try:
-        rid, n, rank = (int(p) for p in parts[:3])
+        rid, n, rank = int(parts[0]), int(parts[1]), int(parts[2])
         masks = parse_masks(parts[3])
     except ValueError:
         raise FormatError("expected integers and hex masks", line=lineno) from None
@@ -88,13 +87,13 @@ def _parse_record(line: str, lineno: int, records: list) -> CatalogueRecord:
         raise FormatError(f"n = {n} outside 0..{MAX_GROUND}", line=lineno)
     if not 0 <= rank <= n:
         raise FormatError(f"rank {rank} outside 0..{n}", line=lineno)
-    if any(a >= b for a, b in zip(masks, masks[1:])):
+    if not all(map(operator.lt, masks, masks[1:])):
         raise FormatError("masks not strictly ascending", line=lineno)
     if masks and (masks[0] < 0 or masks[-1] >= (1 << n) - 1):
         raise FormatError("a mask has bits outside E or equals E", line=lineno)
     if records and (n, rank) < (records[-1].n, records[-1].rank):
         raise FormatError("records not sorted by (n, rank)", line=lineno)
-    return CatalogueRecord(rid, n, rank, pack_masks(masks))
+    return CatalogueRecord(rid, n, rank, pack_ascending(masks))
 
 
 def read_catalogue(path: str, verify_certificates: bool = False) -> list:
@@ -118,13 +117,13 @@ def read_catalogue(path: str, verify_certificates: bool = False) -> list:
         last, last_no = None, 1
         for lineno, line in enumerate(fh, start=2):
             if last is not None:
-                digest.update(f"{last}\n".encode())
+                digest.update(last.encode())
                 if error is None:
                     try:
                         records.append(_parse_record(last, last_no, records))
                     except FormatError as exc:
                         error = exc
-            last, last_no = line.rstrip("\n"), lineno
+            last, last_no = line, lineno
     if last is None or not last.startswith("#sha256 "):
         raise FormatError("missing checksum footer", line=last_no)
     want = last[len("#sha256 "):].strip()
@@ -249,7 +248,8 @@ def compute_row(rec: CatalogueRecord, opts: RowOptions) -> dict:
     else:
         row["transversal"] = None
     # certificates of derived matroids resolve to ids in a later pass
-    row["_dualCert"] = certificate(m.dual()).bytes
+    # Aut(M*) = Aut(M), which seeds the dual's search
+    row["_dualCert"] = certificate(m.dual(), cert.generators).bytes
     row["_simplificationCert"] = certificate(m.simplify()).bytes
     row["_cert"] = cert.bytes
     return row

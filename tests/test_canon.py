@@ -279,9 +279,9 @@ class TestMinorCertificates:
         calls = []
         certificate_for = canon.certificate_for
 
-        def counted(n, rank, hyps):
+        def counted(n, rank, hyps, *known):
             calls.append(n)
-            return certificate_for(n, rank, hyps)
+            return certificate_for(n, rank, hyps, *known)
 
         monkeypatch.setattr(canon, "certificate_for", counted)
         first = minor_certificate(m, 5)
@@ -543,6 +543,59 @@ class TestKernelAgainstReference:
     def test_u48_visits_fewer_nodes(self):
         hyps = uniform(4, 8).hyperplanes
         assert canonical_family(8, hyps).nodes < _ref_canonical_family(8, hyps)[3]
+
+
+class TestKnownAutomorphisms:
+    """A search seeded with automorphisms keeps the canonical form, the
+    witness perm, the group and its orbits of the plain search."""
+
+    def test_every_child_labelling_through_eight(self, monkeypatch):
+        # each parent with n <= 7 labels its children with the parent
+        # generators that fix the cut, carried down from the level above
+        from matcat import orderly
+
+        calls = []
+
+        def recording(n, rank, hyps, known=()):
+            cert = certificate_for(n, rank, hyps, known)
+            calls.append((n, rank, hyps, known, cert))
+            return cert
+
+        monkeypatch.setattr(orderly, "certificate_for", recording)
+        orderly.enumerate_matroids(8)
+        assert sum(1 for call in calls if call[3]) > 1000
+        for n, rank, hyps, known, cert in calls:
+            plain = certificate_for(n, rank, hyps)
+            assert (cert.bytes, cert.perm) == (plain.bytes, plain.perm), hyps
+            assert cert.aut_order == plain.aut_order, hyps
+            assert cert.element_orbits == plain.element_orbits, hyps
+            assert cert.generators[: len(known)] == tuple(known)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_own_generators_and_products(self, data, catalogue7):
+        if data.draw(st.booleans(), label="uniform family"):
+            n = data.draw(st.integers(2, 8), label="n")
+            k = data.draw(st.integers(1, n - 1), label="k")
+            vertices = [mask_of(c) for c in itertools.combinations(range(n), k)]
+            masks = data.draw(
+                st.lists(st.sampled_from(vertices), min_size=1, max_size=12, unique=True)
+            )
+        else:
+            rec = data.draw(st.sampled_from([r for r in catalogue7 if r.n]))
+            n = rec.n
+            masks = relabel_family(rec.hyperplanes, data.draw(st.permutations(range(n))))
+        plain = canonical_family(n, masks)
+        known = []
+        if plain.generators:
+            picks = data.draw(st.lists(st.sampled_from(plain.generators), max_size=4))
+            known = picks + [_compose(g, h) for g, h in zip(picks, picks[1:])]
+        seeded = canonical_family(n, masks, known=known)
+        assert (seeded.masks, seeded.perm) == (plain.masks, plain.perm)
+        assert group_order(n, seeded.generators) == group_order(n, plain.generators)
+        assert _orbit_partition(n, seeded.generators) == _orbit_partition(
+            n, plain.generators
+        )
 
 
 class TestCellsValidation:

@@ -21,6 +21,7 @@ from matcat.store import (
     COLUMNS,
     TABLE_HEADER,
     CatalogueRecord,
+    assign_ids,
     block_options,
     parse_property_tsv,
     write_catalogue,
@@ -189,6 +190,7 @@ def _sha256(path):
 # output digests pinned before the record type and the property-table
 # driver were each merged into one; catalogue and TSV bytes must not move
 CATALOGUE6_SHA256 = "70aaf061c5e5c4b7544fbb8e42fbeba73165ad6a52d9a881dc2fd9a02a78e67e"
+CATALOGUE8_SHA256 = "11c94830cdfc324823b1c1e89555452292603049d5bbd03430ff459cd025cccb"
 PROPS6_SHA256 = "f60659955a252ef11a4be1d2972791de71195ca680df7500e881697609f876f7"
 MIXED_PROPS_SHA256 = {
     False: "17e67b3dcc003a42d296b317c935358e3b7d13772cf4099880811d004d4694b4",
@@ -238,6 +240,11 @@ class TestPinnedOutputs:
 
     def test_enum_catalogue(self, catalogue6_path):
         assert _sha256(catalogue6_path) == CATALOGUE6_SHA256
+
+    def test_catalogue_through_eight(self, catalogue8, tmp_path):
+        path = str(tmp_path / "pinned8.txt")
+        write_catalogue(assign_ids(catalogue8), path)
+        assert _sha256(path) == CATALOGUE8_SHA256
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_props_tsv(self, catalogue6_path, tmp_path, jobs):

@@ -175,6 +175,56 @@ class TestPairTables:
                         assert flats[meet[i][j]] == f & g
 
 
+def _loop_tables(lat):
+    """(up, below, adj, meet) built by the pairwise loops the numpy tables
+    replaced, from the lattice's flats and ranks and the rank table."""
+    flats, ranks, index, nf = lat.flats, lat.ranks, lat.index, lat.nf
+    table = lat.matroid.rank_table
+    up = []
+    for fi in flats:
+        acc = 0
+        for j, fj in enumerate(flats):
+            if fi & fj == fi:
+                acc |= 1 << j
+        up.append(acc)
+    below = [0] * nf
+    for a in range(nf):
+        for b in range(nf):
+            if b != a and up[a] >> b & 1:
+                below[b] |= 1 << a
+    adj = [0] * nf
+    meet = [[0] * nf for _ in range(nf)]
+    for i, fi in enumerate(flats):
+        for j in range(i + 1, nf):
+            fj = flats[j]
+            if ranks[i] + ranks[j] == table[fi | fj] + table[fi & fj]:
+                adj[i] |= 1 << j
+                adj[j] |= 1 << i
+                meet[i][j] = meet[j][i] = index[fi & fj]
+    return tuple(up), below, adj, meet
+
+
+class TestNumpyTables:
+    """The containment, modular-pair and meet tables equal the loops'."""
+
+    @staticmethod
+    def _check(m):
+        lat = FlatLattice(m)
+        up, below, adj, meet = _loop_tables(lat)
+        assert lat.up == up, m
+        assert lat.below == below, m
+        assert lat.strictly_above == [u & ~(1 << i) for i, u in enumerate(up)], m
+        assert lat._pair_tables() == (adj, meet), m
+
+    def test_every_class_through_seven(self, catalogue7):
+        for rec in catalogue7:
+            self._check(rec.matroid())
+
+    def test_high_rank8(self, high_rank8):
+        for m in high_rank8:
+            self._check(m)
+
+
 class TestExtend:
     def test_extend_delete_round_trip(self, matroids6):
         rng = random.Random(12)

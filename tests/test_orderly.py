@@ -15,6 +15,7 @@ from matcat.orderly import (
     enumerate_matroids,
     extend_all,
     format_masks,
+    format_packed,
     labelled_count_from_classes,
     _rec_parse,
     load_checkpoint,
@@ -217,6 +218,10 @@ class TestMaskCodec:
         assert format_masks(()) == "-"
         assert format_masks((10, 255)) == "a,ff"
 
+    def test_packed_text_matches(self):
+        for masks in ((), (0,), (0x7,), (0x3, 0x1C, 0xFF), (0x100, 0x1FE, 0x7FFF)):
+            assert format_packed(pack_masks(masks)) == format_masks(masks)
+
     def test_parse_keeps_file_order(self):
         assert parse_masks("1c,3") == (0x1C, 0x3)
 
@@ -287,6 +292,17 @@ class TestCheckpointing:
             6, checkpoint_path=path, resume_job=job
         )
         assert records == enumerate_matroids(6)
+
+    def test_resume_inside_level_eight(self, tmp_path, catalogue8):
+        # the checkpoint holds no generators, so the parents left at level 8
+        # are labelled afresh rather than seeded from the level above
+        path = str(tmp_path / "ck8.txt")
+        with pytest.raises(ResourceBudgetExceeded):
+            enumerate_matroids(8, budget=3498 + 30000, checkpoint_path=path)
+        job = load_checkpoint(path)
+        assert job.level == 7 and 0 < job.next_parent < len(job.parents)
+        assert job.generators == {}
+        assert enumerate_matroids(8, resume_job=job) == catalogue8
 
     def test_checkpoint_round_trip(self, tmp_path):
         path = str(tmp_path / "ck2.txt")
@@ -359,6 +375,15 @@ class TestCheckpointing:
         path, lines = budget_checkpoint
         path.write_text("\n".join(self._with_meta(lines, key, value)) + "\n")
         with pytest.raises(ValueError, match=f"bad checkpoint {message}"):
+            load_checkpoint(str(path))
+
+    @pytest.mark.parametrize("mask", ["10000", "-1"])
+    def test_mask_out_of_range_refused(self, budget_checkpoint, mask):
+        path, lines = budget_checkpoint
+        tag, n, rank, _, cert = lines[2].split()
+        lines[2] = f"{tag} {n} {rank} {mask} {cert}"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match="bad checkpoint mask"):
             load_checkpoint(str(path))
 
     @pytest.mark.parametrize("tag", ["P", "C"])

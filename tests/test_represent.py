@@ -238,9 +238,9 @@ class TestExcludedMinors:
         calls = []
         certificate_for = canon.certificate_for
 
-        def counted(n, rank, hyps):
+        def counted(n, rank, hyps, *known):
             calls.append(n)
-            return certificate_for(n, rank, hyps)
+            return certificate_for(n, rank, hyps, *known)
 
         monkeypatch.setattr(canon, "certificate_for", counted)
         found = {}

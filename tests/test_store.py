@@ -204,9 +204,9 @@ class TestPropertyTable:
         calls = []
         certificate_for = canon.certificate_for
 
-        def counted(n, r, hyps):
+        def counted(n, r, hyps, *known):
             calls.append((n, r))
-            return certificate_for(n, r, hyps)
+            return certificate_for(n, r, hyps, *known)
 
         monkeypatch.setattr(canon, "certificate_for", counted)
         compute_row(CatalogueRecord(0, 5, rank, pack_masks(m.hyperplanes)), RowOptions())
