@@ -22,6 +22,7 @@ pruning and the final matroid-equality check are single integer operations.
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 from .core import Matroid, bits, popcount
@@ -155,7 +156,9 @@ def _matchable_extend(matchable: int, a_set: int, contains):
     return out
 
 
+@functools.cache
 def _contains_tables(n):
+    """contains[e]: the bitset of the subsets of range(n) that hold e."""
     tables = []
     for e in range(n):
         acc = 0
@@ -163,7 +166,7 @@ def _contains_tables(n):
             if (s >> e) & 1:
                 acc |= 1 << s
         tables.append(acc)
-    return tables
+    return tuple(tables)
 
 
 def cyclic_flats(m: Matroid):
@@ -230,58 +233,3 @@ def _grow_presentation(search, nodes, start, depth, matchable, covered, chosen):
         if got is not None:
             return got
     return None
-
-
-def transversal_matroid_independence(n: int, sets) -> int:
-    """Matchable-subset bitset of the transversal system given by sets."""
-    contains = _contains_tables(n)
-    matchable = 1
-    for a in sets:
-        matchable = _matchable_extend(matchable, a, contains)
-    return matchable
-
-
-def brute_force_transversal_certs(n: int, max_sets: int | None = None):
-    """Certificates of every transversal matroid on n elements.
-
-    Enumerates presentations as multisets of nonempty subsets (up to
-    max_sets of them, default n); independence-family deduplication keeps
-    the certificate workload tiny.  Exponential; intended for n <= 6.
-    """
-    from .canon import certificate
-
-    limit = n if max_sets is None else max_sets
-    contains = _contains_tables(n)
-    families = {1}  # rank-0 empty presentation
-    frontier = {1}
-    for _ in range(limit):
-        new = set()
-        for matchable in frontier:
-            for a in range(1, 1 << n):
-                nxt = _matchable_extend(matchable, a, contains)
-                if nxt not in families:
-                    families.add(nxt)
-                    new.add(nxt)
-        frontier = new
-        if not frontier:
-            break
-    certs = set()
-    for fam in families:
-        table = [0] * (1 << n)
-        for s in range(1 << n):
-            table[s] = max(
-                popcount(t)
-                for t in _submask_iter(s)
-                if (fam >> t) & 1
-            )
-        certs.add(certificate(Matroid.from_rank_table(n, table)).bytes)
-    return certs
-
-
-def _submask_iter(mask):
-    sub = mask
-    while True:
-        yield sub
-        if sub == 0:
-            return
-        sub = (sub - 1) & mask

@@ -39,6 +39,11 @@ code with the search: for a matroid searched as given P is the search's own
 basis, and a check through the search's minor cache would repeat an error
 in that arithmetic instead of catching it.  A failure raises
 AssertionError, under ``python -O`` as well.
+
+The property pass and excluded_minors ask for verdicts through _verdict,
+which keeps each field's verdict on the matroid and reads a field off the
+others where a theorem settles it (binary implies GF(4)-representable, and
+GF(3)- exactly when GF(5)-representable) instead of searching.
 """
 
 from __future__ import annotations
@@ -356,11 +361,53 @@ def _minors_with_column(check, minors, e, col):
     return grown
 
 
+def _verdict(m: Matroid, q: int) -> bool:
+    """representable(m, q) is not None, kept on m for later calls.
+
+    A field whose verdict follows from the verdicts already kept for other
+    fields is read off them (see _implied_verdict) instead of searched.
+    """
+    known = getattr(m, "_verdicts", None)
+    if known is None:
+        known = m._verdicts = {}
+    if q not in known:
+        implied = _implied_verdict(known, q)
+        known[q] = (representable(m, q) is not None) if implied is None else implied
+    return known[q]
+
+
+def _implied_verdict(known: dict, q: int):
+    """The GF(q) verdict that the verdicts in known (field -> bool) force, or
+    None when they leave it open.
+
+    A binary matroid is GF(4)-representable, as GF(2) is a subfield of GF(4).
+    It is representable over a field of characteristic other than two
+    exactly when it is regular, that is over every field (Tutte 1958; Oxley,
+    Matroid Theory, section 6.6); so over GF(3) exactly when over GF(5).
+    Read backwards: a matroid that is not GF(4)-representable, or whose
+    GF(3) and GF(5) verdicts differ, is not binary.
+    """
+    binary = known.get(2)
+    if binary:
+        if q == 4:
+            return True
+        if q in (3, 5):
+            return known.get(8 - q)
+    if q == 2:
+        if known.get(4) is False:
+            return False
+        if 3 in known and 5 in known and known[3] != known[5]:
+            return False
+    return None
+
+
 def excluded_minors(matroids, q: int, representable_cache=None):
     """Matroids not representable over GF(q) whose single-element deletions
     and contractions all are; input must be minor-closed (a full catalogue).
-    representable_cache maps certificate bytes to GF(q) verdicts; the inputs
-    keep their own and their minors' certificates for a later field's call.
+    representable_cache maps certificate bytes to GF(q) verdicts.  The
+    inputs keep their own and their minors' certificates and their own field
+    verdicts for a later field's call, which reads an input's verdict off
+    the fields it already knows where that settles it (see _implied_verdict).
     """
     cache = representable_cache if representable_cache is not None else {}
 
@@ -377,7 +424,7 @@ def excluded_minors(matroids, q: int, representable_cache=None):
     for m in matroids:
         cert = certificate(m).bytes
         if cert not in cache:
-            cache[cert] = representable(m, q) is not None
+            cache[cert] = _verdict(m, q)
         if not cache[cert] and minors_representable(m):
             out.append(m)
     return out

@@ -196,10 +196,23 @@ def block_options(n: int, extended: bool = False) -> RowOptions:
 
 
 def compute_row(rec: CatalogueRecord, opts: RowOptions) -> dict:
+    """The property row of one record, with the columns opts computes.
+
+    Where the columns computed so far settle a column by a theorem, it is
+    read off them instead of searched, so every value stays exact.  The
+    GF(q) columns come first, each read off the others' verdicts where they
+    settle it (represent._verdict).  A matroid representable over some field
+    satisfies Ingleton's inequality (Ingleton 1971), so a row with a true
+    GF(q) column is no violator.  Transversal matroids are gammoids, and
+    gammoids are strongly base orderable (Brualdi 1969, Mason 1972), so
+    transversal runs before the orderability searches and a transversal row
+    is base orderable and strongly base orderable.  A column that opts
+    leaves out settles nothing.
+    """
     from .canon import certificate
     from .orderable import base_orderable, strongly_base_orderable, transversal
     from .props import classify, ingleton_violating
-    from .represent import representable
+    from .represent import _verdict
 
     m = rec.matroid()
     flags = classify(m)
@@ -229,24 +242,24 @@ def compute_row(rec: CatalogueRecord, opts: RowOptions) -> dict:
         "simplificationId": None,
     }
     for q in (2, 3, 4, 5):
-        col = f"repGF{q}"
-        row[col] = (
-            (representable(m, q) is not None) if q in opts.gf_fields else None
-        )
-    row["ingletonViolating"] = (
-        (ingleton_violating(m) is not None) if opts.ingleton else None
-    )
-    if opts.orderability:
+        row[f"repGF{q}"] = _verdict(m, q) if q in opts.gf_fields else None
+    if not opts.ingleton:
+        row["ingletonViolating"] = None
+    elif any(row[f"repGF{q}"] for q in (2, 3, 4, 5)):
+        row["ingletonViolating"] = False
+    else:
+        row["ingletonViolating"] = ingleton_violating(m) is not None
+    is_transversal = transversal(m) is not None if opts.transversality else None
+    if not opts.orderability:
+        row["baseOrderable"] = row["stronglyBaseOrderable"] = None
+    elif is_transversal:
+        row["baseOrderable"] = row["stronglyBaseOrderable"] = True
+    else:
         row["baseOrderable"] = base_orderable(m)
         row["stronglyBaseOrderable"] = (
             strongly_base_orderable(m) if row["baseOrderable"] else False
         )
-    else:
-        row["baseOrderable"] = row["stronglyBaseOrderable"] = None
-    if opts.transversality:
-        row["transversal"] = transversal(m) is not None
-    else:
-        row["transversal"] = None
+    row["transversal"] = is_transversal
     # certificates of derived matroids resolve to ids in a later pass
     # Aut(M*) = Aut(M), which seeds the dual's search
     row["_dualCert"] = certificate(m.dual(), cert.generators).bytes
@@ -371,29 +384,29 @@ def parse_query(text: str) -> QueryExpr:
             column, op, literal = m.groups()
             if column not in COLUMNS:
                 raise UnknownColumn(column)
-            if literal in ("true", "false"):
-                value = literal == "true"
-            elif literal == "inf":
-                value = INFINITY
-            else:
-                try:
-                    value = int(literal)
-                except ValueError:
-                    raise TypeMismatch(f"literal {literal!r} is not numeric")
-            atoms.append((column, op, value))
+            atoms.append((column, op, _literal(column, literal)))
     return QueryExpr(tuple(atoms))
+
+
+def _literal(column, literal):
+    """The value of literal compared with column: true/false for a boolean
+    column, an integer or inf for any other."""
+    if column in _BOOL_COLUMNS:
+        if literal not in ("true", "false"):
+            raise TypeMismatch(f"boolean column {column} vs literal {literal!r}")
+        return literal == "true"
+    if literal == "inf":
+        return INFINITY
+    try:
+        return int(literal)
+    except ValueError:
+        raise TypeMismatch(f"numeric column {column} vs literal {literal!r}") from None
 
 
 def _matches(row, expr: QueryExpr) -> bool:
     for column, op, value in expr.atoms:
         cell = row[column]
-        if cell is None:
-            return False
-        if isinstance(cell, bool) != isinstance(value, bool) and not (
-            isinstance(value, (int, float)) and isinstance(cell, (int, float))
-        ):
-            raise TypeMismatch(f"column {column} vs literal {value!r}")
-        if not _OPS[op](cell, value):
+        if cell is None or not _OPS[op](cell, value):
             return False
     return True
 

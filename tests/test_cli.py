@@ -306,6 +306,15 @@ class TestQuery:
         rc = main(["query", "bogus=1", "--table", small_table, "--count"])
         assert rc == EXIT_USAGE
 
+    @pytest.mark.parametrize("expr", ["rank=true", "simple=1"])
+    def test_literal_of_the_wrong_type(self, capsys, small_table, expr):
+        # "rank=true" once listed the rank-1 records
+        assert main(["query", expr, "--table", small_table]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("query error: ")
+
     @pytest.mark.parametrize(
         "body, line",
         [

@@ -6,17 +6,17 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from matcat.canon import relabel_family
+from matcat.canon import certificate, relabel_family
 from matcat.core import Matroid, bits, free, popcount, uniform
 from matcat.lattice import FlatLattice, antichains
 from matcat.named import p8, vamos
 from matcat.orderable import (
+    _contains_tables,
+    _matchable_extend,
     base_orderable,
-    brute_force_transversal_certs,
     cyclic_flats,
     strongly_base_orderable,
     transversal,
-    transversal_matroid_independence,
 )
 from matcat.represent import representable
 
@@ -27,6 +27,59 @@ TABLE7_CELLS = {
     (6, 4): (23, 23, 23, 23),
     (7, 3): (108, 101, 101, 92),
 }
+
+
+def transversal_matroid_independence(n: int, sets) -> int:
+    """Matchable-subset bitset of the transversal system given by sets."""
+    contains = _contains_tables(n)
+    matchable = 1
+    for a in sets:
+        matchable = _matchable_extend(matchable, a, contains)
+    return matchable
+
+
+def brute_force_transversal_certs(n: int, max_sets: int | None = None):
+    """Certificates of every transversal matroid on n elements.
+
+    Enumerates presentations as multisets of nonempty subsets (up to
+    max_sets of them, default n); independence-family deduplication keeps
+    the certificate workload tiny.  Exponential; intended for n <= 6.
+    """
+    limit = n if max_sets is None else max_sets
+    contains = _contains_tables(n)
+    families = {1}  # rank-0 empty presentation
+    frontier = {1}
+    for _ in range(limit):
+        new = set()
+        for matchable in frontier:
+            for a in range(1, 1 << n):
+                nxt = _matchable_extend(matchable, a, contains)
+                if nxt not in families:
+                    families.add(nxt)
+                    new.add(nxt)
+        frontier = new
+        if not frontier:
+            break
+    certs = set()
+    for fam in families:
+        table = [0] * (1 << n)
+        for s in range(1 << n):
+            table[s] = max(
+                popcount(t)
+                for t in _submask_iter(s)
+                if (fam >> t) & 1
+            )
+        certs.add(certificate(Matroid.from_rank_table(n, table)).bytes)
+    return certs
+
+
+def _submask_iter(mask):
+    sub = mask
+    while True:
+        yield sub
+        if sub == 0:
+            return
+        sub = (sub - 1) & mask
 
 
 class TestBaseOrderability:

@@ -268,6 +268,90 @@ class TestExcludedMinors:
         assert seven == {2: 1, 3: 5, 4: 5, 5: 1}
 
 
+class TestVerdicts:
+    """represent._verdict reads a field's verdict off the fields known."""
+
+    @pytest.fixture(scope="class")
+    def searched(self, catalogue7):
+        return [
+            {q: representable(rec.matroid(), q) is not None for q in (2, 3, 4, 5)}
+            for rec in catalogue7
+        ]
+
+    @pytest.fixture
+    def search_calls(self, monkeypatch):
+        """The field of each representable call from here on."""
+        calls = []
+        real = represent.representable
+
+        def counted(m, q):
+            calls.append(q)
+            return real(m, q)
+
+        monkeypatch.setattr(represent, "representable", counted)
+        return calls
+
+    @pytest.mark.parametrize("order", [(2, 3, 4, 5), (5, 4, 3, 2), (4, 2, 5, 3)])
+    def test_equal_to_the_search_in_any_field_order(self, catalogue7, searched, order):
+        for rec, want in zip(catalogue7, searched):
+            m = rec.matroid()
+            assert [represent._verdict(m, q) for q in order] == [want[q] for q in order], rec
+
+    @pytest.mark.parametrize(
+        "m, order, searched",
+        [
+            (uniform(2, 3), (2, 3, 4, 5), [2, 3]),  # binary: GF(4) holds, GF(5) = GF(3)
+            (uniform(2, 3), (5, 2, 3), [5, 2]),
+            (uniform(2, 4), (4, 2), [4, 2]),
+            (uniform(2, 6), (4, 2), [4]),  # not GF(4), hence not binary
+            (uniform(2, 5), (3, 5, 2), [3, 5]),  # GF(3) != GF(5): not binary
+            (uniform(2, 4), (3, 5, 2), [3, 5, 2]),
+        ],
+        ids=["u23-binary", "u23-from-gf5", "u24", "u26-gf4", "u25-gf3-gf5", "u24-gf3-gf5"],
+    )
+    def test_implied_fields_are_not_searched(self, search_calls, m, order, searched):
+        verdicts = [represent._verdict(m, q) for q in order]
+        assert search_calls == searched
+        # asked again, every verdict is read off m
+        assert [represent._verdict(m, q) for q in order] == verdicts
+        assert search_calls == searched
+        assert verdicts == [representable(m, q) is not None for q in order]
+
+    def test_excluded_minors_search_no_binary_input_over_gf4(
+        self, catalogue7, searched, search_calls
+    ):
+        mats = [rec.matroid() for rec in catalogue7]
+        excluded_minors(mats, 2)
+        search_calls.clear()
+        excluded_minors(mats, 4)
+        # the minors are inputs too, so every search is an input's own
+        assert len(search_calls) == sum(not want[2] for want in searched) < len(mats)
+
+    def test_excluded_minors_in_reverse_field_order(self, catalogue7, searched):
+        # shared instances, fields 5, 4, 3, 2: each input reads its verdicts
+        # off the fields it already knows where they settle it
+        from matcat.canon import certificate, minor_certificate
+
+        mats = [rec.matroid() for rec in catalogue7]
+        found = {q: excluded_minors(mats, q) for q in (5, 4, 3, 2)}
+        by_cert = {certificate(m).bytes: want for m, want in zip(mats, searched)}
+        for q in found:
+            assert found[q] == [
+                m for m, want in zip(mats, searched)
+                if not want[q]
+                and all(by_cert[minor_certificate(m, i)][q] for i in range(2 * m.n))
+            ]
+        shape = {q: sorted((m.n, m.rank) for m in found[q]) for q in found}
+        assert shape[2] == [(4, 2)]
+        assert shape[3] == [(5, 2), (5, 3), (7, 3), (7, 4)]
+        assert shape[4] == [(6, 2), (6, 3), (6, 4), (7, 3), (7, 4)]
+        seven = {}
+        for n, rank in shape[5]:
+            if n == 7:
+                seven[rank] = seven.get(rank, 0) + 1
+        assert seven == {2: 1, 3: 5, 4: 5, 5: 1}
+
+
 # sha256 over every matrix representable returns (or None) for each class
 # with n <= 7 at q = 2..5 and each high_rank8 matroid at q = 2..4, in that
 # order; any change to the search order or the matrices it yields shows here

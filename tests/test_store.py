@@ -1,7 +1,14 @@
 import pytest
 
-from matcat.core import INFINITY
-from matcat.orderly import enumerate_matroids
+from matcat.canon import certificate
+from matcat.core import INFINITY, uniform
+from matcat.named import (
+    ag32, ag32_prime, f8, l8, p1, p2_doubleprime, p2_prime, p3, p8, vamos,
+)
+from matcat.orderable import base_orderable, strongly_base_orderable, transversal
+from matcat.orderly import CatalogueRecord, enumerate_matroids, pack_masks
+from matcat.props import classify, ingleton_violating
+from matcat.represent import representable
 from matcat.store import (
     COLUMNS,
     ChecksumMismatch,
@@ -11,6 +18,7 @@ from matcat.store import (
     UnknownColumn,
     assign_ids,
     build_property_table,
+    compute_row,
     missing_base_triples,
     parse_property_tsv,
     parse_query,
@@ -213,6 +221,139 @@ class TestPropertyTable:
         assert calls == labellings
 
 
+def reference_row(rec, opts):
+    """compute_row with every column it computes searched on its own, none
+    read off another."""
+    m = rec.matroid()
+    flags = classify(m)
+    cert = certificate(m)
+    row = {
+        "id": rec.id,
+        "n": m.n,
+        "rank": m.rank,
+        "simple": flags.simple,
+        "cosimple": flags.cosimple,
+        "paving": flags.paving,
+        "sparsePaving": flags.sparse_paving,
+        "uniform": flags.uniform,
+        "minCircuitSize": flags.min_circuit_size,
+        "numBases": flags.num_bases,
+        "numCircuits": flags.num_circuits,
+        "numFlats": flags.num_flats,
+        "numHyperplanes": flags.num_hyperplanes,
+        "numIndependent": flags.num_independent,
+        "numCircuitHyperplanes": flags.num_circuit_hyperplanes,
+        "numLoops": flags.num_loops,
+        "numColoops": flags.num_coloops,
+        "autOrder": cert.aut_order,
+        "numOrbits": cert.orbit_count,
+        "connectivity": m.connectivity(),
+        "dualId": None,
+        "simplificationId": None,
+    }
+    for q in (2, 3, 4, 5):
+        col = f"repGF{q}"
+        row[col] = (
+            (representable(m, q) is not None) if q in opts.gf_fields else None
+        )
+    row["ingletonViolating"] = (
+        (ingleton_violating(m) is not None) if opts.ingleton else None
+    )
+    if opts.orderability:
+        row["baseOrderable"] = base_orderable(m)
+        row["stronglyBaseOrderable"] = (
+            strongly_base_orderable(m) if row["baseOrderable"] else False
+        )
+    else:
+        row["baseOrderable"] = row["stronglyBaseOrderable"] = None
+    if opts.transversality:
+        row["transversal"] = transversal(m) is not None
+    else:
+        row["transversal"] = None
+    row["_dualCert"] = certificate(m.dual(), cert.generators).bytes
+    row["_simplificationCert"] = certificate(m.simplify()).bytes
+    row["_cert"] = cert.bytes
+    return row
+
+
+@pytest.fixture(scope="module")
+def shortcut_records(catalogue7, high_rank8):
+    """Every class with n <= 7, high_rank8, and the named 8-element matroids,
+    among them the Ingleton violator V8 (no class with n <= 7 violates)."""
+    named = [ag32(), ag32_prime(), f8(), l8(), p1(), p2_doubleprime(), p2_prime(),
+             p3(), p8(), vamos()]
+    return list(catalogue7) + [
+        CatalogueRecord(len(catalogue7) + i, m.n, m.rank, pack_masks(m.hyperplanes))
+        for i, m in enumerate(high_rank8 + named)
+    ]
+
+
+@pytest.fixture(scope="module")
+def reference_rows(shortcut_records):
+    return [reference_row(rec, RowOptions()) for rec in shortcut_records]
+
+
+class TestImpliedColumns:
+    """compute_row reads columns off each other; reference_row searches them."""
+
+    @pytest.mark.parametrize(
+        "opts",
+        [
+            RowOptions(),
+            RowOptions(gf_fields=(4, 5)),
+            RowOptions(gf_fields=(5, 3)),
+            RowOptions(gf_fields=()),
+            RowOptions(transversality=False),
+        ],
+        ids=["all", "gf45", "gf53", "no-gf", "no-transversal"],
+    )
+    def test_rows_match_the_searches(self, shortcut_records, reference_rows, opts):
+        # reference_row searches each column on its own, so its row under
+        # opts is its full row with the columns opts leaves out set to None
+        left_out = {f"repGF{q}": None for q in (2, 3, 4, 5) if q not in opts.gf_fields}
+        if not opts.transversality:
+            left_out["transversal"] = None
+        assert opts.ingleton and opts.orderability
+        bad = [
+            rec.id for rec, full in zip(shortcut_records, reference_rows)
+            if compute_row(rec, opts) != {**full, **left_out}
+        ]
+        assert bad == []
+
+    @pytest.mark.parametrize(
+        "rank, n, searched",
+        # U(2,3) is binary and ternary, U(2,4) ternary but not binary; both
+        # are transversal, hence strongly base orderable
+        [(2, 3, [2, 3]), (2, 4, [2, 3, 4, 5])],
+    )
+    def test_implied_columns_are_not_searched(self, monkeypatch, rank, n, searched):
+        from matcat import orderable, props, represent
+
+        calls = []
+
+        def count(module, name):
+            real = getattr(module, name)
+
+            def counted(m, *args):
+                calls.append((name, *args))
+                return real(m, *args)
+
+            monkeypatch.setattr(module, name, counted)
+
+        for module, name in [(represent, "representable"),
+                             (props, "ingleton_violating"),
+                             (orderable, "base_orderable"),
+                             (orderable, "strongly_base_orderable")]:
+            count(module, name)
+        m = uniform(rank, n)
+        row = compute_row(CatalogueRecord(0, n, rank, pack_masks(m.hyperplanes)),
+                          RowOptions())
+        assert calls == [("representable", q) for q in searched]
+        assert [row[f"repGF{q}"] for q in (2, 3, 4, 5)] == [n == 3, True, True, True]
+        assert row["ingletonViolating"] is False
+        assert row["baseOrderable"] and row["stronglyBaseOrderable"] and row["transversal"]
+
+
 class TestQuery:
     def test_count_distinct_bases_at_63(self, rows6):
         res = query(
@@ -251,6 +392,25 @@ class TestQuery:
     def test_type_mismatch(self):
         with pytest.raises(TypeMismatch):
             parse_query("n=abc")
+
+    @pytest.mark.parametrize(
+        "text",
+        ["n=true", "rank=false", "simple=1", "simple>0", "simple=inf",
+         "repGF2!=0", "numBases>=yes"],
+    )
+    def test_literal_of_the_wrong_type(self, text):
+        # bool is a subclass of int, so before parse_query checked the
+        # column, "n=true" matched the n = 1 rows and "simple=1" the simple ones
+        with pytest.raises(TypeMismatch):
+            parse_query(text)
+
+    @pytest.mark.parametrize(
+        "text, count",
+        [("simple=true and n=6", 26), ("simple!=false and n=6", 26),
+         ("connectivity=inf and n<=2", 4), ("minCircuitSize<inf and n=1", 1)],
+    )
+    def test_literals_of_the_column_type(self, rows6, text, count):
+        assert query(rows6, parse_query(text), aggregate="count") == [(count,)]
 
     def test_row_order_independence(self, rows6):
         import random
