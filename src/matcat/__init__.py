@@ -17,7 +17,7 @@ from .core import (
     uniform,
 )
 from .canon import certificate, distinguished_element, is_isomorphic
-from .lattice import FlatLattice, ModularCut, build_lattice, modular_cuts
+from .lattice import FlatLattice, ModularCut, modular_cuts
 from .orderly import brute_force_enumerate, enumerate_matroids, extend_all
 
 __all__ = [
@@ -29,7 +29,6 @@ __all__ = [
     "NotCircuitHyperplane",
     "RankZero",
     "brute_force_enumerate",
-    "build_lattice",
     "certificate",
     "distinguished_element",
     "enumerate_matroids",

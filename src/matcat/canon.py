@@ -61,7 +61,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .core import EmptyGroundSet, bits, popcount
+from .core import EmptyGroundSet, bits, pack_ascending
 from .errors import BudgetExceeded
 
 
@@ -114,22 +114,6 @@ def _orbit_partition(n, gens):
     for i, a in enumerate(orbit_minima(n, gens)):
         groups.setdefault(a, []).append(i)
     return tuple(tuple(g) for g in groups.values())
-
-
-def _transversal(n, point, gens) -> dict:
-    """Orbit of point under gens: each image y -> a group element sending
-    point to y, found by search from the identity."""
-    transversal = {point: tuple(range(n))}
-    queue = [point]
-    while queue:
-        x = queue.pop()
-        tx = transversal[x]
-        for g in gens:
-            y = g[x]
-            if y not in transversal:
-                transversal[y] = _compose(g, tx)
-                queue.append(y)
-    return transversal
 
 
 class _StabilizerChain:
@@ -506,7 +490,7 @@ def certificate_for(n: int, rank: int, hyperplanes, known=()) -> Certificate:
     """Certificate of a raw record; a Matroid's is cached by certificate.
     known: automorphisms that seed the search, as for canonical_family."""
     cf = canonical_family(n, hyperplanes, known=known)
-    body = b"".join(m.to_bytes(2, "big") for m in cf.masks)
+    body = pack_ascending(cf.masks)
     return Certificate(n, rank, bytes([n, rank]) + body, cf.perm, cf.generators)
 
 
@@ -547,24 +531,3 @@ def distinguished_element(m) -> int:
         raise EmptyGroundSet("no elements to distinguish")
     cert = certificate(m)
     return cert.perm.index(0)
-
-
-@dataclass(frozen=True)
-class HyperplaneGraph:
-    """Bipartite element/hyperplane incidence structure."""
-
-    n_elements: int
-    n_hyperplanes: int
-    incidence: tuple  # per hyperplane, the mask of contained elements
-
-    def edge_count(self) -> int:
-        return sum(popcount(m) for m in self.incidence)
-
-
-def hyperplane_graph(m) -> HyperplaneGraph:
-    return HyperplaneGraph(m.n, len(m.hyperplanes), tuple(m.hyperplanes))
-
-
-def automorphism_mapping(cert: Certificate, a: int, b: int):
-    """An explicit automorphism sending a to b, or None if in distinct orbits."""
-    return _transversal(cert.n, a, cert.generators).get(b)

@@ -13,6 +13,8 @@ when none does), and r(X + e) = r(X) + [e not in cl(X)].
 from __future__ import annotations
 
 import itertools
+import operator
+import struct
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -55,6 +57,70 @@ def mask_of(elems) -> int:
     for e in elems:
         m |= 1 << e
     return m
+
+
+def lift_table(keep: int) -> list:
+    """lifted[x] is the mask x with bit i moved to the i-th element of keep,
+    for every x < 2^|keep|: the masks of a minor on keep, in the parent's
+    labels."""
+    lifted = [0]
+    for e in bits(keep):
+        lifted += [x | (1 << e) for x in lifted]
+    return lifted
+
+
+# -- the mask codec: certificates, catalogue and checkpoint lines -------------
+
+
+def pack_masks(masks) -> bytes:
+    """Two big-endian bytes per mask, packed in ascending mask order."""
+    return pack_ascending(sorted(masks))
+
+
+def pack_ascending(masks) -> bytes:
+    """pack_masks of masks that are already ascending."""
+    return struct.pack(f">{len(masks)}H", *masks)
+
+
+def unpack_masks(blob: bytes) -> tuple:
+    return struct.unpack(f">{len(blob) >> 1}H", blob)
+
+
+def format_masks(masks) -> str:
+    """The text mask field: lowercase hex joined by commas, `-` when empty."""
+    return ",".join([format(h, "x") for h in masks]) or "-"
+
+
+def format_packed(blob: bytes) -> str:
+    """format_masks(unpack_masks(blob)), read straight off the bytes: four
+    hex digits per mask, leading zeros dropped."""
+    if not blob:
+        return "-"
+    return ",".join([t.lstrip("0") or "0" for t in blob.hex(",", 2).split(",")])
+
+
+def parse_masks(text: str) -> tuple:
+    """Masks of a text mask field, in file order; ValueError if malformed."""
+    return () if text == "-" else tuple([int(t, 16) for t in text.split(",")])
+
+
+def parse_record_fields(n_text: str, rank_text: str, masks_text: str) -> tuple:
+    """(n, rank, masks) of the `n rank masks` fields of a record line;
+    ValueError unless n and rank are in range and the masks are strictly
+    ascending proper subsets of E.  The matroid axioms are not checked."""
+    try:
+        n, rank, masks = int(n_text), int(rank_text), parse_masks(masks_text)
+    except ValueError:
+        raise ValueError("expected integers and hex masks") from None
+    if not 0 <= n <= MAX_GROUND:
+        raise ValueError(f"n = {n} outside 0..{MAX_GROUND}")
+    if not 0 <= rank <= n:
+        raise ValueError(f"rank {rank} outside 0..{n}")
+    if not all(map(operator.lt, masks, masks[1:])):
+        raise ValueError("masks not strictly ascending")
+    if masks and (masks[0] < 0 or masks[-1] >= (1 << n) - 1):
+        raise ValueError("mask has bits outside E or equals E")
+    return n, rank, masks
 
 
 class UnionFind:
@@ -187,7 +253,7 @@ class Matroid:
         return hash((self.n, self.rank, self.hyperplanes))
 
     def __repr__(self):
-        hs = ",".join(format(h, "x") for h in self.hyperplanes) or "-"
+        hs = format_masks(self.hyperplanes)
         return f"Matroid(n={self.n}, rank={self.rank}, hyps={hs})"
 
     # -- flats and ranks ---------------------------------------------------
@@ -251,12 +317,6 @@ class Matroid:
     def bases(self):
         return list(self._bases)
 
-    def independent_sets(self):
-        """(count, list) of all independent subsets."""
-        table = self.rank_table
-        out = [m for m in range(1 << self.n) if table[m] == popcount(m)]
-        return len(out), out
-
     def circuit_hyperplanes(self):
         hset = set(self.hyperplanes)
         return [c for c in self._circuits if c in hset]
@@ -291,41 +351,27 @@ class Matroid:
                 hyps.append(m)
         return cls(n, r, hyps)
 
-    def _squeeze(self, e: int):
-        """Masks of self restricted to E minus e, paired with lifted masks."""
-        low = (1 << e) - 1
-        for m in range(1 << (self.n - 1)):
-            yield m, (m & low) | ((m & ~low) << 1)
-
     def delete(self, e: int) -> "Matroid":
         if not 0 <= e < self.n:
             raise ValueError(f"element {e} out of range")
-        table = self.rank_table
-        new = [0] * (1 << (self.n - 1))
-        for m, lifted in self._squeeze(e):
-            new[m] = table[lifted]
-        return Matroid.from_rank_table(self.n - 1, new)
+        return self.restrict(self.full & ~(1 << e))
 
     def contract(self, e: int) -> "Matroid":
         if not 0 <= e < self.n:
             raise ValueError(f"element {e} out of range")
         table = self.rank_table
-        re = table[1 << e]
-        new = [0] * (1 << (self.n - 1))
-        for m, lifted in self._squeeze(e):
-            new[m] = table[lifted | (1 << e)] - re
-        return Matroid.from_rank_table(self.n - 1, new)
+        b = 1 << e
+        re = table[b]
+        lifted = lift_table(self.full & ~b)
+        return Matroid.from_rank_table(self.n - 1, [table[x | b] - re for x in lifted])
 
     def restrict(self, keep_mask: int) -> "Matroid":
         """Delete every element outside keep_mask (relabels downward)."""
         keep = self.full & keep_mask
         if keep == self.full:
             return self
-        # lifted[x] is x with bit i moved to the i-th kept element
-        lifted = [0]
-        for e in bits(keep):
-            lifted += [x | (1 << e) for x in lifted]
         table = self.rank_table
+        lifted = lift_table(keep)
         return Matroid.from_rank_table(popcount(keep), [table[x] for x in lifted])
 
     # -- loops, parallelism, simplification ----------------------------------
@@ -357,23 +403,10 @@ class Matroid:
             classes.append(cls_mask)
         return classes
 
-    def series_classes(self):
-        return self.dual().parallel_classes()
-
     def simplify(self) -> "Matroid":
         """Remove loops and collapse each parallel class to its least element;
         self when there is nothing to remove."""
-        reps = sorted((c & -c).bit_length() - 1 for c in self.parallel_classes())
-        if len(reps) == self.n:
-            return self
-        table = self.rank_table
-        new = [0] * (1 << len(reps))
-        for m in range(1 << len(reps)):
-            lifted = 0
-            for i in bits(m):
-                lifted |= 1 << reps[i]
-            new[m] = table[lifted]
-        return Matroid.from_rank_table(len(reps), new)
+        return self.restrict(sum(c & -c for c in self.parallel_classes()))
 
     # -- relaxation, truncation ----------------------------------------------
 

@@ -136,7 +136,7 @@ def _bitset_rows(matrix) -> list:
 
 
 class FlatLattice:
-    """Flats of a matroid with rank grading, covers, and modular cuts.
+    """Flats of a matroid with their ranks, modular cuts and extensions.
 
     The containment, modular-pair and meet tables are built with one numpy
     operation each over all flat pairs, and each row is kept as an int
@@ -160,28 +160,6 @@ class FlatLattice:
         self.strictly_above = _bitset_rows(contains)
         # below[i]: bitset of flats strictly inside flat i
         self.below = _bitset_rows(contains.T)
-
-    # -- basic lattice structure -------------------------------------------
-
-    def covers(self):
-        """cover pairs (lower index, upper index)."""
-        out = []
-        for i in range(self.nf):
-            ri = self.ranks[i]
-            for j in bits(self.strictly_above[i]):
-                if self.ranks[j] == ri + 1:
-                    out.append((i, j))
-        return out
-
-    def comparability_pairs(self):
-        out = []
-        for i in range(self.nf):
-            for j in bits(self.strictly_above[i]):
-                out.append((i, j))
-        return out
-
-    def atoms(self):
-        return [i for i in range(self.nf) if self.ranks[i] == 1]
 
     # -- modular cuts ---------------------------------------------------------
 
@@ -207,9 +185,6 @@ class FlatLattice:
         meet = np.where(modular, position[inter], 0).tolist()
         self._pairs = (_bitset_rows(modular), meet)
         return self._pairs
-
-    def _upset_is_modular_closed(self, members: int) -> bool:
-        return _modular_closed(members, *self._pair_tables())
 
     def modular_cuts(self):
         """Every modular cut, the empty cut included, each exactly once."""
@@ -275,7 +250,7 @@ class FlatLattice:
         for i in bits(members):
             if self.up[i] & ~members:
                 raise InvalidCut(f"not up-closed at flat index {i}")
-        if not self._upset_is_modular_closed(members):
+        if not _modular_closed(members, *self._pair_tables()):
             raise InvalidCut("not closed under modular-pair intersections")
 
     def collar(self, cut: ModularCut) -> tuple:
@@ -323,7 +298,7 @@ class FlatLattice:
         coloop and the rank grows by one; otherwise hyperplanes at corank 1
         inside the cut absorb the element, those outside stay put, and free
         corank-2 flats (neither in the cut nor covered by a member) rise.
-        Callers normalise the order: `Matroid` and `orderly.pack_masks` both
+        Callers normalise the order: `Matroid` and `core.pack_masks` both
         store the masks ascending.
         """
         m = self.matroid
@@ -348,71 +323,6 @@ class FlatLattice:
         self.verify_cut(cut)
         hyps, rank = self.extension_hyperplanes(cut)
         return Matroid(self.matroid.n + 1, rank, hyps)
-
-
-def build_lattice(m: Matroid) -> FlatLattice:
-    return FlatLattice(m)
-
-
-def is_modular_pair(m: Matroid, f: int, g: int) -> bool:
-    """True iff flats f, g satisfy r(F) + r(G) = r(F u G) + r(F n G)."""
-    table = m.rank_table
-    return table[f] + table[g] == table[f | g] + table[f & g]
-
-
-def antichains(lat: FlatLattice):
-    """Yield every antichain of the flat poset (index tuples), empty included.
-
-    Exponential in general; intended for small lattices and cross-checks.
-    """
-    nf = lat.nf
-    comparable = [0] * nf
-    for i in range(nf):
-        comparable[i] = lat.strictly_above[i] | lat.below[i]
-
-    yield from _grow_antichains(comparable, (), (1 << nf) - 1, 0)
-
-
-def _grow_antichains(comparable, chosen, allowed, min_idx):
-    """chosen, then every antichain that adds flats of allowed from min_idx on
-    (a module function for the reason given at _grow_cuts)."""
-    yield chosen
-    rest = allowed & ~((1 << min_idx) - 1)
-    while rest:
-        b = rest & -rest
-        i = b.bit_length() - 1
-        rest ^= b
-        yield from _grow_antichains(
-            comparable, chosen + (i,), allowed & ~comparable[i], i + 1
-        )
-
-
-def modular_cuts_naive(m: Matroid):
-    """Reference implementation: filter up-sets of all antichains."""
-    lat = FlatLattice(m)
-    out = []
-    seen = set()
-    for chain in antichains(lat):
-        members = 0
-        for i in chain:
-            members |= lat.up[i]
-        if members in seen:
-            continue
-        mins = _minimal_of(lat, members)
-        if mins != chain:
-            continue  # same up-set arises from its own minimal antichain
-        if lat._upset_is_modular_closed(members):
-            seen.add(members)
-            out.append(ModularCut(members, mins))
-    return out
-
-
-def _minimal_of(lat: FlatLattice, members: int):
-    mins = []
-    for i in bits(members):
-        if not lat.below[i] & members:
-            mins.append(i)
-    return tuple(mins)
 
 
 def modular_cuts(m: Matroid):

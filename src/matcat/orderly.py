@@ -34,45 +34,22 @@ from __future__ import annotations
 import math
 import multiprocessing
 import os
-import struct
 from dataclasses import dataclass, field
 
 from .canon import certificate, certificate_for, element_has_minimal_signature
-from .core import Matroid
+# the whole mask codec is importable from here as well as from core
+from .core import (  # noqa: F401
+    Matroid,
+    format_masks,
+    format_packed,
+    pack_ascending,
+    pack_masks,
+    parse_masks,
+    parse_record_fields,
+    unpack_masks,
+)
 from .errors import BudgetExceeded
 from .lattice import FlatLattice
-
-
-def pack_masks(masks) -> bytes:
-    """Two big-endian bytes per mask, packed in ascending mask order."""
-    return pack_ascending(sorted(masks))
-
-
-def pack_ascending(masks) -> bytes:
-    """pack_masks of masks that are already ascending."""
-    return struct.pack(f">{len(masks)}H", *masks)
-
-
-def unpack_masks(blob: bytes) -> tuple:
-    return struct.unpack(f">{len(blob) >> 1}H", blob)
-
-
-def format_masks(masks) -> str:
-    """The text mask field: lowercase hex joined by commas, `-` when empty."""
-    return ",".join([format(h, "x") for h in masks]) or "-"
-
-
-def format_packed(blob: bytes) -> str:
-    """format_masks(unpack_masks(blob)), read straight off the bytes: four
-    hex digits per mask, leading zeros dropped."""
-    if not blob:
-        return "-"
-    return ",".join([t.lstrip("0") or "0" for t in blob.hex(",", 2).split(",")])
-
-
-def parse_masks(text: str) -> tuple:
-    """Masks of a text mask field, in file order; ValueError if malformed."""
-    return () if text == "-" else tuple([int(t, 16) for t in text.split(",")])
 
 
 @dataclass(frozen=True, slots=True)
@@ -266,17 +243,6 @@ def _advance_level(job, pool, budget, checkpoint_path, checkpoint_every, progres
 _CKPT_HEADER = "#matcat-enum-checkpoint v1"
 
 
-def _rec_line(rec: CatalogueRecord) -> str:
-    return f"{rec.n} {rec.rank} {format_packed(rec.hyp_bytes)} {rec.cert.hex()}"
-
-
-def _rec_parse(line: str) -> CatalogueRecord:
-    ns, rs, hs, cert = line.split()
-    return CatalogueRecord(
-        None, int(ns), int(rs), pack_masks(parse_masks(hs)), bytes.fromhex(cert)
-    )
-
-
 def save_checkpoint(job: EnumerationJob, path: str) -> None:
     tmp = path + ".tmp"
     with open(tmp, "w") as fh:
@@ -291,13 +257,16 @@ def save_checkpoint(job: EnumerationJob, path: str) -> None:
             ("E", job.emitted),
         ):
             for rec in records:
-                fh.write(f"{tag} {_rec_line(rec)}\n")
+                masks = format_packed(rec.hyp_bytes)
+                fh.write(f"{tag} {rec.n} {rec.rank} {masks} {rec.cert.hex()}\n")
     os.replace(tmp, path)
 
 
 def load_checkpoint(path: str) -> EnumerationJob:
     """Read a checkpoint written by save_checkpoint; ValueError if it is
-    malformed or its level, cursor and record sizes do not fit together."""
+    malformed, a record fails the checks a catalogue record passes
+    (parse_record_fields), or its level, cursor and record sizes do not fit
+    together."""
     with open(path) as fh:
         header = fh.readline().rstrip("\n")
         if header != _CKPT_HEADER:
@@ -314,13 +283,17 @@ def load_checkpoint(path: str) -> EnumerationJob:
                 candidates_used=int(meta["candidates"]),
             )
             for line in fh:
-                tag, rest = line.rstrip("\n").split(" ", 1)
-                rec = _rec_parse(rest)
+                tag, ns, rs, hs, cert = line.split()
+                try:
+                    n, rank, masks = parse_record_fields(ns, rs, hs)
+                except ValueError as exc:
+                    raise ValueError(f"bad checkpoint {exc}") from None
+                rec = CatalogueRecord(
+                    None, n, rank, pack_ascending(masks), bytes.fromhex(cert)
+                )
                 {"P": job.parents, "C": job.children, "E": job.emitted}[tag].append(rec)
         except KeyError as exc:
             raise ValueError(f"bad checkpoint field {exc}") from None
-        except struct.error as exc:
-            raise ValueError(f"bad checkpoint mask: {exc}") from None
     # such a job would resume and end normally, with wrong totals
     level, cursor, parents = job.level, job.next_parent, len(job.parents)
     if not 0 <= level <= job.max_n:

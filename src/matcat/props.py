@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .canon import minor, minor_certificate
-from .core import INFINITY, Matroid, popcount
+from .core import INFINITY, Matroid, lift_table, popcount
 from .errors import BudgetExceeded
 
 
@@ -104,27 +104,18 @@ def ingleton_sides(table, a, b, c, d):
     return lhs, rhs
 
 
-def ingleton_violating(
-    m: Matroid,
-    mode: str = "auto",
-    violators8=None,
-    budget: int | None = None,
-):
+def ingleton_violating(m: Matroid, violators8=None, budget: int | None = None):
     """An IngletonWitness if the inequality fails for some quadruple, else None.
 
-    mode "full" searches flat quadruples, deciding on the dual first when
-    2 * rank > n (see the module docstring); "minor" (9 elements) tests
-    whether some single-element deletion or contraction is a known violator
-    on 8 elements, per the census fact that Ingleton violation on 9 elements
-    always comes from an 8-element violator minor.  "auto" picks full for
-    n <= 8 and minor above when violator certificates are supplied.
-    budget caps the table cells that each full search scans.
+    With violators8, the certificates of the 8-element violators, a matroid
+    on more than 8 elements is decided by its minors: it violates when some
+    single-element deletion or contraction is one of them, per the census
+    fact that Ingleton violation on 9 elements always comes from an
+    8-element violator minor.  Otherwise the search runs over flat
+    quadruples, deciding on the dual first when 2 * rank > n (see the module
+    docstring); budget caps the table cells that each such search scans.
     """
-    if mode == "auto":
-        mode = "minor" if m.n > 8 and violators8 is not None else "full"
-    if mode == "minor":
-        if violators8 is None:
-            raise ValueError("minor mode needs the 8-element violator certificates")
+    if m.n > 8 and violators8 is not None:
         return _ingleton_by_minor(m, violators8)
     if 2 * m.rank > m.n and _ingleton_full(m.dual(), budget) is None:
         return None
@@ -169,11 +160,6 @@ def _ingleton_full(m: Matroid, budget=None):
     return None
 
 
-def _lift_mask(mask: int, e: int) -> int:
-    low = (1 << e) - 1
-    return (mask & low) | ((mask & ~low) << 1)
-
-
 def _ingleton_by_minor(m: Matroid, violators8):
     certs = set(violators8)
     for i in range(2 * m.n):
@@ -182,14 +168,10 @@ def _ingleton_by_minor(m: Matroid, violators8):
         w = _ingleton_full(minor(m, i))
         e = i >> 1
         extra = (1 << e) if i & 1 else 0  # i odd: the minor contracts e
-        quad = [_lift_mask(x, e) | extra for x in (w.a, w.b, w.c, w.d)]
+        lifted = lift_table(m.full & ~(1 << e))
+        quad = [lifted[x] | extra for x in (w.a, w.b, w.c, w.d)]
         lhs, rhs = ingleton_sides(m.rank_table, *quad)
         if lhs <= rhs:  # lifted witness must stay strict
             raise AssertionError("witness lifting failed")
         return IngletonWitness(*quad, lhs, rhs)
     return None
-
-
-def ingleton_violators(matroids):
-    """Subset of an iterable of matroids that violate Ingleton (full search)."""
-    return [m for m in matroids if ingleton_violating(m, mode="full") is not None]

@@ -2,8 +2,9 @@
 
 Catalogue files are line-oriented text: a version header, one record per
 line as `<id> <n> <rank> <h1,h2,...|->` with lowercase-hex masks sorted
-ascending, and a whole-file sha256 footer.  Their records are the one record
-type, `orderly.CatalogueRecord`, numbered by `assign_ids`.  Property tables
+ascending (the `core` mask codec, which enumeration checkpoints share), and
+a whole-file sha256 footer.  Their records are the one record type,
+`orderly.CatalogueRecord`, numbered by `assign_ids`.  Property tables
 are TSV with a fixed header; booleans are 0/1, infinities are `inf`, and
 columns that a run did not compute hold `-`.  `block_options` is the one
 policy for which columns a run computes at each ground-set size.
@@ -14,13 +15,12 @@ from __future__ import annotations
 import hashlib
 import math
 import multiprocessing
-import operator
 import re
 from dataclasses import dataclass, replace
 from functools import partial
 
-from .core import INFINITY, MAX_GROUND
-from .orderly import CatalogueRecord, format_packed, pack_ascending, parse_masks
+from .core import INFINITY, format_packed, pack_ascending, parse_record_fields
+from .orderly import CatalogueRecord
 
 CATALOGUE_HEADER = "#matcat-catalogue v1"
 TABLE_HEADER = "#matcat-properties v1"
@@ -76,21 +76,13 @@ def _parse_record(line: str, lineno: int, records: list) -> CatalogueRecord:
     parts = line.split()
     if len(parts) != 4:
         raise FormatError("expected `id n rank masks`", line=lineno)
+    rid = len(records)
+    if parts[0] != str(rid):
+        raise FormatError(f"ids not dense: saw {parts[0]}", line=lineno)
     try:
-        rid, n, rank = int(parts[0]), int(parts[1]), int(parts[2])
-        masks = parse_masks(parts[3])
-    except ValueError:
-        raise FormatError("expected integers and hex masks", line=lineno) from None
-    if rid != len(records):
-        raise FormatError(f"ids not dense: saw {rid}", line=lineno)
-    if not 0 <= n <= MAX_GROUND:
-        raise FormatError(f"n = {n} outside 0..{MAX_GROUND}", line=lineno)
-    if not 0 <= rank <= n:
-        raise FormatError(f"rank {rank} outside 0..{n}", line=lineno)
-    if not all(map(operator.lt, masks, masks[1:])):
-        raise FormatError("masks not strictly ascending", line=lineno)
-    if masks and (masks[0] < 0 or masks[-1] >= (1 << n) - 1):
-        raise FormatError("a mask has bits outside E or equals E", line=lineno)
+        n, rank, masks = parse_record_fields(*parts[1:])
+    except ValueError as exc:
+        raise FormatError(str(exc), line=lineno) from None
     if records and (n, rank) < (records[-1].n, records[-1].rank):
         raise FormatError("records not sorted by (n, rank)", line=lineno)
     return CatalogueRecord(rid, n, rank, pack_ascending(masks))

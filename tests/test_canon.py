@@ -13,14 +13,12 @@ from matcat.canon import (
     _invert,
     _orbit_closure,
     _orbit_partition,
-    automorphism_mapping,
     canonical_family,
     certificate,
     certificate_for,
     distinguished_element,
     element_has_minimal_signature,
     group_order,
-    hyperplane_graph,
     is_isomorphic,
     minor,
     minor_certificate,
@@ -42,6 +40,21 @@ def random_permutation(n, rng):
 
 def permuted(m, perm):
     return Matroid(m.n, m.rank, relabel_family(m.hyperplanes, perm))
+
+
+def transversal(n, point, gens) -> dict:
+    """Orbit of point under gens: each image y -> a group element sending
+    point to y, found by search from the identity."""
+    found = {point: tuple(range(n))}
+    queue = [point]
+    while queue:
+        x = queue.pop()
+        for g in gens:
+            y = g[x]
+            if y not in found:
+                found[y] = _compose(g, found[x])
+                queue.append(y)
+    return found
 
 
 def brute_aut_order(m):
@@ -92,9 +105,9 @@ class TestCertificate:
             cert = certificate(m)
             fam = tuple(sorted(m.hyperplanes))
             for orbit in cert.element_orbits:
-                a = orbit[0]
-                for b in orbit[1:]:
-                    g = automorphism_mapping(cert, a, b)
+                # an automorphism carries each orbit mate onto the next
+                for a, b in zip(orbit, orbit[1:]):
+                    g = transversal(m.n, a, cert.generators).get(b)
                     assert g is not None and g[a] == b
                     assert relabel_family(fam, g) == fam
 
@@ -158,24 +171,6 @@ class TestDistinguishedElement:
 
     def test_determinism(self, fig1):
         assert distinguished_element(fig1) == distinguished_element(fig1)
-
-
-class TestHyperplaneGraph:
-    def test_u23_is_a_perfect_matching(self):
-        g = hyperplane_graph(uniform(2, 3))
-        assert g.n_elements == 3 and g.n_hyperplanes == 3
-        assert g.edge_count() == 3
-        assert sorted(g.incidence) == [0b001, 0b010, 0b100]
-
-    def test_rank0_isolated_elements(self):
-        g = hyperplane_graph(Matroid.from_hyperplanes(4, []))
-        assert g.n_hyperplanes == 0 and g.edge_count() == 0
-
-    def test_figure_graph_shape(self, fig1):
-        g = hyperplane_graph(fig1)
-        assert g.n_elements == 7
-        assert g.n_hyperplanes == 10
-        assert g.edge_count() == 25  # sizes 2,2,2,2,2,2,3,3,3,4
 
 
 class TestGroupOrder:

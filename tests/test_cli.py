@@ -107,6 +107,19 @@ class TestEnum:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and "bad checkpoint next_parent 9999" in err[0]
 
+    def test_resume_checkpoint_with_a_bad_record(self, tmp_path, capsys):
+        ck = tmp_path / "record.ckpt"
+        assert main(["enum", "--max-n", "5", "--budget", "20", "--out",
+                     str(tmp_path / "r.txt"), "--checkpoint", str(ck)]) == EXIT_BUDGET
+        # rank 0 with two hyperplanes, unsorted, one of them E
+        ck.write_text(ck.read_text() + "P 3 0 7,1 0300\n")
+        capsys.readouterr()
+        rc = main(["enum", "--max-n", "5", "--out", str(tmp_path / "r.txt"),
+                   "--checkpoint", str(ck), "--resume"])
+        assert rc == EXIT_IO
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["cannot load checkpoint: bad checkpoint masks not strictly ascending"]
+
     def test_resume_checkpoint_for_other_max_n(self, workdir):
         ck = str(workdir / "other.ckpt")
         out = str(workdir / "other.txt")

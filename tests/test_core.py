@@ -268,11 +268,6 @@ class TestCircuitsBasesDual:
         assert m.circuits() == [0b01, 0b10]
         assert m.bases() == [0]
 
-    def test_independent_sets_count(self):
-        count, members = uniform(2, 4).independent_sets()
-        assert count == 1 + 4 + 6
-        assert len(members) == count
-
     def test_dual_involution(self, matroids6):
         for m in matroids6:
             d = m.dual()
@@ -302,6 +297,39 @@ class TestCircuitsBasesDual:
         assert sorted(d.circuit_hyperplanes()) == want
 
 
+def _squeeze(n, e):
+    """Each mask of M minus e, paired with the same set in M's labels."""
+    low = (1 << e) - 1
+    for x in range(1 << (n - 1)):
+        yield x, (x & low) | ((x & ~low) << 1)
+
+
+def reference_minor(m, e, contract=False):
+    """M delete e, or M contract e, by the loop over _squeeze."""
+    table = m.rank_table
+    add = (1 << e) if contract else 0
+    new = [0] * (1 << (m.n - 1))
+    for x, lifted in _squeeze(m.n, e):
+        new[x] = table[lifted | add] - table[add]
+    return Matroid.from_rank_table(m.n - 1, new)
+
+
+def reference_simplify(m):
+    """The minor on the least element of each parallel class, lifting each
+    of its masks bit by bit."""
+    reps = sorted((c & -c).bit_length() - 1 for c in m.parallel_classes())
+    if len(reps) == m.n:
+        return m
+    table = m.rank_table
+    new = [0] * (1 << len(reps))
+    for x in range(1 << len(reps)):
+        lifted = 0
+        for i in bits(x):
+            lifted |= 1 << reps[i]
+        new[x] = table[lifted]
+    return Matroid.from_rank_table(len(reps), new)
+
+
 class TestMinors:
     def test_delete_uniform(self):
         assert uniform(2, 4).delete(3) == uniform(2, 3)
@@ -327,16 +355,17 @@ class TestMinors:
             assert deleted_first == m.contract(f).delete(e - (e > f))
 
     def test_restrict_matches_deleting_one_element_at_a_time(self, catalogue7):
-        # the reference deletes the dropped elements from the highest down;
-        # its chain for keep ends with the chain for keep plus the lowest
-        # dropped element, then one more deletion
+        # the reference deletes the dropped elements from the highest down,
+        # with reference_minor; its chain for keep ends with the chain for
+        # keep plus the lowest dropped element, then one more deletion
         for rec in catalogue7:
             m = rec.matroid()
             chained = {m.full: m}
             for keep in range(m.full, -1, -1):
                 if keep != m.full:
                     low = m.full & ~keep & -(m.full & ~keep)
-                    chained[keep] = chained[keep | low].delete(low.bit_length() - 1)
+                    e = low.bit_length() - 1
+                    chained[keep] = reference_minor(chained[keep | low], e)
                 assert m.restrict(keep) == chained[keep]
             assert m.restrict(m.full) is m and m.restrict(-1) is m
 
@@ -347,6 +376,30 @@ class TestMinors:
                 continue
             oracle = brute_rank_from_bases(m.n, m.bases())
             assert list(m.rank_table) == oracle
+
+
+class TestOneMinorPath:
+    """delete, contract and simplify read restrict's lift table; the
+    references are the separate loops they replaced."""
+
+    def test_every_element_through_seven(self, catalogue7):
+        rng = random.Random(20)
+        for rec in catalogue7:
+            # and a relabelled copy: catalogue labellings keep each parallel class
+            # contiguous
+            perm = rng.sample(range(rec.n), rec.n)
+            relabelled = Matroid(rec.n, rec.rank, relabel_family(rec.hyperplanes, perm))
+            for m in rec.matroid(), relabelled:
+                for e in range(m.n):
+                    assert m.delete(e) == reference_minor(m, e), (m, e)
+                    assert m.contract(e) == reference_minor(m, e, contract=True), (m, e)
+                assert m.simplify() == reference_simplify(m), m
+
+    def test_out_of_range_element(self):
+        for e in (-1, 4):
+            for op in (uniform(2, 4).delete, uniform(2, 4).contract):
+                with pytest.raises(ValueError, match="out of range"):
+                    op(e)
 
 
 class TestLoopsParallelSimplify:
@@ -375,11 +428,6 @@ class TestLoopsParallelSimplify:
     def test_coloops(self):
         assert free(3).coloops() == 0b111
         assert uniform(1, 2).coloops() == 0
-
-    def test_series_classes_are_dual_parallel(self, matroids6):
-        rng = random.Random(5)
-        for m in rng.sample(matroids6, 25):
-            assert m.series_classes() == m.dual().parallel_classes()
 
 
 class TestRelaxTruncate:

@@ -3,39 +3,95 @@ import random
 
 import pytest
 
-from matcat.core import Matroid, free, from_elements, mask_of, uniform
-from matcat.lattice import (
-    FlatLattice,
-    InvalidCut,
-    ModularCut,
-    antichains,
-    build_lattice,
-    is_modular_pair,
-    modular_cuts,
-    modular_cuts_naive,
-)
+from matcat.core import Matroid, bits, free, from_elements, mask_of, uniform
+from matcat.lattice import FlatLattice, InvalidCut, ModularCut, modular_cuts
 from matcat.orderly import brute_force_enumerate
+
+# -- reference oracles, computed from flat masks and the rank table alone ------
+
+
+def is_modular_pair(m: Matroid, f: int, g: int) -> bool:
+    """True iff flats f, g satisfy r(F) + r(G) = r(F u G) + r(F n G)."""
+    table = m.rank_table
+    return table[f] + table[g] == table[f | g] + table[f & g]
+
+
+def antichains(lat: FlatLattice):
+    """Yield every antichain of the flat poset (index tuples), empty included.
+
+    Exponential in general; intended for small lattices and cross-checks.
+    """
+    flats = lat.flats
+    comparable = [
+        mask_of(j for j, g in enumerate(flats) if j != i and f & g in (f, g))
+        for i, f in enumerate(flats)
+    ]
+    yield from _grow_antichains(comparable, (), (1 << lat.nf) - 1, 0)
+
+
+def _grow_antichains(comparable, chosen, allowed, min_idx):
+    """chosen, then every antichain that adds flats of allowed from min_idx on."""
+    yield chosen
+    rest = allowed & ~((1 << min_idx) - 1)
+    while rest:
+        b = rest & -rest
+        i = b.bit_length() - 1
+        rest ^= b
+        yield from _grow_antichains(
+            comparable, chosen + (i,), allowed & ~comparable[i], i + 1
+        )
+
+
+def modular_cuts_naive(m: Matroid):
+    """Reference implementation: the up-set of every antichain of flats, kept
+    when it holds F n G for each modular pair F, G of its flats.  An up-set
+    has one antichain of minimal flats, so each cut is met once."""
+    lat = FlatLattice(m)
+    flats = lat.flats
+    out = []
+    for chain in antichains(lat):
+        members = [
+            j for j, g in enumerate(flats) if any(flats[i] & g == flats[i] for i in chain)
+        ]
+        inside = {flats[j] for j in members}
+        if all(
+            f & g in inside
+            for f, g in itertools.combinations(inside, 2)
+            if is_modular_pair(m, f, g)
+        ):
+            out.append(ModularCut(mask_of(members), chain))
+    return out
+
+
+def _covers(lat: FlatLattice) -> list:
+    """Cover pairs (lower index, upper index), from the flat masks and ranks."""
+    flats, ranks = lat.flats, lat.ranks
+    return [
+        (i, j)
+        for i, f in enumerate(flats)
+        for j, g in enumerate(flats)
+        if f != g and f & g == f and ranks[j] == ranks[i] + 1
+    ]
 
 
 class TestBuildLattice:
     def test_figure_lattice_shape(self, fig1):
-        lat = build_lattice(fig1)
+        lat = FlatLattice(fig1)
         assert lat.nf == 19
-        covers = lat.covers()
-        assert len(covers) == 7 + 25 + 10
-        comp = lat.comparability_pairs()
-        assert all(i < j or True for i, j in comp)
+        assert len(_covers(lat)) == 7 + 25 + 10
+        # flats are sorted by rank, so a flat sits after every flat inside it
+        assert all(i < j for i in range(lat.nf) for j in bits(lat.strictly_above[i]))
 
     def test_rank0_single_node(self):
-        lat = build_lattice(Matroid.from_hyperplanes(3, []))
+        lat = FlatLattice(Matroid.from_hyperplanes(3, []))
         assert lat.nf == 1
-        assert lat.covers() == []
+        assert _covers(lat) == []
 
     def test_atoms_match_parallel_classes(self, matroids6):
         rng = random.Random(2)
         for m in rng.sample(matroids6, 30):
-            lat = build_lattice(m)
-            assert len(lat.atoms()) == len(m.parallel_classes())
+            lat = FlatLattice(m)
+            assert lat.ranks.count(1) == len(m.parallel_classes())
 
 
 class TestModularPairs:
@@ -56,17 +112,17 @@ class TestModularPairs:
 
 class TestAntichains:
     def test_two_element_chain(self):
-        lat = build_lattice(uniform(1, 1))
+        lat = FlatLattice(uniform(1, 1))
         assert sum(1 for _ in antichains(lat)) == 3  # empty + two singletons
 
     def test_boolean_square(self):
-        lat = build_lattice(free(2))
+        lat = FlatLattice(free(2))
         assert sum(1 for _ in antichains(lat)) == 6
 
     def test_matches_independent_set_count_on_figure(self, fig1):
-        lat = build_lattice(fig1)
+        lat = FlatLattice(fig1)
         # independent-set oracle on the comparability graph
-        pairs = set(lat.comparability_pairs())
+        pairs = {(i, j) for i in range(lat.nf) for j in bits(lat.strictly_above[i])}
         n = lat.nf
         conflict = [0] * n
         for i, j in pairs:
@@ -93,7 +149,7 @@ class TestModularCuts:
         assert len(cuts) == 2
 
     def test_figure2_cut_and_collar(self, fig1):
-        lat = build_lattice(fig1)
+        lat = FlatLattice(fig1)
         line45 = lat.index[mask_of((4, 5))]
         top = lat.index[fig1.full]
         cut = ModularCut((1 << line45) | (1 << top), (line45,))
@@ -108,26 +164,25 @@ class TestModularCuts:
         assert collar_flats == want
 
     def test_collar_of_empty_cut_is_empty(self, fig1):
-        lat = build_lattice(fig1)
+        lat = FlatLattice(fig1)
         assert lat.collar(ModularCut(0, ())) == ()
 
     def test_collar_of_top_cut_is_hyperplanes(self, fig1):
-        lat = build_lattice(fig1)
+        lat = FlatLattice(fig1)
         top = lat.index[fig1.full]
         collar = lat.collar(ModularCut(1 << top, (top,)))
         assert sorted(lat.flats[i] for i in collar) == sorted(fig1.hyperplanes)
 
     def test_verify_cut_rejects_non_upset(self, fig1):
-        lat = build_lattice(fig1)
+        lat = FlatLattice(fig1)
         line45 = lat.index[mask_of((4, 5))]
         with pytest.raises(InvalidCut):
             lat.verify_cut(ModularCut(1 << line45, (line45,)))
 
     def test_pruned_enumeration_matches_naive(self, matroids6):
-        rng = random.Random(6)
-        small = [m for m in matroids6 if m.n <= 4]
-        sample = small + rng.sample([m for m in matroids6 if m.n == 5], 6)
-        for m in sample:
+        # every class through n = 5; one of rank 4 on 5 elements is the
+        # smallest whose walk meets an up-set that is not modular-closed
+        for m in (m for m in matroids6 if m.n <= 5):
             fast = {c.members for c in modular_cuts(m)}
             naive = {c.members for c in modular_cuts_naive(m)}
             assert fast == naive
@@ -230,7 +285,7 @@ class TestExtend:
         rng = random.Random(12)
         foursome = [m for m in matroids6 if m.n == 4]
         for m in foursome:
-            lat = build_lattice(m)
+            lat = FlatLattice(m)
             seen = set()
             for cut in lat.modular_cuts():
                 child = lat.extend(cut)
@@ -240,7 +295,7 @@ class TestExtend:
                 seen.add(child.hyperplanes)
 
     def test_loop_extension(self, fig1):
-        lat = build_lattice(fig1)
+        lat = FlatLattice(fig1)
         bottom = lat.index[0]
         members = 0
         for i in range(lat.nf):
@@ -250,19 +305,19 @@ class TestExtend:
         assert child.rank == fig1.rank
 
     def test_coloop_extension(self, fig1):
-        lat = build_lattice(fig1)
+        lat = FlatLattice(fig1)
         child = lat.extend(ModularCut(0, ()))
         assert child.rank == fig1.rank + 1
         assert child.coloops() & (1 << fig1.n)
 
     def test_table1_column_two(self):
         m0 = Matroid.from_hyperplanes(0, [])
-        lat0 = build_lattice(m0)
+        lat0 = FlatLattice(m0)
         level1 = [lat0.extend(c) for c in lat0.modular_cuts()]
         assert len(level1) == 2
         by_rank = {}
         for m1 in level1:
-            lat1 = build_lattice(m1)
+            lat1 = FlatLattice(m1)
             for cut in lat1.modular_cuts():
                 child = lat1.extend(cut)
                 by_rank[child.rank] = by_rank.get(child.rank, set())
@@ -274,7 +329,7 @@ class TestExtend:
     def test_extension_validates(self, matroids6):
         rng = random.Random(15)
         for m in rng.sample([x for x in matroids6 if x.n == 5], 8):
-            lat = build_lattice(m)
+            lat = FlatLattice(m)
             for cut in lat.modular_cuts():
                 child = lat.extend(cut)
                 rebuilt = Matroid.from_hyperplanes(child.n, child.hyperplanes)

@@ -3,7 +3,7 @@ import os
 import pytest
 
 from matcat.canon import certificate, certificate_for, relabel_mask
-from matcat.core import Matroid
+from matcat.core import Matroid, format_masks, format_packed, pack_masks, parse_masks
 from matcat.errors import BudgetExceeded as ResourceBudgetExceeded
 from matcat.lattice import FlatLattice
 from matcat.orderly import (
@@ -14,13 +14,8 @@ from matcat.orderly import (
     count_matrix,
     enumerate_matroids,
     extend_all,
-    format_masks,
-    format_packed,
     labelled_count_from_classes,
-    _rec_parse,
     load_checkpoint,
-    pack_masks,
-    parse_masks,
     save_checkpoint,
     totals_by_n,
     verify_duality_closure,
@@ -313,38 +308,6 @@ class TestCheckpointing:
         assert job.level == 4
         assert job.parents == [r for r in records if r.n == 4]
 
-    def test_old_checkpoint_masks_parse_ascending(self):
-        # older versions wrote checkpoint masks in extension order
-        hyps = (0x7, 0x19, 0xA, 0xC, 0x12, 0x14)
-        cert = certificate_for(5, 3, hyps).bytes
-        rec = _rec_parse(f"5 3 {','.join(format(h, 'x') for h in hyps)} {cert.hex()}")
-        assert rec.hyperplanes == tuple(sorted(hyps))
-        assert rec.cert == cert
-        assert rec.matroid() == Matroid(5, 3, hyps)
-
-    def test_resume_from_descending_checkpoint(self, tmp_path):
-        from matcat.store import assign_ids, read_catalogue, write_catalogue
-
-        path = tmp_path / "ck3.txt"
-        with pytest.raises(ResourceBudgetExceeded):
-            enumerate_matroids(
-                6, budget=40, checkpoint_path=str(path), checkpoint_every=1
-            )
-        lines = path.read_text().splitlines()
-        for i, line in enumerate(lines[2:], start=2):
-            tag, n, rank, hs, cert = line.split()
-            if "," in hs:
-                hs = ",".join(reversed(hs.split(",")))
-            lines[i] = f"{tag} {n} {rank} {hs} {cert}"
-        path.write_text("\n".join(lines) + "\n")
-        records = enumerate_matroids(
-            6, checkpoint_path=str(path), resume_job=load_checkpoint(str(path))
-        )
-        assert records == enumerate_matroids(6)
-        cat = tmp_path / "catalogue.txt"
-        write_catalogue(assign_ids(records), str(cat))
-        assert len(read_catalogue(str(cat))) == len(records)
-
     @pytest.fixture
     def budget_checkpoint(self, tmp_path):
         """The lines of a real checkpoint of enumerate_matroids(6), taken
@@ -384,6 +347,26 @@ class TestCheckpointing:
         lines[2] = f"{tag} {n} {rank} {mask} {cert}"
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match="bad checkpoint mask"):
+            load_checkpoint(str(path))
+
+    @pytest.mark.parametrize(
+        "record, message",
+        [
+            ("E 3 2 1,2,7 0300", "mask has bits outside E or equals E"),
+            ("E 3 2 1,2,9 0300", "mask has bits outside E or equals E"),
+            ("E 3 2 2,1,4 0300", "masks not strictly ascending"),
+            ("E 3 4 1 0300", "rank 4 outside 0..3"),
+            # rank 0 with two hyperplanes, unsorted, one of them E
+            ("P 3 0 7,1 0300", "masks not strictly ascending"),
+        ],
+        ids=["mask_is_E", "bit_outside_E", "not_ascending", "rank_above_n", "parent"],
+    )
+    def test_record_fields_checked_as_in_a_catalogue(
+        self, budget_checkpoint, record, message
+    ):
+        path, lines = budget_checkpoint
+        path.write_text("\n".join(lines + [record]) + "\n")
+        with pytest.raises(ValueError, match=f"bad checkpoint {message}"):
             load_checkpoint(str(path))
 
     @pytest.mark.parametrize("tag", ["P", "C"])

@@ -118,11 +118,11 @@ class TestIngleton:
         from matcat.lattice import FlatLattice, ModularCut
 
         child = FlatLattice(base).extend(ModularCut(0, ()))
-        w = ingleton_violating(child, mode="minor", violators8=violator_certs)
+        w = ingleton_violating(child, violators8=violator_certs)
         assert w is not None
         lhs, rhs = ingleton_sides(child.rank_table, w.a, w.b, w.c, w.d)
         assert lhs > rhs
-        assert ingleton_violating(child, mode="full") is not None
+        assert ingleton_violating(child) is not None
 
     def test_minor_mode_lifts_a_contraction(self):
         from matcat.canon import certificate
@@ -134,9 +134,7 @@ class TestIngleton:
         top = lat.index[lat.matroid.full]
         child = lat.extend(ModularCut(1 << top, (top,))).dual()
         assert child.contract(8) == vamos()
-        w = ingleton_violating(
-            child, mode="minor", violators8={certificate(vamos()).bytes}
-        )
+        w = ingleton_violating(child, violators8={certificate(vamos()).bytes})
         assert w is not None and w.lhs > w.rhs
         assert (w.lhs, w.rhs) == ingleton_sides(child.rank_table, w.a, w.b, w.c, w.d)
 
@@ -147,9 +145,13 @@ class TestIngleton:
         # searched on its dual U(0,6), which has one flat and no cell to scan
         assert ingleton_violating(free(6), budget=1) is None
 
-    def test_minor_mode_requires_certs(self):
-        with pytest.raises(ValueError):
-            ingleton_violating(vamos(), mode="minor")
+    def test_minor_search_exactly_above_eight_with_certs(self):
+        # with no violator certificate to match, the minor search finds
+        # nothing; the flat search finds the violation
+        child = _with_coloop(vamos())
+        assert ingleton_violating(child, violators8=set()) is None
+        assert ingleton_violating(child) is not None
+        assert ingleton_violating(vamos(), violators8=set()) is not None
 
 
 def _with_coloop(m: Matroid) -> Matroid:
@@ -202,7 +204,7 @@ class TestIngletonDualSide:
             m = _with_coloop(base)
             assert (m.n, m.rank) == (9, 5)
             assert _ingleton_full(m.dual()) is not None
-            _assert_own_witness(m, ingleton_violating(m, mode="full"))
+            _assert_own_witness(m, ingleton_violating(m))
 
 
 def reference_ingleton_full(m: Matroid, budget=None):
