@@ -174,9 +174,6 @@ class FlatsByRank:
 
     levels: tuple  # levels[k] = sorted tuple of flat masks of rank k
 
-    def all_flats(self):
-        return [f for level in self.levels for f in level]
-
     def count(self) -> int:
         return sum(len(level) for level in self.levels)
 

@@ -1,4 +1,4 @@
-"""Named small matroids used throughout the test batteries.
+"""Sparse paving matroids from blocks, and the paper's named 8-element ones.
 
 Sparse paving matroids of rank r are specified by their circuit-hyperplanes
 (r-sets pairwise meeting in at most r-2 points); hyperplanes are those
@@ -30,13 +30,6 @@ def sparse_paving(n: int, rank: int, circuit_hyperplanes) -> Matroid:
     return Matroid.from_hyperplanes(n, hyps)
 
 
-def figure_rank3_7pt() -> Matroid:
-    """The 7-element rank-3 matroid whose lattice has ten lines."""
-    lines = ["02", "34", "05", "15", "45", "16", "013", "124", "046", "2356"]
-    masks = [mask_of(int(ch) for ch in s) for s in lines]
-    return Matroid.from_hyperplanes(7, masks)
-
-
 P8_CIRCUIT_HYPERPLANES = (
     (0, 1, 2, 7),
     (0, 1, 3, 6),
@@ -59,18 +52,6 @@ def p1() -> Matroid:
     return p8().relax(mask_of((3, 5, 6, 7)))
 
 
-def p2_prime() -> Matroid:
-    return p1().relax(mask_of((0, 3, 4, 7)))
-
-
-def p2_doubleprime() -> Matroid:
-    return p1().relax(mask_of((1, 2, 5, 6)))
-
-
-def p3() -> Matroid:
-    return p1().relax(mask_of((0, 3, 4, 7))).relax(mask_of((1, 2, 5, 6)))
-
-
 def ag32() -> Matroid:
     """Binary affine cube: points GF(2)^3, circuit-hyperplanes the 14 planes."""
     planes = []
@@ -86,18 +67,6 @@ def ag32_prime() -> Matroid:
     return m.relax(m.circuit_hyperplanes()[0])
 
 
-def f8() -> Matroid:
-    """Ingleton-violating relaxation class of AG(3,2)' (12 of 13 relaxations)."""
-    from .props import ingleton_violating
-
-    m = ag32_prime()
-    for ch in m.circuit_hyperplanes():
-        cand = m.relax(ch)
-        if ingleton_violating(cand) is not None:
-            return cand
-    raise AssertionError("no violating relaxation of AG(3,2)' found")
-
-
 def vamos() -> Matroid:
     """V_8: pairs P1..P4; circuit-hyperplanes all Pi+Pj except P3+P4."""
     pairs = [(0, 1), (2, 3), (4, 5), (6, 7)]
@@ -107,14 +76,3 @@ def vamos() -> Matroid:
     ]
     return sparse_paving(8, 4, chs)
 
-
-def l8() -> Matroid:
-    """Cube matroid: circuit-hyperplanes the 6 faces and 2 colour classes."""
-    faces = []
-    for bit in range(3):
-        for val in (0, 1):
-            faces.append(tuple(p for p in range(8) if (p >> bit) & 1 == val))
-    colours = [
-        tuple(p for p in range(8) if bin(p).count("1") % 2 == par) for par in (0, 1)
-    ]
-    return sparse_paving(8, 4, faces + colours)

@@ -31,7 +31,6 @@ generators are kept for the next level only, and never checkpointed.
 
 from __future__ import annotations
 
-import math
 import multiprocessing
 import os
 from dataclasses import dataclass, field
@@ -265,8 +264,8 @@ def save_checkpoint(job: EnumerationJob, path: str) -> None:
 def load_checkpoint(path: str) -> EnumerationJob:
     """Read a checkpoint written by save_checkpoint; ValueError if it is
     malformed, a record fails the checks a catalogue record passes
-    (parse_record_fields), or its level, cursor and record sizes do not fit
-    together."""
+    (parse_record_fields), its level, cursor and record sizes do not fit
+    together, or two emitted records share a certificate."""
     with open(path) as fh:
         header = fh.readline().rstrip("\n")
         if header != _CKPT_HEADER:
@@ -303,6 +302,10 @@ def load_checkpoint(path: str) -> EnumerationJob:
     for tag, records, n in ("P", job.parents, level), ("C", job.children, level + 1):
         if any(rec.n != n for rec in records):
             raise ValueError(f"bad checkpoint: a {tag} record is not on {n} elements")
+    if any(rec.n > level for rec in job.emitted):
+        raise ValueError(f"bad checkpoint: an E record is on more than {level} elements")
+    if len({rec.cert for rec in job.emitted}) != len(job.emitted):
+        raise ValueError("bad checkpoint: two E records share a certificate")
     return job
 
 
@@ -389,12 +392,3 @@ def verify_duality_closure(records) -> DualityReport:
             if cells.get(n - r, 0) != c:
                 asym.append((n, r, c, cells.get(n - r, 0)))
     return DualityReport(not missing and not asym, checked, tuple(missing), tuple(asym))
-
-
-def labelled_count_from_classes(records) -> int:
-    """Sum of n!/|Aut| over records; the orbit-stabilizer cross-check."""
-    total = 0
-    for rec in records:
-        cert = certificate_for(rec.n, rec.rank, rec.hyperplanes)
-        total += math.factorial(rec.n) // cert.aut_order
-    return total

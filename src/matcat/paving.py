@@ -25,21 +25,26 @@ labellings of the last 1024 children it labelled, keyed by the child's
 sorted vertex tuple, and reuses them; labelling is deterministic, so the
 search is unchanged.  The memo is not checkpointed.
 
-Degree rule.  Without Z2 and without fixed cells (J(n,k) with n != 2k), a
-vertex is labelled only when it holds an element whose degree in the
-family, the number of members holding it, is at least top - 1, where top
-is the largest degree.  This is exact: all vertices have k elements, so
-the first refinement round of the canonical labelling orders the cells by
-ascending degree; cells then only split in place, so label n-1 goes to an
-element of largest degree in the child, and the largest canonical mask,
-whose preimage is the canonical deletion, holds label n-1.  Automorphisms
-of the child preserve degrees, so every vertex of the deletion orbit holds
-an element of largest degree in the child, which for the added vertex v
-means an element of degree at least top - 1 in the parent.  The allowed
+Outranking rule.  With no fixed cells and vertices of one size, as in
+J(n, k), a candidate v is labelled only when it is not outranked in the
+child.  Group the child's elements into layers by degree, the number of
+members holding them; v is outranked when some member w has v & C a proper
+subset of w & C at the first layer C, from the highest degree down, where
+the two differ.  This is exact.  The first refinement round of the
+canonical labelling orders the elements by ascending degree and cells then
+only split in place, so every leaf gives each layer a label range, higher
+degree higher; relabelled w then exceeds relabelled v, and v is never the
+canonical deletion, the preimage of the largest canonical mask.
+Automorphisms preserve degrees, so they map outranked members to outranked
+members and v is not in the deletion orbit either.  Under Z2 the deletion
+may come from the complemented family, whose layers are the same in
+reverse order, and an automorphism that complements maps each side's
+layers onto the other's; v is skipped only when it is outranked and its
+complement is outranked in the complemented family too.  The skipped
 vertices form a union of Aut(parent)-orbits, so the first vertex of each
-surviving orbit is unchanged.  The rule does not apply under Z2, where the
-deletion may come from the complemented family, nor with fixed cells, where
-the first round does not sort the elements by degree alone.
+surviving orbit is unchanged.  Without Z2, a bitset pass first drops every
+vertex holding no element of degree at least top - 1 in the parent, top
+the largest degree: such a vertex is outranked on the top layer.
 
 Non-sparse counting fixes a largest block {0..k-1}, enumerates independent
 sets of the auxiliary conflict graph G(k) under the block stabilizer, and
@@ -77,12 +82,6 @@ class JohnsonGraph:
     @property
     def with_complement(self) -> bool:
         return self.n == 2 * self.k
-
-    def adjacent(self, v: int, w: int) -> bool:
-        return popcount(v & w) == self.k - 1
-
-    def degree(self) -> int:
-        return self.k * (self.n - self.k)
 
 
 def johnson_graph(n: int, k: int) -> JohnsonGraph:
@@ -162,6 +161,20 @@ def _family_canon(n: int, masks: tuple, z2: bool, cells=None) -> _FamilyCanon:
     return _FamilyCanon(chosen.masks, deletion_orbit, tuple(actions))
 
 
+def _outranked(v: int, members, layers) -> bool:
+    """Whether some member w has v & C a proper subset of w & C at the first
+    of the layers C, in the order given, where v and w differ."""
+    for w in members:
+        for c in layers:
+            a = v & c
+            b = w & c
+            if a != b:
+                if a & b == a:
+                    return True
+                break
+    return False
+
+
 @dataclass
 class IsetSearch:
     """Checkpointable orbit enumeration of independent sets of a graph."""
@@ -179,8 +192,10 @@ class IsetSearch:
     collected: list = field(default_factory=list)
     # vertex -> bitset over vertex indices that cannot join it (itself included)
     _conflict: dict = field(init=False, repr=False, compare=False)
-    # element -> bitset over the indices of the vertices holding it, when the
-    # degree rule of the module docstring applies; None when it does not
+    # whether the outranking rule of the module docstring applies
+    _ranked: bool = field(init=False, repr=False, compare=False)
+    # element -> bitset over the indices of the vertices holding it, for the
+    # rule's first pass without Z2; None when that pass does not apply
     _holders: list = field(init=False, repr=False, compare=False)
     # stacked family -> automorphism actions of the labelling that accepted it
     _actions: dict = field(init=False, repr=False, compare=False)
@@ -196,9 +211,9 @@ class IsetSearch:
             | 1 << i
             for i, v in enumerate(self.vertices)
         }
+        self._ranked = len(set(map(popcount, self.vertices))) == 1 and self.cells is None
         self._holders = None
-        uniform_size = len(set(map(popcount, self.vertices))) == 1
-        if uniform_size and not self.z2 and self.cells is None:
+        if self._ranked and not self.z2:
             self._holders = [
                 sum(1 << i for i, v in enumerate(self.vertices) if v >> e & 1)
                 for e in range(self.n)
@@ -210,15 +225,22 @@ class IsetSearch:
         """Accepted canonical augmentations of one family, sorted by canonical
         form, each with its automorphism actions.  One candidate vertex per
         orbit of Aut(members) (generated by actions) is labelled, and under
-        the degree rule only a vertex holding an element of degree at least
-        top - 1 in members, top the largest degree."""
+        the outranking rule only a vertex that is not outranked in its child,
+        or under Z2 one whose complement is not outranked in the complemented
+        child."""
         taken = 0
         for u in members:
             taken |= self._conflict[u]
         free = ((1 << len(self.vertices)) - 1) & ~taken
-        if self._holders:
+        if self._ranked:
             deg = [sum(u >> e & 1 for u in members) for e in range(self.n)]
             top = max(deg)
+            layer = [0] * (top + 2)     # degree -> mask of its elements
+            for e, d in enumerate(deg):
+                layer[d] |= 1 << e
+            full = (1 << self.n) - 1
+            comp = [full ^ u for u in members] if self.z2 else None
+        if self._holders:
             allowed = 0
             for e, d in enumerate(deg):
                 if d >= top - 1:
@@ -232,6 +254,14 @@ class IsetSearch:
                 continue
             if actions:
                 seen |= _orbit(v, actions)
+            if self._ranked:
+                # the child's degree layers, highest first: v adds 1 on its elements
+                layers = [(layer[d] & ~v) | (layer[d - 1] & v) for d in range(top + 1, 0, -1)]
+                layers.append(layer[0] & ~v)
+                if _outranked(v, members, layers) and (
+                    not self.z2 or _outranked(full ^ v, comp, layers[::-1])
+                ):
+                    continue
             child = tuple(sorted(members + (v,)))
             fc = self._memo.get(child)
             if fc is None:

@@ -2,8 +2,8 @@ import os
 
 import pytest
 
+from examples import figure_rank3_7pt
 from matcat import enumerate_matroids
-from matcat.named import figure_rank3_7pt
 
 
 def extended_enabled() -> bool:

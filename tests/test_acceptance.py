@@ -10,10 +10,11 @@ import random
 import pytest
 
 from conftest import requires_extended
+from examples import f8, p2_doubleprime, p2_prime, p3
 from matcat.canon import certificate, certificate_for, relabel_family
 from matcat.core import Matroid, popcount, uniform
 from matcat.errors import BudgetExceeded as ResourceBudgetExceeded
-from matcat.named import ag32_prime, f8, p1, p2_doubleprime, p2_prime, p3, p8, vamos
+from matcat.named import ag32_prime, p1, p8, vamos
 from matcat.orderly import (
     brute_force_enumerate,
     count_matrix,

@@ -1,13 +1,22 @@
-"""The names the benchmark under perfbench/ takes from matcat still exist.
+"""The benchmark under perfbench/ still runs against src/.
 
 The benchmark imports matcat inside its functions and its tracer wraps some
 private functions by name, so a deletion in src/ that breaks it would show
-only when it runs.  These tests read its sources instead.
+only when it runs.  These tests read its sources instead.  Its Johnson
+slice is checked against frozen node counts, so a change to the search
+tree shows here too; the reference file is read, never written.
 """
 
 import ast
 import importlib
+import json
 from pathlib import Path
+
+import pytest
+
+from matcat.paving import (
+    BudgetExceeded, enumerate_isets_orderly, johnson_graph, load_iset_checkpoint,
+)
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -40,3 +49,19 @@ def test_traced_private_names_exist():
     traced = [("orderly", "_extend_records"), ("orderly", "_worker"), ("store", "compute_row")]
     for mod, name in traced:
         assert callable(getattr(importlib.import_module(f"matcat.{mod}"), name, None)), name
+
+
+def test_frozen_johnson_slice(tmp_path):
+    # the workload's slice: stopped at budget with a checkpoint, loaded,
+    # then resumed to twice the budget
+    spec = json.loads((PERFBENCH / "data" / "reference.json").read_text())["slices"]["full"]
+    path = str(tmp_path / "slice.ckpt")
+    with pytest.raises(BudgetExceeded):
+        enumerate_isets_orderly(
+            johnson_graph(spec["n"], spec["k"]), budget=spec["budget"], checkpoint_path=path
+        )
+    search = load_iset_checkpoint(path)
+    with pytest.raises(BudgetExceeded):
+        search.run(budget=2 * spec["budget"], checkpoint_path=path)
+    assert search.nodes == spec["nodes"]
+    assert {str(size): c for size, c in sorted(search.counts.items())} == spec["counts"]

@@ -7,6 +7,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from examples import f8
 from matcat.canon import (
     _compose,
     _equitable_refine,
@@ -28,7 +29,7 @@ from matcat.canon import (
 from matcat.core import EmptyGroundSet, Matroid, free, mask_of, popcount, uniform
 from matcat.errors import BudgetExceeded
 from matcat.lattice import FlatLattice
-from matcat.named import ag32_prime, f8, p8
+from matcat.named import ag32_prime, p8
 from matcat.paving import collect_iset_orbits, johnson_graph
 
 

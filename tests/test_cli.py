@@ -120,6 +120,29 @@ class TestEnum:
         err = capsys.readouterr().err.strip().splitlines()
         assert err == ["cannot load checkpoint: bad checkpoint masks not strictly ascending"]
 
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("E 5 0 - 0500", "an E record is on more than 3 elements"),
+            ("E 1 0 - 0100", "two E records share a certificate"),
+        ],
+        ids=["above_level", "repeated"],
+    )
+    def test_resume_checkpoint_with_a_bad_emitted_record(
+        self, tmp_path, capsys, line, message
+    ):
+        ck = tmp_path / "emitted.ckpt"
+        assert main(["enum", "--max-n", "5", "--budget", "20", "--out",
+                     str(tmp_path / "e.txt"), "--checkpoint", str(ck)]) == EXIT_BUDGET
+        assert "level=3 " in ck.read_text()
+        ck.write_text(ck.read_text() + line + "\n")
+        capsys.readouterr()
+        rc = main(["enum", "--max-n", "5", "--out", str(tmp_path / "e.txt"),
+                   "--checkpoint", str(ck), "--resume"])
+        assert rc == EXIT_IO
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"cannot load checkpoint: bad checkpoint: {message}"]
+
     def test_resume_checkpoint_for_other_max_n(self, workdir):
         ck = str(workdir / "other.ckpt")
         out = str(workdir / "other.txt")

@@ -240,7 +240,7 @@ class TestFlatsAndRank:
             assert Matroid.from_rank_table(m.n, table) == m
 
     def test_intersection_closed(self, fig1):
-        all_flats = fig1.flats().all_flats()
+        all_flats = [f for level in fig1.flats().levels for f in level]
         fs = set(all_flats)
         for a, b in itertools.combinations(all_flats, 2):
             assert a & b in fs

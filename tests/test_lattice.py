@@ -96,7 +96,7 @@ class TestBuildLattice:
 
 class TestModularPairs:
     def test_comparable_flats_are_modular(self, fig1):
-        flats = fig1.flats().all_flats()
+        flats = [f for level in fig1.flats().levels for f in level]
         for f in flats:
             for g in flats:
                 if f != g and f & g == f:

@@ -1,3 +1,4 @@
+import math
 import os
 
 import pytest
@@ -14,7 +15,6 @@ from matcat.orderly import (
     count_matrix,
     enumerate_matroids,
     extend_all,
-    labelled_count_from_classes,
     load_checkpoint,
     save_checkpoint,
     totals_by_n,
@@ -98,6 +98,15 @@ class TestEnumerate:
                 r for r in extend_all(parent) if r.cert == cert.bytes
             ]
             assert len(found) == 1
+
+
+def labelled_count_from_classes(records) -> int:
+    """Sum of n!/|Aut| over records; the orbit-stabilizer cross-check."""
+    total = 0
+    for rec in records:
+        cert = certificate_for(rec.n, rec.rank, rec.hyperplanes)
+        total += math.factorial(rec.n) // cert.aut_order
+    return total
 
 
 def _extend_by_certificate(parent):
@@ -376,6 +385,20 @@ class TestCheckpointing:
         stray = next(line for line in lines if line.startswith("E 1 "))
         path.write_text("\n".join(lines + [tag + stray[1:]]) + "\n")
         with pytest.raises(ValueError, match=f"bad checkpoint: a {tag} record"):
+            load_checkpoint(str(path))
+
+    def test_emitted_record_above_the_level_refused(self, budget_checkpoint):
+        path, lines = budget_checkpoint
+        # the checkpoint is taken at level 3; this record is on 6 elements
+        path.write_text("\n".join(lines + ["E 6 0 - 0600"]) + "\n")
+        with pytest.raises(ValueError, match="bad checkpoint: an E record is on more than 3"):
+            load_checkpoint(str(path))
+
+    def test_repeated_emitted_record_refused(self, budget_checkpoint):
+        path, lines = budget_checkpoint
+        repeat = next(line for line in lines if line.startswith("E 2 "))
+        path.write_text("\n".join(lines + [repeat]) + "\n")
+        with pytest.raises(ValueError, match="bad checkpoint: two E records share"):
             load_checkpoint(str(path))
 
     def test_consistent_checkpoint_still_resumes(self, budget_checkpoint):

@@ -15,6 +15,7 @@ from matcat.paving import (
     IsetSearch,
     NotIndependent,
     _family_canon,
+    _outranked,
     auxiliary_graph_vertices,
     count_nonsparse_paving,
     count_self_dual_sparse,
@@ -43,6 +44,11 @@ class _Trap:
         return (_record_unpickling, ())
 
 
+def adjacent(g, v, w):
+    """Whether vertices v and w of the Johnson graph g are adjacent."""
+    return popcount(v & w) == g.k - 1
+
+
 def brute_force_iset_orbits(g):
     """All independent sets deduped by minimum relabeling (plus complement)."""
     full = (1 << g.n) - 1
@@ -53,7 +59,7 @@ def brute_force_iset_orbits(g):
         members, start = stack.pop()
         for i in range(start, len(verts)):
             v = verts[i]
-            if any(g.adjacent(v, u) for u in members):
+            if any(adjacent(g, v, u) for u in members):
                 continue
             nxt = members + (v,)
             isets.append(nxt)
@@ -80,9 +86,9 @@ class TestJohnsonGraph:
     def test_j42_shape(self):
         g = johnson_graph(4, 2)
         assert len(g.vertices) == 6
-        assert g.degree() == 4
-        v = g.vertices[0]
-        assert sum(g.adjacent(v, w) for w in g.vertices if w != v) == 4
+        # J(n,k) is k(n-k)-regular
+        for v in g.vertices:
+            assert sum(adjacent(g, v, w) for w in g.vertices if w != v) == 4
 
     def test_j104_vertex_count(self):
         assert len(johnson_graph(10, 4).vertices) == 210
@@ -342,7 +348,7 @@ class TestOrbitReduction:
     @pytest.mark.parametrize(
         "n,vertices,cells",
         [
-            # the degree rule would drop accepted children on both
+            # the outranking rule would drop accepted children on both
             (7, johnson_graph(7, 3).vertices, ((0, 1, 2), (3, 4, 5, 6))),
             (4, tuple(sorted(
                 mask_of(c) for size in (1, 2) for c in itertools.combinations(range(4), size)
@@ -355,6 +361,27 @@ class TestOrbitReduction:
         search.run()
         assert len(search.collected) == search.nodes
 
+    def test_first_200_nodes_of_j105(self):
+        # Z2 at n = 10: the outranking rule tests the complemented child too
+        g = johnson_graph(10, 5)
+        search = _CheckedSearch(g.n, g.vertices, conflict_threshold=g.k - 1, z2=True)
+        with pytest.raises(BudgetExceeded):
+            search.run(budget=199)
+        assert len(search.collected) == 200
+
+    def test_outranking_skips_most_labellings(self, monkeypatch):
+        # the first 4000 nodes of J(9,4) label 28605 children without the rule
+        labelled = []
+
+        def counting(*args):
+            labelled.append(None)
+            return _family_canon(*args)
+
+        monkeypatch.setattr(paving, "_family_canon", counting)
+        with pytest.raises(BudgetExceeded):
+            johnson_search(johnson_graph(9, 4)).run(budget=3999)
+        assert len(labelled) <= 11000
+
     def test_actions_are_automorphisms(self):
         g = johnson_graph(8, 4)
         full = (1 << g.n) - 1
@@ -365,6 +392,36 @@ class TestOrbitReduction:
                 assert flip in (0, full)
                 image = tuple(sorted(relabel_mask(v, perm) ^ flip for v in members))
                 assert image == members
+
+
+class TestOutranked:
+    # three layers, highest degree first: {0, 1}, {2, 3}, {4, 5}
+    LAYERS = (0b000011, 0b001100, 0b110000)
+
+    @pytest.mark.parametrize(
+        "v, w, outranked",
+        [
+            ((0, 2, 4), (0, 1, 5), True),    # proper subset on the top layer
+            ((0, 2, 4), (0, 2, 3), True),    # equal, then a proper subset below
+            ((0, 2, 4), (1, 2, 3), False),   # incomparable on the top layer
+            ((0, 1, 4), (0, 2, 3), False),   # a proper superset on the top layer
+            ((0, 2, 4), (0, 2, 5), False),   # incomparable on the last layer
+        ],
+    )
+    def test_first_differing_layer_decides(self, v, w, outranked):
+        assert _outranked(mask_of(v), [mask_of(w)], self.LAYERS) is outranked
+
+    def test_any_member_outranks(self):
+        v = mask_of((0, 2, 4))
+        members = [mask_of((1, 2, 3)), mask_of((0, 2, 3))]
+        assert _outranked(v, members, self.LAYERS)
+        assert not _outranked(v, members[:1], self.LAYERS)
+        assert not _outranked(v, [], self.LAYERS)
+
+    def test_layer_order_matters(self):
+        # read from the lowest layer up, {4} and {5} differ first
+        v, w = mask_of((0, 2, 4)), mask_of((0, 1, 5))
+        assert not _outranked(v, [w], self.LAYERS[::-1])
 
 
 class TestEstimator:

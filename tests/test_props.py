@@ -4,19 +4,9 @@ import random
 import numpy as np
 import pytest
 
+from examples import f8, l8, p2_doubleprime, p2_prime, p3
 from matcat.core import INFINITY, Matroid, free, popcount, uniform
-from matcat.named import (
-    ag32,
-    ag32_prime,
-    f8,
-    l8,
-    p1,
-    p2_doubleprime,
-    p2_prime,
-    p3,
-    p8,
-    vamos,
-)
+from matcat.named import ag32, ag32_prime, p1, p8, vamos
 from matcat.props import (
     _BLOCK_CELLS,
     BudgetExceeded,

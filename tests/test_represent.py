@@ -8,11 +8,12 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from examples import f8, l8, p2_doubleprime, p2_prime, p3
 import matcat
 from matcat import represent
 from matcat.canon import relabel_family
 from matcat.core import Matroid, bits, free, mask_of, uniform
-from matcat.named import ag32, f8, l8, p1, p2_doubleprime, p2_prime, p3, p8, vamos
+from matcat.named import ag32, p1, p8, vamos
 from matcat.represent import (
     GF,
     RepresentationMatrix,
