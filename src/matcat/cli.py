@@ -9,12 +9,12 @@ transversality columns at 8 sit behind --extended.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from functools import partial
 
 from .errors import BudgetExceeded
 from .orderly import (
-    default_jobs,
     enumerate_matroids,
     brute_force_enumerate,
     count_matrix,
@@ -280,7 +280,6 @@ def cmd_johnson(args) -> int:
         enumerate_isets_orderly,
         estimate_iset_count,
         johnson_graph,
-        johnson_search,
         load_iset_checkpoint,
     )
 
@@ -323,11 +322,7 @@ def cmd_johnson(args) -> int:
         except (OSError, ValueError) as exc:
             print(f"cannot load checkpoint: {exc}", file=sys.stderr)
             return EXIT_IO
-        fresh = johnson_search(g)
-        if any(
-            getattr(resume, name) != getattr(fresh, name)
-            for name in ("n", "vertices", "conflict_threshold", "z2", "cells")
-        ):
+        if (resume.n, resume.vertices) != (g.n, g.vertices):
             print(f"checkpoint is not a J({args.n},{args.k}) search", file=sys.stderr)
             return EXIT_USAGE
     if resume is not None:
@@ -353,13 +348,20 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    def jobs(text):
+        """A worker count; 0, the default, stands for the CPU count."""
+        count = int(text)
+        if count < 0:
+            raise argparse.ArgumentTypeError(f"must be at least 0, not {count}")
+        return count or os.cpu_count() or 1
+
     p = _Parser(prog="matcat", description="Small-matroid catalogue toolkit")
     sub = p.add_subparsers(dest="command", required=True)
 
     e = sub.add_parser("enum", help="enumerate matroids and write the catalogue")
     e.add_argument("--max-n", type=int, required=True, choices=range(10))
     e.add_argument("--out", default="matroids.cat")
-    e.add_argument("--jobs", type=int, default=0)
+    e.add_argument("--jobs", type=jobs, default="0")
     e.add_argument("--budget", type=int, default=None)
     e.add_argument("--checkpoint", default=None)
     e.add_argument("--resume", action="store_true")
@@ -370,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
     pr = sub.add_parser("props", help="compute the property table from a catalogue")
     pr.add_argument("--catalogue", required=True)
     pr.add_argument("--out", default="properties.tsv")
-    pr.add_argument("--jobs", type=int, default=0)
+    pr.add_argument("--jobs", type=jobs, default="0")
     pr.add_argument("--extended", action="store_true")
     pr.set_defaults(func=cmd_props)
 
@@ -419,13 +421,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
-    # --jobs 0, the default, stands for MATCAT_JOBS or the CPU count
-    if getattr(args, "jobs", None) == 0:
-        try:
-            args.jobs = default_jobs()
-        except ValueError as exc:
-            print(exc, file=sys.stderr)
-            return EXIT_USAGE
     try:
         return args.func(args)
     except BudgetExceeded as exc:

@@ -337,7 +337,8 @@ class Matroid:
 
     @classmethod
     def from_rank_table(cls, n: int, table) -> "Matroid":
-        """Rebuild (n, rank, hyperplanes) from a full rank table (trusted)."""
+        """Rebuild (n, rank, hyperplanes) from a full rank table (trusted),
+        which the new matroid keeps as its rank_table."""
         full = (1 << n) - 1
         r = table[full]
         hyps = []
@@ -346,7 +347,9 @@ class Matroid:
                 continue
             if all(table[m | (1 << e)] > table[m] for e in bits(full & ~m)):
                 hyps.append(m)
-        return cls(n, r, hyps)
+        matroid = cls(n, r, hyps)
+        matroid.rank_table = table
+        return matroid
 
     def delete(self, e: int) -> "Matroid":
         if not 0 <= e < self.n:

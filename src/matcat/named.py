@@ -1,8 +1,9 @@
-"""Sparse paving matroids from blocks, and the paper's named 8-element ones.
+"""Paving matroids from blocks, and the paper's named 8-element ones.
 
-Sparse paving matroids of rank r are specified by their circuit-hyperplanes
-(r-sets pairwise meeting in at most r-2 points); hyperplanes are those
-blocks plus every (r-1)-set not inside any block.
+A paving matroid of rank r is specified by its hyperplanes of size at least
+r (blocks pairwise meeting in at most r-2 points); its hyperplanes are those
+blocks plus every (r-1)-set not inside any block.  Sparse paving matroids
+are those whose blocks are r-sets, their circuit-hyperplanes.
 """
 
 from __future__ import annotations
@@ -12,22 +13,33 @@ import itertools
 from .core import Matroid, mask_of, popcount
 
 
-def sparse_paving(n: int, rank: int, circuit_hyperplanes) -> Matroid:
-    """Matroid of the given rank whose circuit-hyperplanes are the blocks."""
-    blocks = [mask_of(b) if not isinstance(b, int) else b for b in circuit_hyperplanes]
-    d = rank - 1
-    for b in blocks:
-        if popcount(b) != rank:
-            raise ValueError("circuit-hyperplane blocks must have size rank")
-    for b1, b2 in itertools.combinations(blocks, 2):
-        if popcount(b1 & b2) >= d:
-            raise ValueError("blocks may share at most rank-2 elements")
+class NotIndependent(ValueError):
+    """Two blocks share rank - 1 elements: they are adjacent in the Johnson
+    graph, so no sparse paving matroid has both as circuit-hyperplanes."""
+
+
+def paving_from_blocks(n: int, d: int, blocks) -> Matroid:
+    """Paving matroid of rank d+1 whose hyperplanes of size > d are the given
+    masks; the d-sets in no block are the other hyperplanes."""
     hyps = list(blocks)
     for small in itertools.combinations(range(n), d):
         sm = mask_of(small)
         if not any(sm & b == sm for b in blocks):
             hyps.append(sm)
     return Matroid.from_hyperplanes(n, hyps)
+
+
+def sparse_paving(n: int, rank: int, circuit_hyperplanes) -> Matroid:
+    """Matroid of the given rank whose circuit-hyperplanes are the blocks,
+    given as masks or element iterables; NotIndependent for two blocks that
+    share rank - 1 elements."""
+    blocks = [b if isinstance(b, int) else mask_of(b) for b in circuit_hyperplanes]
+    if any(popcount(b) != rank for b in blocks):
+        raise ValueError("circuit-hyperplane blocks must have size rank")
+    for b1, b2 in itertools.combinations(blocks, 2):
+        if popcount(b1 & b2) >= rank - 1:
+            raise NotIndependent(f"{b1:#x} and {b2:#x} meet in {rank - 1} or more")
+    return paving_from_blocks(n, rank - 1, blocks)
 
 
 P8_CIRCUIT_HYPERPLANES = (

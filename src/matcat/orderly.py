@@ -38,6 +38,7 @@ from dataclasses import dataclass, field
 from .canon import certificate, certificate_for, element_has_minimal_signature
 # the whole mask codec is importable from here as well as from core
 from .core import (  # noqa: F401
+    AxiomViolation,
     Matroid,
     format_masks,
     format_packed,
@@ -136,17 +137,6 @@ def _worker(args):
     return records, candidates, carried
 
 
-def default_jobs() -> int:
-    """MATCAT_JOBS when set, else the CPU count; ValueError if it is not an integer."""
-    env = os.environ.get("MATCAT_JOBS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ValueError(f"MATCAT_JOBS must be an integer, not {env!r}") from None
-    return os.cpu_count() or 1
-
-
 @dataclass
 class EnumerationJob:
     """State of a level-by-level enumeration, checkpointable between batches."""
@@ -226,7 +216,7 @@ def _advance_level(job, pool, budget, checkpoint_path, checkpoint_every, progres
             raise BudgetExceeded(
                 f"{job.candidates_used} extension candidates exceed budget {budget}"
             )
-    level_children = sorted(set(job.children), key=CatalogueRecord.sort_key)
+    level_children = sorted(job.children, key=CatalogueRecord.sort_key)
     job.level += 1
     job.parents = level_children
     job.next_parent = 0
@@ -353,7 +343,7 @@ def brute_force_enumerate(n: int):
                 stack.append((chosen + [c], i + 1))
         try:
             m = Matroid.from_hyperplanes(n, [full & ~c for c in chosen])
-        except Exception:
+        except AxiomViolation:
             continue
         labeled += 1
         cert = certificate(m)

@@ -61,16 +61,10 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .canon import (
-    canonical_family, certificate, relabel_mask, _compose, _invert, _require_partition,
-)
-from .core import Matroid, UnionFind, bits, mask_of, popcount
+from .canon import canonical_family, certificate, relabel_mask, _compose, _invert
+from .core import UnionFind, bits, mask_of, popcount
 from .errors import BudgetExceeded
-from .named import sparse_paving
-
-
-class NotIndependent(ValueError):
-    """Vertex family is not independent in the Johnson graph."""
+from .named import paving_from_blocks, sparse_paving
 
 
 @dataclass(frozen=True)
@@ -89,26 +83,6 @@ def johnson_graph(n: int, k: int) -> JohnsonGraph:
         raise ValueError("need 1 <= k < n <= 12")
     verts = [mask_of(c) for c in itertools.combinations(range(n), k)]
     return JohnsonGraph(n, k, tuple(sorted(verts)))
-
-
-def sparse_paving_from_independent_set(n: int, d: int, iset) -> Matroid:
-    blocks = list(iset)
-    for v, w in itertools.combinations(blocks, 2):
-        if popcount(v & w) == d:
-            raise NotIndependent(f"{v:#x} and {w:#x} meet in {d} points")
-    if n <= d + 1:
-        raise ValueError("degenerate: ground set must exceed rank")
-    return sparse_paving(n, d + 1, blocks)
-
-
-def paving_from_blocks(n: int, d: int, blocks) -> Matroid:
-    """Paving matroid of rank d+1 whose d-partition blocks of size > d are given."""
-    hyps = list(blocks)
-    for small in itertools.combinations(range(n), d):
-        sm = mask_of(small)
-        if not any(sm & b == sm for b in blocks):
-            hyps.append(sm)
-    return Matroid.from_hyperplanes(n, hyps)
 
 
 # -- canonical augmentation over a vertex family ------------------------------
@@ -177,7 +151,8 @@ def _outranked(v: int, members, layers) -> bool:
 
 @dataclass
 class IsetSearch:
-    """Checkpointable orbit enumeration of independent sets of a graph."""
+    """Orbit enumeration of independent sets of a graph; a J(n, k) search,
+    as johnson_search builds it, is checkpointable."""
 
     n: int
     vertices: tuple
@@ -304,15 +279,21 @@ class IsetSearch:
 # -- checkpoint serialization (magic, version byte, JSON) --------------------
 
 _CKPT_MAGIC = b"MCJK"
-_CKPT_VERSION = 2
-_CKPT_FIELDS = (
-    "n", "vertices", "conflict_threshold", "z2", "cells",
-    "counts", "stack", "nodes", "max_size",
-)
+_CKPT_VERSION = 3
+_CKPT_FIELDS = ("n", "k", "counts", "stack", "nodes")
 
 
 def save_iset_checkpoint(search: IsetSearch, path: str) -> None:
-    payload = {name: getattr(search, name) for name in _CKPT_FIELDS}
+    """Write the search as J(n, k) plus its progress; ValueError for a search
+    that johnson_search(johnson_graph(n, k)) does not rebuild."""
+    n, k = search.n, search.conflict_threshold + 1
+    g = johnson_graph(n, k)
+    if (search.vertices, search.z2, search.cells, search.max_size) != (
+        g.vertices, g.with_complement, None, None
+    ):
+        raise ValueError("only a J(n,k) search without cells or max_size is checkpointed")
+    payload = {"n": n, "k": k, "counts": search.counts, "stack": search.stack,
+               "nodes": search.nodes}
     blob = json.dumps(payload, separators=(",", ":")).encode()
     tmp = path + ".tmp"
     with open(tmp, "wb") as fh:
@@ -335,7 +316,9 @@ def _ints(xs) -> tuple:
 def load_iset_checkpoint(path: str) -> IsetSearch:
     """Read a checkpoint written by save_iset_checkpoint; ValueError if malformed.
 
-    The payload is plain JSON data: nothing in the file is executed.
+    The payload is plain JSON data: nothing in the file is executed.  The
+    search is rebuilt through johnson_graph(n, k), whose range check runs
+    before anything is built.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -345,23 +328,14 @@ def load_iset_checkpoint(path: str) -> IsetSearch:
         data = json.loads(blob[5:])
         if set(data) != set(_CKPT_FIELDS):
             raise TypeError(f"expected fields {_CKPT_FIELDS}")
-        if type(data["z2"]) is not bool or type(data["counts"]) is not dict:
-            raise TypeError("bad z2 or counts field")
-        cells = data["cells"]
-        max_size = data["max_size"]
-        search = IsetSearch(
-            n=_int(data["n"]),
-            vertices=_ints(data["vertices"]),
-            conflict_threshold=_int(data["conflict_threshold"]),
-            z2=data["z2"],
-            cells=None if cells is None else tuple(_ints(c) for c in cells),
+        if type(data["counts"]) is not dict:
+            raise TypeError("bad counts field")
+        search = johnson_search(
+            johnson_graph(_int(data["n"]), _int(data["k"])),
             counts={int(k): _int(v) for k, v in data["counts"].items()},
             stack=[_ints(members) for members in data["stack"]],
             nodes=_int(data["nodes"]),
-            max_size=None if max_size is None else _int(max_size),
         )
-        if search.cells is not None:
-            _require_partition(search.n, search.cells)
         _check_stack(search)
     except (TypeError, ValueError) as exc:
         raise ValueError(f"bad checkpoint payload: {exc}") from None
@@ -421,7 +395,7 @@ def _count_self_dual(n: int, reps, method: str) -> int:
     count = 0
     for members in reps:
         if method == "certificate":
-            m = sparse_paving_from_independent_set(n, k - 1, members)
+            m = sparse_paving(n, k, members)
             cert = certificate(m)
             # Aut(M*) = Aut(M), which seeds the dual's search
             if cert.bytes == certificate(m.dual(), cert.generators).bytes:

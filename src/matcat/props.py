@@ -32,25 +32,9 @@ from .core import INFINITY, Matroid, lift_table, popcount
 from .errors import BudgetExceeded
 
 
-@dataclass(frozen=True)
-class PropertyFlags:
-    simple: bool
-    cosimple: bool
-    paving: bool
-    sparse_paving: bool
-    uniform: bool
-    min_circuit_size: object  # int or INFINITY
-    num_bases: int
-    num_circuits: int
-    num_flats: int
-    num_hyperplanes: int
-    num_independent: int
-    num_circuit_hyperplanes: int
-    num_loops: int
-    num_coloops: int
-
-
-def classify(m: Matroid) -> PropertyFlags:
+def classify(m: Matroid) -> dict:
+    """The flag and count columns of a property row, keyed by their
+    store.COLUMNS names."""
     table = m.rank_table
     circuits = m._circuits
     min_circuit = min((popcount(c) for c in circuits), default=INFINITY)
@@ -68,22 +52,22 @@ def classify(m: Matroid) -> PropertyFlags:
     )
     n_indep = sum(1 for a in range(1 << m.n) if table[a] == popcount(a))
     hset = set(m.hyperplanes)
-    return PropertyFlags(
-        simple=simple,
-        cosimple=cosimple,
-        paving=paving,
-        sparse_paving=sparse,
-        uniform=len(m._bases) == math.comb(m.n, m.rank),
-        min_circuit_size=min_circuit,
-        num_bases=len(m._bases),
-        num_circuits=len(circuits),
-        num_flats=len(m._flat_data[0]),
-        num_hyperplanes=len(m.hyperplanes),
-        num_independent=n_indep,
-        num_circuit_hyperplanes=sum(1 for c in circuits if c in hset),
-        num_loops=loops,
-        num_coloops=popcount(m.coloops()),
-    )
+    return {
+        "simple": simple,
+        "cosimple": cosimple,
+        "paving": paving,
+        "sparsePaving": sparse,
+        "uniform": len(m._bases) == math.comb(m.n, m.rank),
+        "minCircuitSize": min_circuit,
+        "numBases": len(m._bases),
+        "numCircuits": len(circuits),
+        "numFlats": len(m._flat_data[0]),
+        "numHyperplanes": len(m.hyperplanes),
+        "numIndependent": n_indep,
+        "numCircuitHyperplanes": sum(1 for c in circuits if c in hset),
+        "numLoops": loops,
+        "numColoops": popcount(m.coloops()),
+    }
 
 
 @dataclass(frozen=True)

@@ -207,26 +207,12 @@ def compute_row(rec: CatalogueRecord, opts: RowOptions) -> dict:
     from .represent import _verdict
 
     m = rec.matroid()
-    flags = classify(m)
     cert = certificate(m)
     row = {
         "id": rec.id,
         "n": m.n,
         "rank": m.rank,
-        "simple": flags.simple,
-        "cosimple": flags.cosimple,
-        "paving": flags.paving,
-        "sparsePaving": flags.sparse_paving,
-        "uniform": flags.uniform,
-        "minCircuitSize": flags.min_circuit_size,
-        "numBases": flags.num_bases,
-        "numCircuits": flags.num_circuits,
-        "numFlats": flags.num_flats,
-        "numHyperplanes": flags.num_hyperplanes,
-        "numIndependent": flags.num_independent,
-        "numCircuitHyperplanes": flags.num_circuit_hyperplanes,
-        "numLoops": flags.num_loops,
-        "numColoops": flags.num_coloops,
+        **classify(m),
         "autOrder": cert.aut_order,
         "numOrbits": cert.orbit_count,
         "connectivity": m.connectivity(),

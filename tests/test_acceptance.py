@@ -133,15 +133,15 @@ def test_criterion_05_derived_tables_n8(matroids8, flags8):
     paving = {n: 0 for n in range(9)}
     by_rank = {"t2": {}, "t3": {}, "t4": {}}
     for m, f in zip(matroids8, flags8):
-        if f.simple:
+        if f["simple"]:
             simple[m.n] += 1
             if m.n == 8:
                 by_rank["t2"][m.rank] = by_rank["t2"].get(m.rank, 0) + 1
-            if f.cosimple:
+            if f["cosimple"]:
                 cosimple[m.n] += 1
                 if m.n == 8:
                     by_rank["t3"][m.rank] = by_rank["t3"].get(m.rank, 0) + 1
-            if f.paving:
+            if f["paving"]:
                 paving[m.n] += 1
                 if m.n == 8:
                     by_rank["t4"][m.rank] = by_rank["t4"].get(m.rank, 0) + 1
@@ -165,11 +165,11 @@ def test_criterion_05x_derived_tables_n9():
         if rec.n != 9:
             continue
         f = classify(rec.matroid())
-        if f.simple:
+        if f["simple"]:
             simple += 1
-            if f.cosimple:
+            if f["cosimple"]:
                 cosimple += 1
-            if f.paving:
+            if f["paving"]:
                 paving += 1
                 if rec.rank == 4:
                     cell94 += 1
@@ -187,7 +187,7 @@ def test_criterion_06_ingleton_census(matroids8, flags8):
         if w is not None:
             violators.append((m, f))
     all_sparse_rank4 = all(
-        f.sparse_paving and m.rank == 4 for m, f in violators
+        f["sparsePaving"] and m.rank == 4 for m, f in violators
     )
     certs = {certificate(m).bytes: m for m, _ in violators}
     # relaxation DAG inside the violating set
@@ -335,7 +335,7 @@ def test_criterion_10_johnson_cross_validation(matroids8, flags8):
             cat = sum(
                 1
                 for m, f in zip(matroids8, flags8)
-                if m.n == n and m.rank == rank and f.sparse_paving
+                if m.n == n and m.rank == rank and f["sparsePaving"]
             )
             if g.with_complement:
                 sd = count_self_dual_sparse(n, method="z2")

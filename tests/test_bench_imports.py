@@ -8,8 +8,11 @@ tree shows here too; the reference file is read, never written.
 """
 
 import ast
+import dataclasses
 import importlib
+import inspect
 import json
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -65,3 +68,71 @@ def test_frozen_johnson_slice(tmp_path):
         search.run(budget=2 * spec["budget"], checkpoint_path=path)
     assert search.nodes == spec["nodes"]
     assert {str(size): c for size, c in sorted(search.counts.items())} == spec["counts"]
+
+
+def test_bench_call_shapes_bind():
+    # every call shape perfbench/workloads.py and perfbench/regen.py make
+    # into matcat, bound to placeholders: a deleted or renamed parameter
+    # fails here instead of failing operations in a benchmark run.  Imported
+    # here, so that a deleted name fails this test, not the module's collection
+    from matcat.orderly import count_matrix, enumerate_matroids, pack_masks, totals_by_n
+    from matcat.paving import (
+        EstimateReport, IsetSearch, JohnsonGraph, count_self_dual_sparse,
+        estimate_iset_count, paving_total,
+    )
+    from matcat.represent import excluded_minors
+    from matcat.store import (
+        CatalogueRecord, RowOptions, assign_ids, compute_row, missing_base_triples,
+        parse_property_tsv, parse_query, query, read_catalogue, render_property_tsv,
+        resolve_cross_references, write_catalogue,
+    )
+
+    x = object()
+    calls = [
+        (enumerate_matroids, (x,), {"jobs": x}),
+        (assign_ids, (x,), {}),
+        (write_catalogue, (x, x), {}),
+        (read_catalogue, (x,), {}),
+        (count_matrix, (x, x), {}),
+        (totals_by_n, (x, x), {}),
+        (pack_masks, (x,), {}),
+        (CatalogueRecord, (x, x, x, x), {}),
+        (RowOptions, (), {}),
+        (compute_row, (x, x), {}),
+        (partial(compute_row, opts=x), (x,), {}),
+        (resolve_cross_references, (x,), {}),
+        (render_property_tsv, (x,), {}),
+        (parse_property_tsv, (x,), {}),
+        (parse_query, (x,), {}),
+        (query, (x, x), {"group_by": x}),
+        (missing_base_triples, (x, x), {}),
+        (excluded_minors, (x, x, {}), {}),
+        (johnson_graph, (x, x), {}),
+        (enumerate_isets_orderly, (x,), {}),
+        (enumerate_isets_orderly, (x,), {"budget": x, "checkpoint_path": x}),
+        (load_iset_checkpoint, (x,), {}),
+        (IsetSearch, (x, x), {"conflict_threshold": x, "z2": x}),
+        (IsetSearch.run, (x,), {"budget": x}),
+        (IsetSearch.run, (x,), {"budget": x, "checkpoint_path": x}),
+        (count_self_dual_sparse, (x,), {"method": x}),
+        (paving_total, (x, x), {}),
+        (estimate_iset_count, (x, 2, 1.0, x), {}),
+        (estimate_iset_count, (x, 2, 1.0), {"seed": x}),
+    ]
+    broken = []
+    for fn, args, kwargs in calls:
+        try:
+            inspect.signature(fn).bind(*args, **kwargs)
+        except TypeError as exc:
+            broken.append(f"{getattr(fn, '__qualname__', fn)}: {exc}")
+    assert broken == []
+    # and the attributes they read off the results
+    read = [
+        (EstimateReport, ("estimate",)),
+        (IsetSearch, ("nodes", "counts")),
+        (JohnsonGraph, ("n", "k", "vertices", "with_complement")),
+        (CatalogueRecord, ("id", "n", "rank", "cert", "hyperplanes", "matroid")),
+    ]
+    for cls, names in read:
+        have = {f.name for f in dataclasses.fields(cls)} | set(dir(cls))
+        assert set(names) <= have, cls

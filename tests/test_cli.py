@@ -1,5 +1,6 @@
 import hashlib
-import os
+import json
+import time
 
 import pytest
 
@@ -26,6 +27,13 @@ from matcat.store import (
     parse_property_tsv,
     write_catalogue,
 )
+
+
+# the root of a J(6,3) search as the version-2 format wrote it
+V2_J63_ROOT = b"MCJK\x02" + json.dumps({
+    "n": 6, "vertices": list(johnson_graph(6, 3).vertices), "conflict_threshold": 2,
+    "z2": True, "cells": None, "counts": {}, "stack": [[]], "nodes": 0, "max_size": None,
+}).encode()
 
 
 @pytest.fixture(scope="module")
@@ -460,6 +468,8 @@ class TestOracleAndJohnson:
         [
             None, b"garbage", b"MCJK", b"MCJK\x01garbage", b"MCJK\x01",
             b"MCJK\x02garbage", b"MCJK\x02{}", b"MCJK\x02[]",
+            pytest.param(V2_J63_ROOT, id="v2-payload"),
+            b"MCJK\x03garbage", b"MCJK\x03{}", b"MCJK\x03[]",
         ],
     )
     def test_johnson_resume_unreadable_checkpoint(self, tmp_path, capsys, content):
@@ -499,11 +509,18 @@ class TestOracleAndJohnson:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("cannot load checkpoint")
 
-    @pytest.mark.parametrize("cells", [((0, 1), (2, 3)), ((0, 1, 2), (2, 3, 4, 5))])
-    def test_johnson_resume_cells_not_a_partition(self, tmp_path, capsys, cells):
-        ck = str(tmp_path / "cells.jck")
-        save_iset_checkpoint(johnson_search(johnson_graph(6, 3), cells=cells), ck)
-        rc = main(["johnson", "--n", "6", "--k", "3", "--checkpoint", ck, "--resume"])
+    @pytest.mark.parametrize("n,k", [(10**6, 3), (7, 7), (7, 9)])
+    def test_johnson_resume_graph_out_of_range(self, tmp_path, capsys, n, k):
+        # a J(7,3) checkpoint edited to name a graph johnson_graph refuses
+        ck = tmp_path / "j73.jck"
+        save_iset_checkpoint(johnson_search(johnson_graph(7, 3)), str(ck))
+        data = json.loads(ck.read_bytes()[5:])
+        data.update(n=n, k=k)
+        ck.write_bytes(b"MCJK\x03" + json.dumps(data).encode())
+        t0 = time.perf_counter()
+        rc = main(["johnson", "--n", "7", "--k", "3", "--checkpoint", str(ck),
+                   "--resume"])
+        assert time.perf_counter() - t0 < 1.0
         assert rc == EXIT_IO
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1
@@ -541,28 +558,14 @@ class TestOracleAndJohnson:
         ["johnson", "--n", "7", "--self-dual"],
         ["enum", "--max-n", "10", "--extended"],
         ["enum", "--max-n", "-1"],
+        ["enum", "--max-n", "2", "--jobs", "-1"],
+        ["props", "--catalogue", "absent.cat", "--jobs", "-1"],
     ],
     ids=" ".join,
 )
 def test_usage_error_is_one_line(argv, capsys):
     assert main(argv) == EXIT_USAGE
     assert len(capsys.readouterr().err.strip().splitlines()) == 1
-
-
-@pytest.mark.parametrize("command", ["enum", "props"])
-def test_malformed_jobs_variable_is_a_usage_error(command, monkeypatch, capsys,
-                                                  tmp_path):
-    monkeypatch.setenv("MATCAT_JOBS", "two")
-    out = str(tmp_path / "out")
-    argv = {"enum": ["enum", "--max-n", "2", "--out", out],
-            "props": ["props", "--catalogue", out, "--out", out]}[command]
-    assert main(argv) == EXIT_USAGE
-    captured = capsys.readouterr()
-    assert captured.err.strip().splitlines() == [
-        "MATCAT_JOBS must be an integer, not 'two'"
-    ]
-    assert captured.out == ""
-    assert not os.path.exists(out)
 
 
 def test_johnson_self_dual_needs_no_k(capsys):

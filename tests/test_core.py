@@ -334,6 +334,12 @@ class TestMinors:
     def test_delete_uniform(self):
         assert uniform(2, 4).delete(3) == uniform(2, 3)
 
+    def test_minor_keeps_its_rank_table(self):
+        d = p8().delete(0)
+        table = d.rank_table
+        assert "_subset_tables" not in vars(d)
+        assert table == _closures_and_ranks(d.n, d.hyperplanes)[1]
+
     def test_contract_uniform(self):
         assert uniform(2, 4).contract(0) == uniform(1, 3)
 
@@ -413,7 +419,7 @@ class TestLoopsParallelSimplify:
     def test_simplify_builds_new_only_when_not_simple(self, matroids6):
         for m in matroids6:
             s = m.simplify()
-            assert (s is m) == classify(m).simple
+            assert (s is m) == classify(m)["simple"]
 
     def test_simplify_collapses(self):
         # parallel pair {0,1}, coloop 2, loop 3

@@ -6,6 +6,7 @@ import pytest
 from matcat.canon import certificate, certificate_for, relabel_mask
 from matcat.core import Matroid, format_masks, format_packed, pack_masks, parse_masks
 from matcat.errors import BudgetExceeded as ResourceBudgetExceeded
+from matcat import orderly
 from matcat.lattice import FlatLattice
 from matcat.orderly import (
     EMPTY_MATROID,
@@ -69,6 +70,22 @@ class TestEnumerate:
         one = enumerate_matroids(5, jobs=1)
         two = enumerate_matroids(5, jobs=2)
         assert one == two
+
+    def test_a_record_accepted_twice_is_kept_twice(self, monkeypatch):
+        # a level keeps every acceptance, so a duplicate one reaches the totals
+        extend = orderly._extend_records
+
+        def doubled(n, rank, hyps, *args):
+            records, candidates = extend(n, rank, hyps, *args)
+            if (n, rank, hyps) == (3, 2, (1, 2, 4)):
+                records = sorted(records + records[:1], key=CatalogueRecord.sort_key)
+            return records, candidates
+
+        monkeypatch.setattr(orderly, "_extend_records", doubled)
+        records = enumerate_matroids(4)
+        twice = doubled(3, 2, (1, 2, 4))[0][0]
+        assert records.count(twice) == 2
+        assert len(records) == sum(TABLE1_TOTALS[:5]) + 1
 
     def test_extend_all_of_empty(self):
         children = extend_all(EMPTY_MATROID.matroid())
@@ -252,6 +269,14 @@ class TestOracle:
     def test_rejects_large_n(self):
         with pytest.raises(ValueError):
             brute_force_enumerate(6)
+
+    def test_only_axiom_violations_are_skipped(self, monkeypatch):
+        def broken(n, hyps):
+            raise RuntimeError("fault in from_hyperplanes")
+
+        monkeypatch.setattr(Matroid, "from_hyperplanes", broken)
+        with pytest.raises(RuntimeError):
+            brute_force_enumerate(3)
 
 
 class TestDualityClosure:

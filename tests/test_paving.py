@@ -8,12 +8,11 @@ import pytest
 
 from matcat.canon import canonical_family, certificate, relabel_family, relabel_mask
 from matcat.core import mask_of, popcount, uniform
-from matcat.named import P8_CIRCUIT_HYPERPLANES, p8
+from matcat.named import P8_CIRCUIT_HYPERPLANES, NotIndependent, p8, sparse_paving
 from matcat import paving
 from matcat.paving import (
     BudgetExceeded,
     IsetSearch,
-    NotIndependent,
     _family_canon,
     _outranked,
     auxiliary_graph_vertices,
@@ -26,7 +25,6 @@ from matcat.paving import (
     load_iset_checkpoint,
     paving_total,
     save_iset_checkpoint,
-    sparse_paving_from_independent_set,
 )
 from matcat.props import classify
 
@@ -104,24 +102,26 @@ class TestJohnsonGraph:
 
 class TestSparsePavingBijection:
     def test_empty_iset_gives_uniform(self):
-        m = sparse_paving_from_independent_set(6, 2, [])
+        m = sparse_paving(6, 3, [])
         assert m == uniform(3, 6)
 
     def test_p8_blocks_give_p8(self):
         blocks = [mask_of(b) for b in P8_CIRCUIT_HYPERPLANES]
-        m = sparse_paving_from_independent_set(8, 3, blocks)
+        m = sparse_paving(8, 4, blocks)
         assert certificate(m).bytes == certificate(p8()).bytes
 
     def test_round_trip(self):
         blocks = [mask_of(b) for b in P8_CIRCUIT_HYPERPLANES]
-        m = sparse_paving_from_independent_set(8, 3, blocks)
+        m = sparse_paving(8, 4, blocks)
         assert sorted(m.circuit_hyperplanes()) == sorted(blocks)
 
     def test_rejects_adjacent_blocks(self):
         with pytest.raises(NotIndependent):
-            sparse_paving_from_independent_set(
-                6, 2, [mask_of((0, 1, 2)), mask_of((0, 1, 3))]
-            )
+            sparse_paving(6, 3, [mask_of((0, 1, 2)), mask_of((0, 1, 3))])
+
+    def test_rejects_blocks_of_another_size(self):
+        with pytest.raises(ValueError):
+            sparse_paving(6, 3, [mask_of((0, 1))])
 
 
 class TestOrbitEnumeration:
@@ -139,7 +139,7 @@ class TestOrbitEnumeration:
             cat = sum(
                 1
                 for m in matroids6
-                if m.n == n and m.rank == k and classify(m).sparse_paving
+                if m.n == n and m.rank == k and classify(m)["sparsePaving"]
             )
             assert total == cat, (n, k)
 
@@ -169,27 +169,43 @@ class TestOrbitEnumeration:
             load_iset_checkpoint(path)
 
     def test_checkpoint_round_trip_is_plain_json(self, tmp_path):
-        g = johnson_graph(6, 3)
+        g = johnson_graph(8, 4)
         path = str(tmp_path / "rt.ckpt")
-        search = IsetSearch(
-            g.n, g.vertices, conflict_threshold=g.k - 1, z2=g.with_complement,
-            cells=((0, 1, 2), (3, 4, 5)), max_size=5,
-        )
+        search = johnson_search(g)
         with pytest.raises(BudgetExceeded):
             search.run(budget=6, checkpoint_path=path, checkpoint_every=100)
         with open(path, "rb") as fh:
             blob = fh.read()
-        assert blob[:5] == b"MCJK\x02"
-        assert json.loads(blob[5:])["nodes"] == search.nodes
+        assert blob[:5] == b"MCJK\x03"
+        data = json.loads(blob[5:])
+        assert sorted(data) == ["counts", "k", "n", "nodes", "stack"]
+        assert (data["n"], data["k"], data["nodes"]) == (8, 4, search.nodes)
         loaded = load_iset_checkpoint(path)
         assert loaded == search
         assert all(type(k) is int for k in loaded.counts)
         assert all(type(m) is tuple for m in loaded.stack)
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda g: johnson_search(g, cells=((0, 1, 2), (3, 4, 5))),
+            lambda g: johnson_search(g, max_size=5),
+            lambda g: IsetSearch(g.n, g.vertices, conflict_threshold=1, z2=True),
+            lambda g: IsetSearch(g.n, g.vertices, conflict_threshold=2),
+            lambda g: IsetSearch(g.n, g.vertices[1:], conflict_threshold=2, z2=True),
+        ],
+        ids=["cells", "max_size", "threshold", "no-z2", "vertices"],
+    )
+    def test_checkpoint_only_of_a_johnson_search(self, tmp_path, make):
+        path = tmp_path / "j63.ckpt"
+        with pytest.raises(ValueError):
+            save_iset_checkpoint(make(johnson_graph(6, 3)), str(path))
+        assert not path.exists()
+
     def test_checkpoint_pickle_payload_not_unpickled(self, tmp_path):
         _UNPICKLED.clear()
         payload = pickle.dumps(_Trap())
-        for version in (1, 2):
+        for version in (1, 2, 3):
             path = tmp_path / f"trap{version}.ckpt"
             path.write_bytes(b"MCJK" + bytes([version]) + payload)
             with pytest.raises(ValueError):
@@ -204,15 +220,15 @@ class TestOrbitEnumeration:
             lambda d: d.pop("stack"),
             lambda d: d.update(extra=1),
             lambda d: d.update(n="7"),
-            lambda d: d.update(z2=0),
+            lambda d: d.update(k=2.0),
+            lambda d: d.update(n=10**6),
+            lambda d: d.update(n=13),
+            lambda d: d.update(k=5),
+            lambda d: d.update(k=0),
+            lambda d: d.update(nodes=1.5),
             lambda d: d.update(counts={"x": 1}),
             lambda d: d.update(counts=[1]),
             lambda d: d.update(stack=[[1, "2"]]),
-            lambda d: d.update(cells=[3]),
-            lambda d: d.update(cells=[[0, 1], [2, 3]]),
-            lambda d: d.update(cells=[[0, 1, 2], [2, 3, 4]]),
-            lambda d: d.update(cells=[[0, 1, 2], [3, 4, 5]]),
-            lambda d: d.update(max_size=1.5),
             lambda d: d.update(stack=[[0b00011, 0b00101]]),
             lambda d: d.update(stack=[[0b00011, 0b00011]]),
         ],
@@ -225,7 +241,7 @@ class TestOrbitEnumeration:
             data = json.loads(fh.read()[5:])
         edit(data)
         with open(path, "wb") as fh:
-            fh.write(b"MCJK\x02" + json.dumps(data).encode())
+            fh.write(b"MCJK\x03" + json.dumps(data).encode())
         with pytest.raises(ValueError):
             load_iset_checkpoint(path)
 
@@ -251,7 +267,7 @@ class TestOrbitEnumeration:
         }
         with open(path, "rb") as fh:
             assert hashlib.sha256(fh.read()).hexdigest() == (
-                "bc88f51f8eeee9074bbe997a4ba2fd73a83b99543e2e33b4638c79479592ec1b"
+                "e739dd5940c970140778673a459ad65019d2599ee24e12f304d642e82088c902"
             )
 
     def test_label_memo_changes_nothing(self, tmp_path, monkeypatch):
@@ -484,7 +500,7 @@ class TestNonSparseCounts:
             cat = sum(
                 1
                 for m in matroids6
-                if m.n == n and m.rank == rank and classify(m).paving
+                if m.n == n and m.rank == rank and classify(m)["paving"]
             )
             assert paving_total(n, rank) == cat
 

@@ -7,6 +7,7 @@ import pytest
 from examples import f8, l8, p2_doubleprime, p2_prime, p3
 from matcat.core import INFINITY, Matroid, free, popcount, uniform
 from matcat.named import ag32, ag32_prime, p1, p8, vamos
+from matcat.store import COLUMNS
 from matcat.props import (
     _BLOCK_CELLS,
     BudgetExceeded,
@@ -26,7 +27,7 @@ SIMPLE_PAVING_TOTALS = {0: 1, 1: 1, 2: 1, 3: 2, 4: 4, 5: 8, 6: 18}
 class TestClassify:
     def test_simple_counts(self, matroids6):
         for n, want in SIMPLE_TOTALS.items():
-            got = sum(1 for m in matroids6 if m.n == n and classify(m).simple)
+            got = sum(1 for m in matroids6 if m.n == n and classify(m)["simple"])
             assert got == want, n
 
     def test_simple_cosimple_counts(self, matroids6):
@@ -34,7 +35,7 @@ class TestClassify:
             got = sum(
                 1
                 for m in matroids6
-                if m.n == n and classify(m).simple and classify(m).cosimple
+                if m.n == n and classify(m)["simple"] and classify(m)["cosimple"]
             )
             assert got == want, n
 
@@ -43,39 +44,43 @@ class TestClassify:
             got = sum(
                 1
                 for m in matroids6
-                if m.n == n and classify(m).simple and classify(m).paving
+                if m.n == n and classify(m)["simple"] and classify(m)["paving"]
             )
             assert got == want, n
 
     def test_implication_lattice(self, matroids6):
         for m in matroids6:
             flags = classify(m)
-            assert not flags.uniform or flags.sparse_paving
-            assert not flags.sparse_paving or flags.paving
+            assert not flags["uniform"] or flags["sparsePaving"]
+            assert not flags["sparsePaving"] or flags["paving"]
             if m.rank >= 2:
-                assert flags.simple == (
-                    flags.num_loops == 0 and flags.min_circuit_size >= 3
+                assert flags["simple"] == (
+                    flags["numLoops"] == 0 and flags["minCircuitSize"] >= 3
                 )
+
+    def test_keys_are_the_flag_columns(self, fig1):
+        assert tuple(classify(fig1)) == COLUMNS[3:17]
+        assert COLUMNS[3] == "simple" and COLUMNS[17] == "autOrder"
 
     def test_counts_are_exact(self, fig1):
         flags = classify(fig1)
-        assert flags.num_bases == 28
-        assert flags.num_hyperplanes == 10
-        assert flags.num_flats == 19
-        assert flags.num_loops == 0 and flags.num_coloops == 0
-        assert flags.simple and not flags.uniform
-        assert flags.paving and not flags.sparse_paving
+        assert flags["numBases"] == 28
+        assert flags["numHyperplanes"] == 10
+        assert flags["numFlats"] == 19
+        assert flags["numLoops"] == 0 and flags["numColoops"] == 0
+        assert flags["simple"] and not flags["uniform"]
+        assert flags["paving"] and not flags["sparsePaving"]
 
     def test_uniform_flags(self):
         flags = classify(uniform(2, 5))
-        assert flags.uniform and flags.sparse_paving and flags.paving
-        assert flags.min_circuit_size == 3
+        assert flags["uniform"] and flags["sparsePaving"] and flags["paving"]
+        assert flags["minCircuitSize"] == 3
 
     def test_free_matroid_has_no_circuits(self):
         flags = classify(free(4))
-        assert flags.min_circuit_size == INFINITY
-        assert flags.num_circuits == 0
-        assert flags.uniform
+        assert flags["minCircuitSize"] == INFINITY
+        assert flags["numCircuits"] == 0
+        assert flags["uniform"]
 
 
 class TestIngleton:
@@ -179,7 +184,7 @@ class TestIngletonDualSide:
             if rec.n != 8 or rec.rank != 4:
                 continue
             m = rec.matroid()
-            if not classify(m).sparse_paving:
+            if not classify(m)["sparsePaving"]:
                 continue
             w = ingleton_violating(m)
             if w is not None:

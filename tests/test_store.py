@@ -224,26 +224,12 @@ def reference_row(rec, opts):
     """compute_row with every column it computes searched on its own, none
     read off another."""
     m = rec.matroid()
-    flags = classify(m)
     cert = certificate(m)
     row = {
         "id": rec.id,
         "n": m.n,
         "rank": m.rank,
-        "simple": flags.simple,
-        "cosimple": flags.cosimple,
-        "paving": flags.paving,
-        "sparsePaving": flags.sparse_paving,
-        "uniform": flags.uniform,
-        "minCircuitSize": flags.min_circuit_size,
-        "numBases": flags.num_bases,
-        "numCircuits": flags.num_circuits,
-        "numFlats": flags.num_flats,
-        "numHyperplanes": flags.num_hyperplanes,
-        "numIndependent": flags.num_independent,
-        "numCircuitHyperplanes": flags.num_circuit_hyperplanes,
-        "numLoops": flags.num_loops,
-        "numColoops": flags.num_coloops,
+        **classify(m),
         "autOrder": cert.aut_order,
         "numOrbits": cert.orbit_count,
         "connectivity": m.connectivity(),
