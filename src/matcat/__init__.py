@@ -11,13 +11,12 @@ from .core import (
     EmptyGroundSet,
     Matroid,
     NotCircuitHyperplane,
-    RankZero,
     free,
     from_elements,
     uniform,
 )
 from .canon import certificate, distinguished_element, is_isomorphic
-from .lattice import FlatLattice, ModularCut, modular_cuts
+from .lattice import FlatLattice, ModularCut
 from .orderly import brute_force_enumerate, enumerate_matroids, extend_all
 
 __all__ = [
@@ -27,7 +26,6 @@ __all__ = [
     "Matroid",
     "ModularCut",
     "NotCircuitHyperplane",
-    "RankZero",
     "brute_force_enumerate",
     "certificate",
     "distinguished_element",
@@ -36,7 +34,6 @@ __all__ = [
     "free",
     "from_elements",
     "is_isomorphic",
-    "modular_cuts",
     "uniform",
 ]
 

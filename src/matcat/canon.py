@@ -416,7 +416,11 @@ def _require_partition(n, cells):
         raise ValueError(f"cells {cells!r} do not partition range({n})")
 
 
-def canonical_family(n, masks, cells=None, node_budget=2_000_000, known=()):
+# search nodes one canonical_family call may visit before BudgetExceeded
+_NODE_BUDGET = 2_000_000
+
+
+def canonical_family(n, masks, cells=None, known=()):
     """Canonicalize a family of masks under permutations of {0..n-1}.
 
     cells, when given, is an ordered partition of the elements restricting
@@ -433,7 +437,7 @@ def canonical_family(n, masks, cells=None, node_budget=2_000_000, known=()):
     if n == 0:
         return CanonicalForm(0, masks, (), ())
     known = [tuple(g) for g in known]
-    s = _Search(n, masks, node_budget, known)
+    s = _Search(n, masks, _NODE_BUDGET, known)
     if cells is None and len(set(map(int.bit_count, masks))) <= 1:
         keys = [m.bit_count() for m in masks]
         cells = _degree_cells(s.hyps_of, keys)
@@ -476,14 +480,6 @@ class Certificate:
     @property
     def orbit_count(self) -> int:
         return len(self.element_orbits)
-
-    def orbit_ids(self):
-        """orbit id per element, usable for same-orbit tests."""
-        ids = [0] * self.n
-        for k, orb in enumerate(self.element_orbits):
-            for e in orb:
-                ids[e] = k
-        return ids
 
 
 def certificate_for(n: int, rank: int, hyperplanes, known=()) -> Certificate:

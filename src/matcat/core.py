@@ -27,10 +27,6 @@ class NotCircuitHyperplane(ValueError):
     """relax() target is not both a circuit and a hyperplane."""
 
 
-class RankZero(ValueError):
-    """Operation undefined on rank-0 matroids."""
-
-
 class EmptyGroundSet(ValueError):
     """Operation undefined on the empty ground set."""
 
@@ -38,10 +34,6 @@ class EmptyGroundSet(ValueError):
 MAX_GROUND = 15
 
 INFINITY = float("inf")
-
-
-def popcount(x: int) -> int:
-    return x.bit_count()
 
 
 def bits(x: int):
@@ -178,12 +170,6 @@ class FlatsByRank:
         return sum(len(level) for level in self.levels)
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    ok: bool
-    detail: str = ""
-
-
 class Matroid:
     """Immutable matroid; compare/hash by (n, rank, hyperplanes).
 
@@ -293,7 +279,7 @@ class Matroid:
         table = self.rank_table
         out = []
         for m in range(1, 1 << self.n):
-            p = popcount(m)
+            p = m.bit_count()
             if table[m] >= p:
                 continue
             if all(table[m & ~(1 << e)] == p - 1 for e in bits(m)):
@@ -308,7 +294,7 @@ class Matroid:
         table = self.rank_table
         r = self.rank
         return tuple(
-            m for m in range(1 << self.n) if popcount(m) == r and table[m] == r
+            m for m in range(1 << self.n) if m.bit_count() == r and table[m] == r
         )
 
     def bases(self):
@@ -372,7 +358,7 @@ class Matroid:
             return self
         table = self.rank_table
         lifted = lift_table(keep)
-        return Matroid.from_rank_table(popcount(keep), [table[x] for x in lifted])
+        return Matroid.from_rank_table(keep.bit_count(), [table[x] for x in lifted])
 
     # -- loops, parallelism, simplification ----------------------------------
 
@@ -408,22 +394,14 @@ class Matroid:
         self when there is nothing to remove."""
         return self.restrict(sum(c & -c for c in self.parallel_classes()))
 
-    # -- relaxation, truncation ----------------------------------------------
+    # -- relaxation -----------------------------------------------------------
 
     def relax(self, h: int) -> "Matroid":
         """Turn a circuit-hyperplane into a basis."""
         if h not in set(self.hyperplanes) or h not in set(self._circuits):
             raise NotCircuitHyperplane(f"{h:#x} is not a circuit-hyperplane")
         table = self.rank_table
-        new = [max(table[m], popcount(m & h)) for m in range(1 << self.n)]
-        return Matroid.from_rank_table(self.n, new)
-
-    def truncate(self) -> "Matroid":
-        if self.rank == 0:
-            raise RankZero("cannot truncate a rank-0 matroid")
-        cap = self.rank - 1
-        table = self.rank_table
-        new = [min(t, cap) for t in table]
+        new = [max(table[m], (m & h).bit_count()) for m in range(1 << self.n)]
         return Matroid.from_rank_table(self.n, new)
 
     # -- connectivity, rank polynomial ----------------------------------------
@@ -435,7 +413,7 @@ class Matroid:
         for x in range(1, self.full):
             lam = table[x] + table[self.full & ~x] - self.rank
             k = lam + 1
-            if min(popcount(x), self.n - popcount(x)) >= k:
+            if min(x.bit_count(), self.n - x.bit_count()) >= k:
                 if best is None or k < best:
                     best = k
         return INFINITY if best is None else best
@@ -450,36 +428,8 @@ class Matroid:
             [0] * (self.n - self.rank + 1) for _ in range(self.rank + 1)
         ]
         for m in range(1 << self.n):
-            coeff[self.rank - table[m]][popcount(m) - table[m]] += 1
+            coeff[self.rank - table[m]][m.bit_count() - table[m]] += 1
         return coeff
-
-    # -- validation -----------------------------------------------------------
-
-    def validate(self, pair_limit: int = 1 << 18) -> ValidationReport:
-        """Check R1, monotonicity, and submodularity from the rank table.
-
-        Submodularity is checked on all subset pairs when 4^n <= pair_limit,
-        otherwise on a deterministic stripe of pairs.
-        """
-        table = self.rank_table
-        full = self.full
-        for m in range(1 << self.n):
-            if not 0 <= table[m] <= popcount(m):
-                return ValidationReport(False, f"R1 fails at {m:#x}")
-        for m in range(1 << self.n):
-            for e in bits(full & ~m):
-                if table[m] > table[m | (1 << e)]:
-                    return ValidationReport(False, f"R2 fails at {m:#x}+{e}")
-        total = 1 << (2 * self.n)
-        step = 1 if total <= pair_limit else total // pair_limit | 1
-        idx = 0
-        size = 1 << self.n
-        while idx < total:
-            a, b = idx // size, idx % size
-            if table[a & b] + table[a | b] > table[a] + table[b]:
-                return ValidationReport(False, f"R3 fails at ({a:#x},{b:#x})")
-            idx += step
-        return ValidationReport(True)
 
 
 def uniform(r: int, n: int) -> Matroid:
@@ -488,7 +438,7 @@ def uniform(r: int, n: int) -> Matroid:
         raise ValueError("need 0 <= r <= n")
     if r == 0:
         return Matroid(n, 0, ())
-    hyps = [m for m in range(1 << n) if popcount(m) == r - 1]
+    hyps = [m for m in range(1 << n) if m.bit_count() == r - 1]
     return Matroid(n, r, hyps)
 
 

@@ -323,8 +323,3 @@ class FlatLattice:
         self.verify_cut(cut)
         hyps, rank = self.extension_hyperplanes(cut)
         return Matroid(self.matroid.n + 1, rank, hyps)
-
-
-def modular_cuts(m: Matroid):
-    """All modular cuts of m via the pruned antichain search."""
-    return FlatLattice(m).modular_cuts()

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 
-from .core import Matroid, mask_of, popcount
+from .core import Matroid, mask_of
 
 
 class NotIndependent(ValueError):
@@ -34,10 +34,10 @@ def sparse_paving(n: int, rank: int, circuit_hyperplanes) -> Matroid:
     given as masks or element iterables; NotIndependent for two blocks that
     share rank - 1 elements."""
     blocks = [b if isinstance(b, int) else mask_of(b) for b in circuit_hyperplanes]
-    if any(popcount(b) != rank for b in blocks):
+    if any(b.bit_count() != rank for b in blocks):
         raise ValueError("circuit-hyperplane blocks must have size rank")
     for b1, b2 in itertools.combinations(blocks, 2):
-        if popcount(b1 & b2) >= rank - 1:
+        if (b1 & b2).bit_count() >= rank - 1:
             raise NotIndependent(f"{b1:#x} and {b2:#x} meet in {rank - 1} or more")
     return paving_from_blocks(n, rank - 1, blocks)
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 import functools
 import itertools
 
-from .core import Matroid, bits, popcount
+from .core import Matroid, bits
 from .errors import BudgetExceeded
 
 # The recursive searches below are module functions, not nested ones: a
@@ -179,7 +179,11 @@ def cyclic_flats(m: Matroid):
     return out
 
 
-def transversal(m: Matroid, node_budget: int = 2_000_000):
+# search nodes one transversal call may visit before BudgetExceeded
+_NODE_BUDGET = 2_000_000
+
+
+def transversal(m: Matroid):
     """A presentation by rank-many sets inducing exactly m, or None.
 
     Candidate sets are complements of cyclic flats (every transversal
@@ -193,7 +197,7 @@ def transversal(m: Matroid, node_budget: int = 2_000_000):
     contains = _contains_tables(n)
     indep_bits = 0
     for s in range(1 << n):
-        if table[s] == popcount(s):
+        if table[s] == s.bit_count():
             indep_bits |= 1 << s
     circ_bits = 0
     for c in m._circuits:
@@ -208,7 +212,7 @@ def transversal(m: Matroid, node_budget: int = 2_000_000):
         suffix_union[i] = suffix_union[i + 1] | cands[i]
 
     search = (cands, suffix_union, nonloops, circ_bits, indep_bits, contains, r)
-    found = _grow_presentation(search, [0, node_budget], 0, 0, 1, 0, [])
+    found = _grow_presentation(search, [0, _NODE_BUDGET], 0, 0, 1, 0, [])
     return tuple(found) if found is not None else None
 
 

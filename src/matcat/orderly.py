@@ -35,16 +35,18 @@ import multiprocessing
 import os
 from dataclasses import dataclass, field
 
-from .canon import certificate, certificate_for, element_has_minimal_signature
-# the whole mask codec is importable from here as well as from core
-from .core import (  # noqa: F401
+from .canon import (
+    certificate,
+    certificate_for,
+    element_has_minimal_signature,
+    orbit_minima,
+)
+from .core import (
     AxiomViolation,
     Matroid,
-    format_masks,
     format_packed,
     pack_ascending,
     pack_masks,
-    parse_masks,
     parse_record_fields,
     unpack_masks,
 )
@@ -115,7 +117,7 @@ def _extend_records(n, rank, hyps, gens=None, carry=None):
         mins = cut.minimal_elements
         known = [g for g, fp in lifted if all(fp[i] in mins for i in mins)]
         cert = certificate_for(n + 1, child_rank, child_hyps, known)
-        ids = cert.orbit_ids()
+        ids = orbit_minima(n + 1, cert.generators)
         if ids[n] != ids[cert.perm.index(0)]:
             continue
         records.append(
@@ -143,7 +145,6 @@ class EnumerationJob:
 
     max_n: int
     level: int = 0
-    parents: list = field(default_factory=lambda: [EMPTY_MATROID])
     next_parent: int = 0
     children: list = field(default_factory=list)
     emitted: list = field(default_factory=lambda: [EMPTY_MATROID])
@@ -152,13 +153,22 @@ class EnumerationJob:
     # was accepted; kept for one level and not checkpointed
     generators: dict = field(default_factory=dict, compare=False, repr=False)
 
+    @property
+    def parents(self) -> list:
+        """The records the current level extends: the emitted records on
+        level elements, in the sorted order they were emitted in."""
+        return [rec for rec in self.emitted if rec.n == self.level]
+
+
+# parents extended between two saves of a checkpointed enumeration
+_CHECKPOINT_EVERY = 64
+
 
 def enumerate_matroids(
     max_n: int,
     jobs: int = 1,
     budget: int | None = None,
     checkpoint_path: str | None = None,
-    checkpoint_every: int = 64,
     resume_job: EnumerationJob | None = None,
     progress=None,
 ) -> list:
@@ -178,7 +188,7 @@ def enumerate_matroids(
         pool = multiprocessing.Pool(jobs)
     try:
         while job.level < max_n:
-            _advance_level(job, pool, budget, checkpoint_path, checkpoint_every, progress)
+            _advance_level(job, pool, budget, checkpoint_path, progress)
         return sorted(job.emitted, key=CatalogueRecord.sort_key)
     finally:
         if pool is not None:
@@ -186,7 +196,7 @@ def enumerate_matroids(
             pool.join()
 
 
-def _advance_level(job, pool, budget, checkpoint_path, checkpoint_every, progress):
+def _advance_level(job, pool, budget, checkpoint_path, progress):
     parents = job.parents
     carry = job.level + 1 < job.max_n
     pending = [
@@ -206,7 +216,7 @@ def _advance_level(job, pool, budget, checkpoint_path, checkpoint_every, progres
         job.candidates_used += cand
         done += 1
         job.next_parent = done
-        if checkpoint_path and done % checkpoint_every == 0:
+        if checkpoint_path and done % _CHECKPOINT_EVERY == 0:
             save_checkpoint(job, checkpoint_path)
         if progress and done % 64 == 0:
             progress(job.level + 1, done, len(parents), len(job.children))
@@ -218,7 +228,6 @@ def _advance_level(job, pool, budget, checkpoint_path, checkpoint_every, progres
             )
     level_children = sorted(job.children, key=CatalogueRecord.sort_key)
     job.level += 1
-    job.parents = level_children
     job.next_parent = 0
     job.children = []
     job.generators = carried
@@ -229,7 +238,7 @@ def _advance_level(job, pool, budget, checkpoint_path, checkpoint_every, progres
 
 # -- checkpoint serialization (line-oriented text) ---------------------------
 
-_CKPT_HEADER = "#matcat-enum-checkpoint v1"
+_CKPT_HEADER = "#matcat-enum-checkpoint v2"
 
 
 def save_checkpoint(job: EnumerationJob, path: str) -> None:
@@ -240,11 +249,7 @@ def save_checkpoint(job: EnumerationJob, path: str) -> None:
             f"max_n={job.max_n} level={job.level} next_parent={job.next_parent} "
             f"candidates={job.candidates_used}\n"
         )
-        for tag, records in (
-            ("P", job.parents),
-            ("C", job.children),
-            ("E", job.emitted),
-        ):
+        for tag, records in ("C", job.children), ("E", job.emitted):
             for rec in records:
                 masks = format_packed(rec.hyp_bytes)
                 fh.write(f"{tag} {rec.n} {rec.rank} {masks} {rec.cert.hex()}\n")
@@ -255,7 +260,7 @@ def load_checkpoint(path: str) -> EnumerationJob:
     """Read a checkpoint written by save_checkpoint; ValueError if it is
     malformed, a record fails the checks a catalogue record passes
     (parse_record_fields), its level, cursor and record sizes do not fit
-    together, or two emitted records share a certificate."""
+    together, or two records share a certificate."""
     with open(path) as fh:
         header = fh.readline().rstrip("\n")
         if header != _CKPT_HEADER:
@@ -266,7 +271,6 @@ def load_checkpoint(path: str) -> EnumerationJob:
                 max_n=int(meta["max_n"]),
                 level=int(meta["level"]),
                 next_parent=int(meta["next_parent"]),
-                parents=[],
                 children=[],
                 emitted=[],
                 candidates_used=int(meta["candidates"]),
@@ -280,7 +284,7 @@ def load_checkpoint(path: str) -> EnumerationJob:
                 rec = CatalogueRecord(
                     None, n, rank, pack_ascending(masks), bytes.fromhex(cert)
                 )
-                {"P": job.parents, "C": job.children, "E": job.emitted}[tag].append(rec)
+                {"C": job.children, "E": job.emitted}[tag].append(rec)
         except KeyError as exc:
             raise ValueError(f"bad checkpoint field {exc}") from None
     # such a job would resume and end normally, with wrong totals
@@ -289,13 +293,13 @@ def load_checkpoint(path: str) -> EnumerationJob:
         raise ValueError(f"bad checkpoint level {level} for max_n={job.max_n}")
     if not 0 <= cursor <= parents:
         raise ValueError(f"bad checkpoint next_parent {cursor} for {parents} parents")
-    for tag, records, n in ("P", job.parents, level), ("C", job.children, level + 1):
-        if any(rec.n != n for rec in records):
-            raise ValueError(f"bad checkpoint: a {tag} record is not on {n} elements")
+    if any(rec.n != level + 1 for rec in job.children):
+        raise ValueError(f"bad checkpoint: a C record is not on {level + 1} elements")
     if any(rec.n > level for rec in job.emitted):
         raise ValueError(f"bad checkpoint: an E record is on more than {level} elements")
-    if len({rec.cert for rec in job.emitted}) != len(job.emitted):
-        raise ValueError("bad checkpoint: two E records share a certificate")
+    records = job.emitted + job.children
+    if len({rec.cert for rec in records}) != len(records):
+        raise ValueError("bad checkpoint: two E or C records share a certificate")
     return job
 
 

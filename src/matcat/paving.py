@@ -3,10 +3,11 @@
 Independent sets in J(n, d+1) are circuit-hyperplane families of sparse
 paving matroids of rank d+1; orbits are enumerated isomorph-freely by
 canonical augmentation: a grown set survives only when the added vertex
-lies in the automorphism orbit of the canonical deletion vertex, with
-same-parent survivors deduplicated by canonical form.  At n = 2(d+1) the
-group gains the complementation involution and orbits then pair each
-matroid with its dual.
+lies in the automorphism orbit of the canonical deletion vertex.  Every
+survivor is kept: two survivors of one parent are isomorphic only when their
+added vertices share an Aut(parent)-orbit, so a repeat would show in the
+counts.  At n = 2(d+1) the group gains the complementation involution and
+orbits then pair each matroid with its dual.
 
 A family is grown by one vertex per orbit of its automorphism group on the
 vertices that may join it, the first of each orbit in vertex order: two
@@ -62,7 +63,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .canon import canonical_family, certificate, relabel_mask, _compose, _invert
-from .core import UnionFind, bits, mask_of, popcount
+from .core import UnionFind, bits, mask_of
 from .errors import BudgetExceeded
 from .named import paving_from_blocks, sparse_paving
 
@@ -178,15 +179,17 @@ class IsetSearch:
     _memo: dict = field(init=False, repr=False, compare=False)
 
     _MEMO_SIZE = 1024
+    # nodes between two saves of a checkpointed run
+    _CHECKPOINT_EVERY = 5000
 
     def __post_init__(self):
         t = self.conflict_threshold
         self._conflict = {
-            v: sum(1 << j for j, u in enumerate(self.vertices) if popcount(v & u) >= t)
+            v: sum(1 << j for j, u in enumerate(self.vertices) if (v & u).bit_count() >= t)
             | 1 << i
             for i, v in enumerate(self.vertices)
         }
-        self._ranked = len(set(map(popcount, self.vertices))) == 1 and self.cells is None
+        self._ranked = len(set(map(int.bit_count, self.vertices))) == 1 and self.cells is None
         self._holders = None
         if self._ranked and not self.z2:
             self._holders = [
@@ -197,12 +200,12 @@ class IsetSearch:
         self._memo = {}
 
     def _children(self, members, actions):
-        """Accepted canonical augmentations of one family, sorted by canonical
-        form, each with its automorphism actions.  One candidate vertex per
-        orbit of Aut(members) (generated by actions) is labelled, and under
-        the outranking rule only a vertex that is not outranked in its child,
-        or under Z2 one whose complement is not outranked in the complemented
-        child."""
+        """Accepted canonical augmentations of one family, each with its
+        automorphism actions, sorted by canonical form and none dropped.
+        One candidate vertex per orbit of Aut(members) (generated by actions)
+        is labelled, and under the outranking rule only a vertex that is not
+        outranked in its child, or under Z2 one whose complement is not
+        outranked in the complemented child."""
         taken = 0
         for u in members:
             taken |= self._conflict[u]
@@ -221,7 +224,7 @@ class IsetSearch:
                 if d >= top - 1:
                     allowed |= self._holders[e]
             free &= allowed
-        out = {}
+        out = []
         seen = set()
         for i in bits(free):
             v = self.vertices[i]
@@ -246,12 +249,11 @@ class IsetSearch:
                 self._memo[child] = fc
             if v not in fc.deletion_orbit:
                 continue
-            if fc.value not in out:
-                out[fc.value] = (child, fc.actions)
-        return [out[value] for value in sorted(out)]
+            out.append((fc.value, child, fc.actions))
+        out.sort(key=lambda accepted: accepted[0])
+        return [(child, actions) for _, child, actions in out]
 
-    def run(self, budget: int | None = None, checkpoint_path: str | None = None,
-            checkpoint_every: int = 5000):
+    def run(self, budget: int | None = None, checkpoint_path: str | None = None):
         while self.stack:
             members = self.stack.pop()
             actions = self._actions.pop(members, None)
@@ -267,7 +269,7 @@ class IsetSearch:
             for child, child_actions in reversed(self._children(members, actions)):
                 self.stack.append(child)
                 self._actions[child] = child_actions
-            if checkpoint_path and self.nodes % checkpoint_every == 0:
+            if checkpoint_path and self.nodes % self._CHECKPOINT_EVERY == 0:
                 save_iset_checkpoint(self, checkpoint_path)
             if budget is not None and self.nodes > budget:
                 if checkpoint_path:
@@ -364,11 +366,9 @@ def enumerate_isets_orderly(
     g: JohnsonGraph,
     budget: int | None = None,
     checkpoint_path: str | None = None,
-    resume: IsetSearch | None = None,
 ):
     """Count independent-set orbits of J(n,k) by size (S_n, plus Z2 if n=2k)."""
-    search = resume or johnson_search(g)
-    return search.run(budget=budget, checkpoint_path=checkpoint_path)
+    return johnson_search(g).run(budget=budget, checkpoint_path=checkpoint_path)
 
 
 def collect_iset_orbits(g: JohnsonGraph):
@@ -460,7 +460,7 @@ def auxiliary_graph_vertices(n: int, d: int, k: int):
     for size in range(d + 1, k + 1):
         for c in itertools.combinations(range(n), size):
             v = mask_of(c)
-            if popcount(v & k0) < d:
+            if (v & k0).bit_count() < d:
                 verts.append(v)
     return tuple(sorted(verts))
 
@@ -495,7 +495,7 @@ def count_nonsparse_paving(n: int, rank: int, only_k: int | None = None):
             blocks = (k0,) + members
             m = paving_from_blocks(n, d, blocks)
             cert = certificate(m)
-            k_hyps = [h for h in m.hyperplanes if popcount(h) == k]
+            k_hyps = [h for h in m.hyperplanes if h.bit_count() == k]
             c = _orbit_count_on_masks(cert.generators, k_hyps)
             key = (k, len(k_hyps))
             results[key] = results.get(key, Fraction(0)) + Fraction(1, c)

@@ -7,8 +7,7 @@ r(A) + r(B) = r(A u B) are skipped since the violation amount is bounded by
 that modular defect.  The (C, D) tables of the other pairs are scanned in
 blocks, one numpy call for as many pairs as fit in 2^16 table cells, taken
 in the order of a loop over A and then B; the witness is the first
-violating pair's first largest (C, D) cell, and a budget is charged nf^2
-cells for each pair up to that one, as the loop would charge them.
+violating pair's first largest (C, D) cell.
 
 Satisfying the inequality for every quadruple is invariant under duality
 (Ingleton 1971), and the search cost grows steeply with the number of flats,
@@ -28,8 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .canon import minor, minor_certificate
-from .core import INFINITY, Matroid, lift_table, popcount
-from .errors import BudgetExceeded
+from .core import INFINITY, Matroid, lift_table
 
 
 def classify(m: Matroid) -> dict:
@@ -37,9 +35,9 @@ def classify(m: Matroid) -> dict:
     store.COLUMNS names."""
     table = m.rank_table
     circuits = m._circuits
-    min_circuit = min((popcount(c) for c in circuits), default=INFINITY)
-    loops = popcount(m.loops())
-    hyp_sizes = {popcount(h) for h in m.hyperplanes}
+    min_circuit = min((c.bit_count() for c in circuits), default=INFINITY)
+    loops = m.loops().bit_count()
+    hyp_sizes = {h.bit_count() for h in m.hyperplanes}
     paving = min_circuit >= m.rank
     sparse = paving and all(s in (m.rank - 1, m.rank) for s in hyp_sizes)
     simple = loops == 0 and min_circuit >= 3
@@ -50,7 +48,7 @@ def classify(m: Matroid) -> dict:
         for f in range(m.n)
         for e in range(f + 1)
     )
-    n_indep = sum(1 for a in range(1 << m.n) if table[a] == popcount(a))
+    n_indep = sum(1 for a in range(1 << m.n) if table[a] == a.bit_count())
     hset = set(m.hyperplanes)
     return {
         "simple": simple,
@@ -66,7 +64,7 @@ def classify(m: Matroid) -> dict:
         "numIndependent": n_indep,
         "numCircuitHyperplanes": sum(1 for c in circuits if c in hset),
         "numLoops": loops,
-        "numColoops": popcount(m.coloops()),
+        "numColoops": m.coloops().bit_count(),
     }
 
 
@@ -88,7 +86,7 @@ def ingleton_sides(table, a, b, c, d):
     return lhs, rhs
 
 
-def ingleton_violating(m: Matroid, violators8=None, budget: int | None = None):
+def ingleton_violating(m: Matroid, violators8=None):
     """An IngletonWitness if the inequality fails for some quadruple, else None.
 
     With violators8, the certificates of the 8-element violators, a matroid
@@ -97,20 +95,20 @@ def ingleton_violating(m: Matroid, violators8=None, budget: int | None = None):
     fact that Ingleton violation on 9 elements always comes from an
     8-element violator minor.  Otherwise the search runs over flat
     quadruples, deciding on the dual first when 2 * rank > n (see the module
-    docstring); budget caps the table cells that each such search scans.
+    docstring).
     """
     if m.n > 8 and violators8 is not None:
         return _ingleton_by_minor(m, violators8)
-    if 2 * m.rank > m.n and _ingleton_full(m.dual(), budget) is None:
+    if 2 * m.rank > m.n and _ingleton_full(m.dual()) is None:
         return None
-    return _ingleton_full(m, budget)
+    return _ingleton_full(m)
 
 
 # table cells per numpy call of the Ingleton scan; bounds its memory
 _BLOCK_CELLS = 1 << 16
 
 
-def _ingleton_full(m: Matroid, budget=None):
+def _ingleton_full(m: Matroid):
     table = np.asarray(m.rank_table, dtype=np.int16)
     flats, ranks, _ = m._flat_data
     fl = np.asarray(flats, dtype=np.int32)
@@ -123,7 +121,6 @@ def _ingleton_full(m: Matroid, budget=None):
     # the order of the pair loop: by A, then by B
     pair_a, pair_b = np.nonzero(np.triu(defect > 0, 1))
     step = max(1, _BLOCK_CELLS // (nf * nf))
-    work = 0
     for start in range(0, len(pair_a), step):
         ia, ib = pair_a[start:start + step], pair_b[start:start + step]
         # p[k, c] = r(A u B u C) - r(A u C) - r(B u C) for the k-th pair, so
@@ -131,10 +128,6 @@ def _ingleton_full(m: Matroid, budget=None):
         p = table[union[ia, ib][:, None] | fl] - union_rank[ia] - union_rank[ib]
         grid = (p[:, :, None] + p[:, None, :] + union_rank).reshape(len(ia), -1)
         hits = np.flatnonzero(grid.max(axis=1) > -defect[ia, ib])
-        # each pair scanned up to the first violating one costs nf^2 cells
-        work += (int(hits[0]) + 1 if len(hits) else len(ia)) * nf * nf
-        if budget is not None and work > budget:
-            raise BudgetExceeded(f"ingleton search passed {budget} table cells")
         if len(hits):
             k = hits[0]
             ci, di = divmod(int(grid[k].argmax()), nf)

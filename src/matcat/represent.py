@@ -53,7 +53,7 @@ import itertools
 from dataclasses import dataclass
 
 from .canon import certificate, minor, minor_certificate
-from .core import Matroid, UnionFind, bits, mask_of, popcount
+from .core import Matroid, UnionFind, bits, mask_of
 
 
 class GF:
@@ -303,9 +303,9 @@ def _cofactor_terms(r):
     by_size = [[] for _ in range(r + 1)]
     terms = []
     for rows in range(1 << r):
-        by_size[popcount(rows)].append(rows)
+        by_size[rows.bit_count()].append(rows)
         terms.append(tuple(
-            (i, rows & ~(1 << i), popcount(rows >> (i + 1)) & 1) for i in bits(rows)
+            (i, rows & ~(1 << i), (rows >> (i + 1)).bit_count() & 1) for i in bits(rows)
         ))
     return by_size, terms
 

@@ -16,7 +16,7 @@ import hashlib
 import math
 import multiprocessing
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 
 from .core import INFINITY, format_packed, pack_ascending, parse_record_fields
@@ -88,13 +88,12 @@ def _parse_record(line: str, lineno: int, records: list) -> CatalogueRecord:
     return CatalogueRecord(rid, n, rank, pack_ascending(masks))
 
 
-def read_catalogue(path: str, verify_certificates: bool = False) -> list:
+def read_catalogue(path: str) -> list:
     """Parse and validate a catalogue file.
 
     Always checks the checksum, dense ids, n and rank in range, masks that
     are strictly ascending proper subsets of E, and (n, rank) sort order, but not the
-    matroid axioms; verify_certificates additionally recomputes certificates
-    and checks the order within each (n, rank) block (slow for large files).
+    matroid axioms.
     The file is read one line at a time and hashed as it goes.  A bad record
     is reported only after the checksum holds, so a damaged file raises
     ChecksumMismatch whatever else is wrong with it.
@@ -124,16 +123,6 @@ def read_catalogue(path: str, verify_certificates: bool = False) -> list:
         raise ChecksumMismatch(f"checksum {got} != recorded {want}")
     if error is not None:
         raise error
-    if verify_certificates:
-        from .canon import certificate_for
-
-        certs = [
-            certificate_for(r.n, r.rank, r.hyperplanes).bytes for r in records
-        ]
-        keys = [(r.n, r.rank, c) for r, c in zip(records, certs)]
-        if keys != sorted(keys):
-            raise FormatError("records not sorted by certificate within blocks")
-        records = [replace(r, cert=c) for r, c in zip(records, certs)]
     return records
 
 

@@ -120,7 +120,7 @@ class TestEnum:
         assert main(["enum", "--max-n", "5", "--budget", "20", "--out",
                      str(tmp_path / "r.txt"), "--checkpoint", str(ck)]) == EXIT_BUDGET
         # rank 0 with two hyperplanes, unsorted, one of them E
-        ck.write_text(ck.read_text() + "P 3 0 7,1 0300\n")
+        ck.write_text(ck.read_text() + "C 4 0 f,1 0400\n")
         capsys.readouterr()
         rc = main(["enum", "--max-n", "5", "--out", str(tmp_path / "r.txt"),
                    "--checkpoint", str(ck), "--resume"])
@@ -132,9 +132,11 @@ class TestEnum:
         "line, message",
         [
             ("E 5 0 - 0500", "an E record is on more than 3 elements"),
-            ("E 1 0 - 0100", "two E records share a certificate"),
+            ("E 1 0 - 0100", "two E or C records share a certificate"),
+            # the checkpoint's first C line, repeated
+            ("C", "two E or C records share a certificate"),
         ],
-        ids=["above_level", "repeated"],
+        ids=["above_level", "repeated", "repeated_child"],
     )
     def test_resume_checkpoint_with_a_bad_emitted_record(
         self, tmp_path, capsys, line, message
@@ -142,14 +144,34 @@ class TestEnum:
         ck = tmp_path / "emitted.ckpt"
         assert main(["enum", "--max-n", "5", "--budget", "20", "--out",
                      str(tmp_path / "e.txt"), "--checkpoint", str(ck)]) == EXIT_BUDGET
-        assert "level=3 " in ck.read_text()
-        ck.write_text(ck.read_text() + line + "\n")
+        text = ck.read_text()
+        assert "level=3 " in text
+        if line == "C":
+            line = next(x for x in text.splitlines() if x.startswith("C "))
+        ck.write_text(text + line + "\n")
         capsys.readouterr()
         rc = main(["enum", "--max-n", "5", "--out", str(tmp_path / "e.txt"),
                    "--checkpoint", str(ck), "--resume"])
         assert rc == EXIT_IO
         err = capsys.readouterr().err.strip().splitlines()
         assert err == [f"cannot load checkpoint: bad checkpoint: {message}"]
+
+    def test_resume_version_one_checkpoint(self, tmp_path, capsys):
+        # format v1 also held the parents as P records; it is not read
+        ck = tmp_path / "v1.ckpt"
+        assert main(["enum", "--max-n", "5", "--budget", "20", "--out",
+                     str(tmp_path / "v1.txt"), "--checkpoint", str(ck)]) == EXIT_BUDGET
+        lines = ck.read_text().splitlines()
+        assert lines[0] == "#matcat-enum-checkpoint v2"
+        parents = [line.replace("E", "P", 1) for line in lines if line.startswith("E 3 ")]
+        ck.write_text("\n".join(["#matcat-enum-checkpoint v1"] + lines[1:] + parents) + "\n")
+        capsys.readouterr()
+        rc = main(["enum", "--max-n", "5", "--out", str(tmp_path / "v1.txt"),
+                   "--checkpoint", str(ck), "--resume"])
+        assert rc == EXIT_IO
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["cannot load checkpoint: bad checkpoint header: "
+                       "'#matcat-enum-checkpoint v1'"]
 
     def test_resume_checkpoint_for_other_max_n(self, workdir):
         ck = str(workdir / "other.ckpt")

@@ -11,14 +11,12 @@ from matcat.core import (
     AxiomViolation,
     Matroid,
     NotCircuitHyperplane,
-    RankZero,
     UnionFind,
     _closures_and_ranks,
     bits,
     free,
     from_elements,
     mask_of,
-    popcount,
     uniform,
 )
 from matcat.named import p8, vamos
@@ -30,7 +28,7 @@ def brute_rank_from_bases(n, bases):
     """Independent oracle: r(A) = max |A & B| over bases."""
 
     def r(a):
-        return max(popcount(a & b) for b in bases)
+        return max((a & b).bit_count() for b in bases)
 
     return [r(a) for a in range(1 << n)]
 
@@ -189,7 +187,7 @@ class TestFromHyperplanes:
         m = Matroid.from_hyperplanes(3, [0b011, 0b110])
         assert m.rank == 2
         assert m.loops() == 0b010
-        assert m.validate().ok
+        assert Matroid.from_hyperplanes(m.n, m.hyperplanes) == m
 
 
 class TestFlatsAndRank:
@@ -249,7 +247,7 @@ class TestFlatsAndRank:
         for r, n in [(0, 3), (1, 4), (2, 5), (3, 5), (5, 5)]:
             m = uniform(r, n)
             for a in range(1 << n):
-                assert m.rank_of(a) == min(r, popcount(a))
+                assert m.rank_of(a) == min(r, a.bit_count())
 
 
 class TestCircuitsBasesDual:
@@ -285,7 +283,7 @@ class TestCircuitsBasesDual:
             d = m.dual()
             for a in range(1 << m.n):
                 comp = m.full & ~a
-                assert d.rank_of(a) == popcount(a) + m.rank_of(comp) - m.rank
+                assert d.rank_of(a) == a.bit_count() + m.rank_of(comp) - m.rank
 
     def test_dual_of_rank0_is_free(self):
         assert Matroid.from_hyperplanes(4, []).dual() == free(4)
@@ -448,20 +446,6 @@ class TestRelaxTruncate:
         with pytest.raises(NotCircuitHyperplane):
             uniform(2, 4).relax(0b0001)
 
-    def test_truncate_free(self):
-        assert free(4).truncate() == uniform(3, 4)
-        assert uniform(2, 4).truncate() == uniform(1, 4)
-
-    def test_truncate_figure_is_uniform(self, fig1):
-        t = fig1.truncate()
-        for a in range(1 << 7):
-            assert t.rank_of(a) == min(fig1.rank_of(a), 2)
-        assert t == uniform(2, 7)
-
-    def test_truncate_rank0_raises(self):
-        with pytest.raises(RankZero):
-            Matroid.from_hyperplanes(2, []).truncate()
-
 
 def oracle_connectivity(m):
     """Independent partition-scan oracle for Tutte connectivity."""
@@ -511,18 +495,22 @@ class TestConnectivityPolynomial:
 
 
 class TestValidate:
+    # a matroid is valid when the hyperplane-axiom check rebuilds it
     def test_catalogue_validates(self, matroids6):
         for m in matroids6:
-            assert m.validate().ok
+            assert Matroid.from_hyperplanes(m.n, m.hyperplanes) == m
 
     def test_figure_validates(self, fig1):
-        assert fig1.validate().ok
+        assert Matroid.from_hyperplanes(fig1.n, fig1.hyperplanes) == fig1
 
-    def test_detects_submodularity_failure(self):
-        # inject a non-submodular table: r({0})=0 yet r({0,1})=2
+    def test_detects_a_record_that_is_no_matroid(self):
+        # {0} and {1} on three elements: no hyperplane covers {2}
+        bad = Matroid(3, 2, (0b001, 0b010))
+        with pytest.raises(AxiomViolation):
+            Matroid.from_hyperplanes(bad.n, bad.hyperplanes)
+        # a valid family with the wrong rank: U(0,2) is rebuilt, not U(2,2)
         bad = Matroid(2, 2, ())
-        bad.__dict__["rank_table"] = [0, 0, 1, 2]
-        assert not bad.validate().ok
+        assert Matroid.from_hyperplanes(bad.n, bad.hyperplanes) != bad
 
 
 class TestUnionFind:

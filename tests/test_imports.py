@@ -1,0 +1,46 @@
+"""No module of src/matcat imports a name it neither uses nor exports.
+
+The check parses each module with ast: an imported name counts as used when
+the module reads it anywhere, or lists it in __all__.
+"""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "matcat"
+
+
+def _unused_imports(tree):
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used |= set(ast.literal_eval(node.value))
+    return sorted((line, name) for name, line in imported.items() if name not in used)
+
+
+def test_no_unused_imports():
+    unused = [
+        f"{path.name}:{line}: {name}"
+        for path in sorted(SRC.glob("*.py"))
+        for line, name in _unused_imports(ast.parse(path.read_text(), filename=str(path)))
+    ]
+    assert unused == []
+
+
+def test_an_unused_import_is_found():
+    tree = ast.parse(
+        "import os\nimport numpy as np\nfrom .core import bits, mask_of\n"
+        "from .canon import certificate\n__all__ = ['certificate']\n"
+        "mask_of(np.int8(os.sep))\n"
+    )
+    assert _unused_imports(tree) == [(3, "bits")]

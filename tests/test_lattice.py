@@ -4,7 +4,7 @@ import random
 import pytest
 
 from matcat.core import Matroid, bits, free, from_elements, mask_of, uniform
-from matcat.lattice import FlatLattice, InvalidCut, ModularCut, modular_cuts
+from matcat.lattice import FlatLattice, InvalidCut, ModularCut
 from matcat.orderly import brute_force_enumerate
 
 # -- reference oracles, computed from flat masks and the rank table alone ------
@@ -145,7 +145,7 @@ class TestAntichains:
 
 class TestModularCuts:
     def test_empty_matroid_has_two_cuts(self):
-        cuts = modular_cuts(Matroid.from_hyperplanes(0, []))
+        cuts = FlatLattice(Matroid.from_hyperplanes(0, [])).modular_cuts()
         assert len(cuts) == 2
 
     def test_figure2_cut_and_collar(self, fig1):
@@ -183,7 +183,7 @@ class TestModularCuts:
         # every class through n = 5; one of rank 4 on 5 elements is the
         # smallest whose walk meets an up-set that is not modular-closed
         for m in (m for m in matroids6 if m.n <= 5):
-            fast = {c.members for c in modular_cuts(m)}
+            fast = {c.members for c in FlatLattice(m).modular_cuts()}
             naive = {c.members for c in modular_cuts_naive(m)}
             assert fast == naive
 
@@ -213,7 +213,7 @@ class TestModularCuts:
             for prec in parents:
                 parent = prec.matroid()
                 count = sum(1 for child in children if child.delete(n) == parent)
-                assert count == len(modular_cuts(parent))
+                assert count == len(FlatLattice(parent).modular_cuts())
 
 
 class TestPairTables:
@@ -332,6 +332,4 @@ class TestExtend:
             lat = FlatLattice(m)
             for cut in lat.modular_cuts():
                 child = lat.extend(cut)
-                rebuilt = Matroid.from_hyperplanes(child.n, child.hyperplanes)
-                assert rebuilt.rank == child.rank
-                assert rebuilt.validate().ok
+                assert Matroid.from_hyperplanes(child.n, child.hyperplanes) == child

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from matcat.canon import certificate, relabel_family
-from matcat.core import Matroid, bits, free, popcount, uniform
+from matcat.core import Matroid, bits, free, uniform
 from matcat.named import p8, vamos
 from matcat.orderable import (
     _contains_tables,
@@ -64,7 +64,7 @@ def brute_force_transversal_certs(n: int, max_sets: int | None = None):
         table = [0] * (1 << n)
         for s in range(1 << n):
             table[s] = max(
-                popcount(t)
+                t.bit_count()
                 for t in _submask_iter(s)
                 if (fam >> t) & 1
             )
@@ -215,7 +215,7 @@ class TestTransversal:
             fam = transversal_matroid_independence(m.n, pres)
             indep = 0
             for s in range(1 << m.n):
-                if m.rank_table[s] == popcount(s):
+                if m.rank_table[s] == s.bit_count():
                     indep |= 1 << s
             assert fam == indep
 
@@ -255,7 +255,7 @@ class TestTransversal:
         m = uniform(2, 4)
         cf = cyclic_flats(m)
         assert 0 in cf and m.full in cf
-        assert all(popcount(f) != 1 for f in cf)
+        assert all(f.bit_count() != 1 for f in cf)
 
     def test_p8_not_transversal(self):
         assert transversal(p8()) is None

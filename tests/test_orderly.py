@@ -3,7 +3,7 @@ import os
 
 import pytest
 
-from matcat.canon import certificate, certificate_for, relabel_mask
+from matcat.canon import certificate, certificate_for, orbit_minima, relabel_mask
 from matcat.core import Matroid, format_masks, format_packed, pack_masks, parse_masks
 from matcat.errors import BudgetExceeded as ResourceBudgetExceeded
 from matcat import orderly
@@ -107,7 +107,6 @@ class TestEnumerate:
                 continue
             child = rec.matroid()
             cert = certificate_for(child.n, child.rank, child.hyperplanes)
-            ids = cert.orbit_ids()
             e = cert.perm.index(0)
             # rebuilding the child from its distinguished deletion re-accepts it
             parent = child.delete(e)
@@ -135,7 +134,7 @@ def _extend_by_certificate(parent):
     for cut in lat.modular_cuts():
         child_hyps, child_rank = lat.extension_hyperplanes(cut)
         cert = certificate_for(n + 1, child_rank, child_hyps)
-        ids = cert.orbit_ids()
+        ids = orbit_minima(n + 1, cert.generators)
         if ids[n] == ids[cert.perm.index(0)] and cert.bytes not in accepted:
             accepted[cert.bytes] = CatalogueRecord(
                 None, n + 1, child_rank, pack_masks(child_hyps), cert.bytes
@@ -310,12 +309,11 @@ class TestDualityClosure:
 
 
 class TestCheckpointing:
-    def test_budget_then_resume(self, tmp_path):
+    def test_budget_then_resume(self, tmp_path, monkeypatch):
         path = str(tmp_path / "ck.txt")
+        monkeypatch.setattr(orderly, "_CHECKPOINT_EVERY", 1)
         with pytest.raises(ResourceBudgetExceeded):
-            enumerate_matroids(
-                6, budget=40, checkpoint_path=path, checkpoint_every=1
-            )
+            enumerate_matroids(6, budget=40, checkpoint_path=path)
         job = load_checkpoint(path)
         records = enumerate_matroids(
             6, checkpoint_path=path, resume_job=job
@@ -333,22 +331,36 @@ class TestCheckpointing:
         assert job.generators == {}
         assert enumerate_matroids(8, resume_job=job) == catalogue8
 
-    def test_checkpoint_round_trip(self, tmp_path):
+    def test_checkpoint_round_trip(self, tmp_path, monkeypatch):
         path = str(tmp_path / "ck2.txt")
-        records = enumerate_matroids(
-            4, checkpoint_path=path, checkpoint_every=2
-        )
+        monkeypatch.setattr(orderly, "_CHECKPOINT_EVERY", 2)
+        records = enumerate_matroids(4, checkpoint_path=path)
         job = load_checkpoint(path)
         assert job.level == 4
         assert job.parents == [r for r in records if r.n == 4]
+        # the parents are the emitted records of the level, stored once
+        with open(path) as fh:
+            tags = [line.split()[0] for line in fh.readlines()[2:]]
+        assert tags == ["E"] * len(records)
+
+    def test_pooled_resume(self, tmp_path, catalogue7):
+        # stopped inside level 7 by the budget, then resumed, both on a pool
+        path = str(tmp_path / "pool.txt")
+        with pytest.raises(ResourceBudgetExceeded):
+            enumerate_matroids(7, jobs=2, budget=2000, checkpoint_path=path)
+        job = load_checkpoint(path)
+        assert job.level == 6 and 0 < job.next_parent < len(job.parents)
+        records = enumerate_matroids(7, jobs=2, checkpoint_path=path, resume_job=job)
+        assert records == catalogue7
 
     @pytest.fixture
-    def budget_checkpoint(self, tmp_path):
+    def budget_checkpoint(self, tmp_path, monkeypatch):
         """The lines of a real checkpoint of enumerate_matroids(6), taken
         inside a level, with its path."""
         path = tmp_path / "ck4.txt"
+        monkeypatch.setattr(orderly, "_CHECKPOINT_EVERY", 1)
         with pytest.raises(ResourceBudgetExceeded):
-            enumerate_matroids(6, budget=40, checkpoint_path=str(path), checkpoint_every=1)
+            enumerate_matroids(6, budget=40, checkpoint_path=str(path))
         lines = path.read_text().splitlines()
         assert any(line.startswith("C ") for line in lines)
         return path, lines
@@ -391,9 +403,9 @@ class TestCheckpointing:
             ("E 3 2 2,1,4 0300", "masks not strictly ascending"),
             ("E 3 4 1 0300", "rank 4 outside 0..3"),
             # rank 0 with two hyperplanes, unsorted, one of them E
-            ("P 3 0 7,1 0300", "masks not strictly ascending"),
+            ("C 4 0 f,1 0400", "masks not strictly ascending"),
         ],
-        ids=["mask_is_E", "bit_outside_E", "not_ascending", "rank_above_n", "parent"],
+        ids=["mask_is_E", "bit_outside_E", "not_ascending", "rank_above_n", "child"],
     )
     def test_record_fields_checked_as_in_a_catalogue(
         self, budget_checkpoint, record, message
@@ -403,7 +415,7 @@ class TestCheckpointing:
         with pytest.raises(ValueError, match=f"bad checkpoint {message}"):
             load_checkpoint(str(path))
 
-    @pytest.mark.parametrize("tag", ["P", "C"])
+    @pytest.mark.parametrize("tag", ["C"])
     def test_record_on_the_wrong_level_refused(self, budget_checkpoint, tag):
         path, lines = budget_checkpoint
         # an emitted record, from an earlier level, filed under tag
@@ -423,7 +435,14 @@ class TestCheckpointing:
         path, lines = budget_checkpoint
         repeat = next(line for line in lines if line.startswith("E 2 "))
         path.write_text("\n".join(lines + [repeat]) + "\n")
-        with pytest.raises(ValueError, match="bad checkpoint: two E records share"):
+        with pytest.raises(ValueError, match="bad checkpoint: two E or C records share"):
+            load_checkpoint(str(path))
+
+    def test_repeated_child_record_refused(self, budget_checkpoint):
+        path, lines = budget_checkpoint
+        repeat = next(line for line in lines if line.startswith("C "))
+        path.write_text("\n".join(lines + [repeat]) + "\n")
+        with pytest.raises(ValueError, match="bad checkpoint: two E or C records share"):
             load_checkpoint(str(path))
 
     def test_consistent_checkpoint_still_resumes(self, budget_checkpoint):

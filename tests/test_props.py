@@ -1,16 +1,13 @@
-import itertools
 import random
 
 import numpy as np
 import pytest
 
 from examples import f8, l8, p2_doubleprime, p2_prime, p3
-from matcat.core import INFINITY, Matroid, free, popcount, uniform
+from matcat.core import INFINITY, Matroid, free, uniform
 from matcat.named import ag32, ag32_prime, p1, p8, vamos
 from matcat.store import COLUMNS
 from matcat.props import (
-    _BLOCK_CELLS,
-    BudgetExceeded,
     IngletonWitness,
     _ingleton_full,
     classify,
@@ -133,13 +130,6 @@ class TestIngleton:
         assert w is not None and w.lhs > w.rhs
         assert (w.lhs, w.rhs) == ingleton_sides(child.rank_table, w.a, w.b, w.c, w.d)
 
-    def test_budget(self):
-        # 2r = n: searched as given, and the scan passes the budget at once
-        with pytest.raises(BudgetExceeded):
-            ingleton_violating(uniform(3, 6), budget=1)
-        # searched on its dual U(0,6), which has one flat and no cell to scan
-        assert ingleton_violating(free(6), budget=1) is None
-
     def test_minor_search_exactly_above_eight_with_certs(self):
         # with no violator certificate to match, the minor search finds
         # nothing; the flat search finds the violation
@@ -202,16 +192,14 @@ class TestIngletonDualSide:
             _assert_own_witness(m, ingleton_violating(m))
 
 
-def reference_ingleton_full(m: Matroid, budget=None):
+def reference_ingleton_full(m: Matroid):
     """The Ingleton scan as a loop over flat pairs (A, B), one (C, D) grid
-    per pair; the blocked scan must return the same witness and raise at the
-    same budgets."""
+    per pair; the blocked scan must return the same witness."""
     table = np.asarray(m.rank_table, dtype=np.int16)
     flats, ranks, _ = m._flat_data
     fl = np.asarray(flats, dtype=np.int32)
     nf = len(fl)
     union_rank = table[np.bitwise_or.outer(fl, fl)]
-    work = 0
     for i in range(nf):
         a = flats[i]
         ra = ranks[i]
@@ -223,9 +211,6 @@ def reference_ingleton_full(m: Matroid, budget=None):
             s = ra + ranks[j] - int(table[u])
             if s <= 0:
                 continue
-            work += nf * nf
-            if budget is not None and work > budget:
-                raise BudgetExceeded(f"ingleton search passed {budget} table cells")
             p = table[np.bitwise_or(fl, u)].astype(np.int32) - pa - table[
                 np.bitwise_or(fl, b)
             ].astype(np.int32)
@@ -237,13 +222,6 @@ def reference_ingleton_full(m: Matroid, budget=None):
                 lhs, rhs = ingleton_sides(m.rank_table, a, b, c, d)
                 return IngletonWitness(a, b, c, d, lhs, rhs)
     return None
-
-
-def _outcome(search, m, budget=None):
-    try:
-        return search(m, budget)
-    except BudgetExceeded:
-        return BudgetExceeded
 
 
 class TestBlockedScan:
@@ -272,19 +250,3 @@ class TestBlockedScan:
         for m in cases + [x.dual() for x in cases]:
             w = _ingleton_full(m)
             assert w is not None and w == reference_ingleton_full(m), m
-
-    @pytest.mark.parametrize("m", [vamos(), uniform(3, 6)], ids=["vamos", "U36"])
-    def test_raises_at_the_same_budgets(self, m):
-        # budgets k * nf^2 - 1, k * nf^2 and k * nf^2 + 1 for k = 0, 1, ...,
-        # until k - 1 pairs are enough for the reference: one pair past the
-        # last pair it scans
-        cells = len(m._flat_data[0]) ** 2
-        for pairs in itertools.count():
-            wants = []
-            for budget in (pairs * cells - 1, pairs * cells, pairs * cells + 1):
-                wants.append(_outcome(reference_ingleton_full, m, budget))
-                assert _outcome(_ingleton_full, m, budget) == wants[-1], budget
-            if wants[0] is not BudgetExceeded:
-                break
-        assert wants[0] == reference_ingleton_full(m)
-        assert pairs > _BLOCK_CELLS // cells  # the scan spans two blocks

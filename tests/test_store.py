@@ -42,7 +42,7 @@ def rows6(catalogued):
 
 class TestCatalogueFile:
     def test_round_trip_identity(self, catalogued, catalogue6):
-        back = read_catalogue(catalogued, verify_certificates=True)
+        back = read_catalogue(catalogued)
         assert [(r.n, r.rank, r.hyp_bytes) for r in back] == [
             (r.n, r.rank, r.hyp_bytes) for r in sorted(catalogue6, key=lambda x: x.sort_key())
         ]
