@@ -13,7 +13,7 @@ import os
 import sys
 from functools import partial
 
-from .errors import BudgetExceeded
+from .errors import BudgetExceeded, FormatError
 from .orderly import (
     enumerate_matroids,
     brute_force_enumerate,
@@ -22,7 +22,6 @@ from .orderly import (
     verify_duality_closure,
 )
 from .store import (
-    FormatError,
     assign_ids,
     block_options,
     build_property_table,

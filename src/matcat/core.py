@@ -12,11 +12,15 @@ when none does), and r(X + e) = r(X) + [e not in cl(X)].
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import operator
+import os
 import struct
 from dataclasses import dataclass
 from functools import cached_property
+
+from .errors import ChecksumMismatch, FormatError
 
 
 class AxiomViolation(ValueError):
@@ -115,28 +119,70 @@ def parse_record_fields(n_text: str, rank_text: str, masks_text: str) -> tuple:
     return n, rank, masks
 
 
-class UnionFind:
-    """Disjoint classes of ordered items, each rooted at its least item."""
+# -- checked line files: the catalogue and both checkpoints -------------------
 
-    def __init__(self, items):
-        self.parent = {x: x for x in items}
+def write_checked(path: str, header: str, lines) -> None:
+    """Write header, then each of lines, then a `#sha256 <hex>` footer over
+    everything above it.  The lines are streamed in batches to path.tmp,
+    which then replaces path; a path that is a device, a pipe or a directory
+    is refused, since the rename would replace it."""
+    if os.path.exists(path) and not os.path.isfile(path):
+        raise FileExistsError(f"{path} exists and is not a regular file")
+    digest = hashlib.sha256()
+    lines = itertools.chain((header,), lines)
+    with open(path + ".tmp", "wb") as fh:
+        while batch := list(itertools.islice(lines, 1024)):
+            data = "\n".join([*batch, ""]).encode()
+            digest.update(data)
+            fh.write(data)
+        fh.write(f"#sha256 {digest.hexdigest()}\n".encode())
+    os.replace(path + ".tmp", path)
 
-    def find(self, x):
-        p = self.parent
-        while p[x] != x:
-            p[x] = p[p[x]]
-            x = p[x]
-        return x
 
-    def union(self, a, b) -> bool:
-        """Merge the classes of a and b; False if they were one class."""
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        if rb < ra:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        return True
+def read_checked(path: str, header: str, parse):
+    """What parse returns for the body of a file write_checked wrote under
+    header; FormatError for another header or no footer.
+
+    parse gets an iterator of (line number, line) over the body lines, read
+    and hashed in blocks.  The footer is checked once parse is done, and a
+    ValueError from parse is raised only after the checksum holds, so a
+    damaged file raises ChecksumMismatch whatever else is wrong with it.
+    """
+    digest = hashlib.sha256()
+    last, last_no = b"", 1  # the last line read, which may be the footer
+
+    def body():
+        nonlocal last, last_no
+        while block := fh.readlines(1 << 14):
+            last_no += len(block)
+            block.insert(0, last)
+            last = block.pop()
+            data = b"".join(block)
+            digest.update(data)
+            yield from data.decode(errors="replace").split("\n")[:-1]
+
+    with open(path, "rb") as fh:
+        first = fh.readline()
+        if first != f"{header}\n".encode():
+            got = first.decode(errors="replace").strip()
+            raise FormatError(f"expected header {header!r}, not {got!r}", line=1)
+        digest.update(first)
+        lines, error = enumerate(body(), start=2), None
+        try:
+            result = parse(lines)
+        except ValueError as exc:
+            error = exc
+        for _ in lines:
+            pass
+    if not last.startswith(b"#sha256 "):
+        raise FormatError("missing checksum footer", line=last_no)
+    want = last.removeprefix(b"#sha256 ").strip().decode(errors="replace")
+    got = digest.hexdigest()
+    if want != got:
+        raise ChecksumMismatch(f"checksum {got} != recorded {want}")
+    if error is not None:
+        raise error
+    return result
 
 
 def _closures_and_ranks(n: int, hyps):

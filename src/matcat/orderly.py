@@ -31,8 +31,8 @@ generators are kept for the next level only, and never checkpointed.
 
 from __future__ import annotations
 
+import itertools
 import multiprocessing
-import os
 from dataclasses import dataclass, field
 
 from .canon import (
@@ -48,9 +48,11 @@ from .core import (
     pack_ascending,
     pack_masks,
     parse_record_fields,
+    read_checked,
     unpack_masks,
+    write_checked,
 )
-from .errors import BudgetExceeded
+from .errors import BudgetExceeded, FormatError
 from .lattice import FlatLattice
 
 
@@ -236,70 +238,63 @@ def _advance_level(job, pool, budget, checkpoint_path, progress):
         save_checkpoint(job, checkpoint_path)
 
 
-# -- checkpoint serialization (line-oriented text) ---------------------------
+# -- checkpoint serialization (a core.write_checked file) --------------------
 
-_CKPT_HEADER = "#matcat-enum-checkpoint v2"
+_CKPT_HEADER = "#matcat-enum-checkpoint v3"
 
 
 def save_checkpoint(job: EnumerationJob, path: str) -> None:
-    tmp = path + ".tmp"
-    with open(tmp, "w") as fh:
-        fh.write(f"{_CKPT_HEADER}\n")
-        fh.write(
-            f"max_n={job.max_n} level={job.level} next_parent={job.next_parent} "
-            f"candidates={job.candidates_used}\n"
+    fields = (
+        f"max_n={job.max_n} level={job.level} next_parent={job.next_parent} "
+        f"candidates={job.candidates_used}"
+    )
+    records = (
+        f"{tag} {rec.n} {rec.rank} {format_packed(rec.hyp_bytes)} {rec.cert.hex()}"
+        for tag, recs in (("C", job.children), ("E", job.emitted)) for rec in recs
+    )
+    write_checked(path, _CKPT_HEADER, itertools.chain([fields], records))
+
+
+def _parse_job(lines) -> EnumerationJob:
+    """The job a checkpoint's body lines hold; FormatError if one is malformed."""
+    _, fields = next(lines, (1, ""))
+    try:
+        meta = {k: int(v) for k, v in (kv.split("=") for kv in fields.split())}
+        job = EnumerationJob(
+            meta["max_n"], meta["level"], meta["next_parent"], [], [], meta["candidates"]
         )
-        for tag, records in ("C", job.children), ("E", job.emitted):
-            for rec in records:
-                masks = format_packed(rec.hyp_bytes)
-                fh.write(f"{tag} {rec.n} {rec.rank} {masks} {rec.cert.hex()}\n")
-    os.replace(tmp, path)
+        for _, line in lines:
+            tag, ns, rs, hs, cert = line.split()
+            n, rank, masks = parse_record_fields(ns, rs, hs)
+            rec = CatalogueRecord(None, n, rank, pack_ascending(masks), bytes.fromhex(cert))
+            {"C": job.children, "E": job.emitted}[tag].append(rec)
+    except KeyError as exc:
+        raise FormatError(f"bad checkpoint field {exc}") from None
+    except ValueError as exc:
+        raise FormatError(f"bad checkpoint {exc}") from None
+    return job
 
 
 def load_checkpoint(path: str) -> EnumerationJob:
-    """Read a checkpoint written by save_checkpoint; ValueError if it is
-    malformed, a record fails the checks a catalogue record passes
-    (parse_record_fields), its level, cursor and record sizes do not fit
-    together, or two records share a certificate."""
-    with open(path) as fh:
-        header = fh.readline().rstrip("\n")
-        if header != _CKPT_HEADER:
-            raise ValueError(f"bad checkpoint header: {header!r}")
-        try:
-            meta = dict(kv.split("=") for kv in fh.readline().split())
-            job = EnumerationJob(
-                max_n=int(meta["max_n"]),
-                level=int(meta["level"]),
-                next_parent=int(meta["next_parent"]),
-                children=[],
-                emitted=[],
-                candidates_used=int(meta["candidates"]),
-            )
-            for line in fh:
-                tag, ns, rs, hs, cert = line.split()
-                try:
-                    n, rank, masks = parse_record_fields(ns, rs, hs)
-                except ValueError as exc:
-                    raise ValueError(f"bad checkpoint {exc}") from None
-                rec = CatalogueRecord(
-                    None, n, rank, pack_ascending(masks), bytes.fromhex(cert)
-                )
-                {"C": job.children, "E": job.emitted}[tag].append(rec)
-        except KeyError as exc:
-            raise ValueError(f"bad checkpoint field {exc}") from None
+    """Read a checkpoint written by save_checkpoint; FormatError if its
+    checksum fails (core.read_checked), it is malformed, a record fails the
+    checks a catalogue record passes (parse_record_fields), its level,
+    cursor and record sizes do not fit together, or two records share a
+    certificate."""
+    job = read_checked(path, _CKPT_HEADER, _parse_job)
     # such a job would resume and end normally, with wrong totals
     level, cursor, parents = job.level, job.next_parent, len(job.parents)
     if not 0 <= level <= job.max_n:
-        raise ValueError(f"bad checkpoint level {level} for max_n={job.max_n}")
+        raise FormatError(f"bad checkpoint level {level} for max_n={job.max_n}")
     if not 0 <= cursor <= parents:
-        raise ValueError(f"bad checkpoint next_parent {cursor} for {parents} parents")
+        raise FormatError(f"bad checkpoint next_parent {cursor} for {parents} parents")
     if any(rec.n != level + 1 for rec in job.children):
-        raise ValueError(f"bad checkpoint: a C record is not on {level + 1} elements")
+        raise FormatError(f"bad checkpoint: a C record is not on {level + 1} elements")
     if any(rec.n > level for rec in job.emitted):
-        raise ValueError(f"bad checkpoint: an E record is on more than {level} elements")
+        raise FormatError(f"bad checkpoint: an E record is on more than {level} elements")
     records = job.emitted + job.children
     if len({rec.cert for rec in records}) != len(records):
-        raise ValueError("bad checkpoint: two E or C records share a certificate")
+        raise FormatError("bad checkpoint: two E or C records share a certificate")
     return job
 
 

@@ -43,9 +43,7 @@ reverse order, and an automorphism that complements maps each side's
 layers onto the other's; v is skipped only when it is outranked and its
 complement is outranked in the complemented family too.  The skipped
 vertices form a union of Aut(parent)-orbits, so the first vertex of each
-surviving orbit is unchanged.  Without Z2, a bitset pass first drops every
-vertex holding no element of degree at least top - 1 in the parent, top
-the largest degree: such a vertex is outranked on the top layer.
+surviving orbit is unchanged.
 
 Non-sparse counting fixes a largest block {0..k-1}, enumerates independent
 sets of the auxiliary conflict graph G(k) under the block stabilizer, and
@@ -56,15 +54,15 @@ orbits on its size-k hyperplanes.
 from __future__ import annotations
 
 import itertools
-import json
-import os
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .canon import canonical_family, certificate, relabel_mask, _compose, _invert
-from .core import UnionFind, bits, mask_of
-from .errors import BudgetExceeded
+from .canon import (
+    canonical_family, certificate, orbit_minima, relabel_mask, _compose, _invert,
+)
+from .core import bits, format_masks, mask_of, parse_masks, read_checked, write_checked
+from .errors import BudgetExceeded, FormatError
 from .named import paving_from_blocks, sparse_paving
 
 
@@ -170,9 +168,6 @@ class IsetSearch:
     _conflict: dict = field(init=False, repr=False, compare=False)
     # whether the outranking rule of the module docstring applies
     _ranked: bool = field(init=False, repr=False, compare=False)
-    # element -> bitset over the indices of the vertices holding it, for the
-    # rule's first pass without Z2; None when that pass does not apply
-    _holders: list = field(init=False, repr=False, compare=False)
     # stacked family -> automorphism actions of the labelling that accepted it
     _actions: dict = field(init=False, repr=False, compare=False)
     # child family -> its labelling, the last _MEMO_SIZE labelled, oldest first
@@ -190,12 +185,6 @@ class IsetSearch:
             for i, v in enumerate(self.vertices)
         }
         self._ranked = len(set(map(int.bit_count, self.vertices))) == 1 and self.cells is None
-        self._holders = None
-        if self._ranked and not self.z2:
-            self._holders = [
-                sum(1 << i for i, v in enumerate(self.vertices) if v >> e & 1)
-                for e in range(self.n)
-            ]
         self._actions = {}
         self._memo = {}
 
@@ -218,12 +207,6 @@ class IsetSearch:
                 layer[d] |= 1 << e
             full = (1 << self.n) - 1
             comp = [full ^ u for u in members] if self.z2 else None
-        if self._holders:
-            allowed = 0
-            for e, d in enumerate(deg):
-                if d >= top - 1:
-                    allowed |= self._holders[e]
-            free &= allowed
         out = []
         seen = set()
         for i in bits(free):
@@ -278,81 +261,64 @@ class IsetSearch:
         return self.counts
 
 
-# -- checkpoint serialization (magic, version byte, JSON) --------------------
+# -- checkpoint serialization (a core.write_checked file) --------------------
 
-_CKPT_MAGIC = b"MCJK"
-_CKPT_VERSION = 3
-_CKPT_FIELDS = ("n", "k", "counts", "stack", "nodes")
+_CKPT_HEADER = "#matcat-johnson-checkpoint v4"
 
 
 def save_iset_checkpoint(search: IsetSearch, path: str) -> None:
-    """Write the search as J(n, k) plus its progress; ValueError for a search
-    that johnson_search(johnson_graph(n, k)) does not rebuild."""
+    """Write the search as J(n, k) plus its progress: one fields line, then
+    one `S <masks>` line per stacked family; ValueError for a search that
+    johnson_search(johnson_graph(n, k)) does not rebuild."""
     n, k = search.n, search.conflict_threshold + 1
     g = johnson_graph(n, k)
     if (search.vertices, search.z2, search.cells, search.max_size) != (
         g.vertices, g.with_complement, None, None
     ):
         raise ValueError("only a J(n,k) search without cells or max_size is checkpointed")
-    payload = {"n": n, "k": k, "counts": search.counts, "stack": search.stack,
-               "nodes": search.nodes}
-    blob = json.dumps(payload, separators=(",", ":")).encode()
-    tmp = path + ".tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(_CKPT_MAGIC + bytes([_CKPT_VERSION]) + blob)
-    os.replace(tmp, path)
+    counts = ",".join(f"{size}:{c}" for size, c in sorted(search.counts.items())) or "-"
+    fields = f"n={n} k={k} nodes={search.nodes} counts={counts}"
+    stack = (f"S {format_masks(members)}" for members in search.stack)
+    write_checked(path, _CKPT_HEADER, itertools.chain([fields], stack))
 
 
-def _int(x):
-    if type(x) is not int:
-        raise TypeError(f"expected an integer, got {x!r}")
-    return x
-
-
-def _ints(xs) -> tuple:
-    if type(xs) is not list:
-        raise TypeError(f"expected a list, got {xs!r}")
-    return tuple(_int(x) for x in xs)
-
-
-def load_iset_checkpoint(path: str) -> IsetSearch:
-    """Read a checkpoint written by save_iset_checkpoint; ValueError if malformed.
-
-    The payload is plain JSON data: nothing in the file is executed.  The
-    search is rebuilt through johnson_graph(n, k), whose range check runs
-    before anything is built.
-    """
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[:5] != _CKPT_MAGIC + bytes([_CKPT_VERSION]):
-        raise ValueError("bad checkpoint magic/version")
+def _parse_search(lines) -> IsetSearch:
+    """The search a checkpoint's body lines hold; FormatError if one is
+    malformed or a stacked family is not an independent set.
+    johnson_graph(n, k) checks its range before anything is built."""
+    _, fields = next(lines, (1, ""))
     try:
-        data = json.loads(blob[5:])
-        if set(data) != set(_CKPT_FIELDS):
-            raise TypeError(f"expected fields {_CKPT_FIELDS}")
-        if type(data["counts"]) is not dict:
-            raise TypeError("bad counts field")
+        meta = dict(kv.split("=") for kv in fields.split())
+        if sorted(meta) != ["counts", "k", "n", "nodes"]:
+            raise ValueError(f"fields {sorted(meta)}, not counts, k, n and nodes")
+        counts = meta["counts"].split(",") if meta["counts"] != "-" else []
         search = johnson_search(
-            johnson_graph(_int(data["n"]), _int(data["k"])),
-            counts={int(k): _int(v) for k, v in data["counts"].items()},
-            stack=[_ints(members) for members in data["stack"]],
-            nodes=_int(data["nodes"]),
+            johnson_graph(int(meta["n"]), int(meta["k"])),
+            counts=dict(map(int, kv.split(":")) for kv in counts),
+            stack=[],
+            nodes=int(meta["nodes"]),
         )
-        _check_stack(search)
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"bad checkpoint payload: {exc}") from None
+        index = {v: i for i, v in enumerate(search.vertices)}
+        for _, line in lines:
+            tag, masks = line.split()
+            if tag != "S":
+                raise ValueError(f"expected `S masks`, not {line!r}")
+            members, taken = parse_masks(masks), 0
+            for v in members:
+                if v not in index or taken >> index[v] & 1:
+                    raise ValueError("stack holds a family that is not an independent set")
+                taken |= search._conflict[v]
+            search.stack.append(members)
+    except ValueError as exc:
+        raise FormatError(f"bad checkpoint payload: {exc}") from None
     return search
 
 
-def _check_stack(search: IsetSearch) -> None:
-    """ValueError unless every stacked family is an independent set."""
-    index = {v: i for i, v in enumerate(search.vertices)}
-    for members in search.stack:
-        taken = 0
-        for v in members:
-            if v not in index or taken >> index[v] & 1:
-                raise ValueError("stack holds a family that is not an independent set")
-            taken |= search._conflict[v]
+def load_iset_checkpoint(path: str) -> IsetSearch:
+    """Read a checkpoint written by save_iset_checkpoint; FormatError if its
+    checksum fails (core.read_checked) or _parse_search refuses it.  The file
+    is plain text: nothing in it is executed."""
+    return read_checked(path, _CKPT_HEADER, _parse_search)
 
 
 def johnson_search(g: JohnsonGraph, **kwargs) -> IsetSearch:
@@ -503,11 +469,9 @@ def count_nonsparse_paving(n: int, rank: int, only_k: int | None = None):
 
 
 def _orbit_count_on_masks(generators, masks):
-    uf = UnionFind(masks)
-    for g in generators:
-        for m in masks:
-            uf.union(m, relabel_mask(m, g))
-    return len({uf.find(m) for m in masks})
+    index = {m: i for i, m in enumerate(masks)}
+    perms = [[index[relabel_mask(m, g)] for m in masks] for g in generators]
+    return len(set(orbit_minima(len(masks), perms)))
 
 
 def paving_total(n: int, rank: int):

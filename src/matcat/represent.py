@@ -53,7 +53,7 @@ import itertools
 from dataclasses import dataclass
 
 from .canon import certificate, minor, minor_certificate
-from .core import Matroid, UnionFind, bits, mask_of
+from .core import Matroid, bits, mask_of
 
 
 class GF:
@@ -258,13 +258,15 @@ def _representable_direct(m: Matroid, q: int):
         support[e] = circ
 
     # spanning forest over (row, column) incidences pins entries to 1;
-    # row i is node i and column e is node r + e
+    # row i is node i and column e is node r + e, labelled by its component
     forest = set()
-    uf = UnionFind(range(r + m.n))
+    component = list(range(r + m.n))
     unknowns = []
     for e in others:
         for b in support[e]:
-            if uf.union(row_of[b], r + e):
+            a, c = component[row_of[b]], component[r + e]
+            if a != c:
+                component = [a if x == c else x for x in component]
                 forest.add((row_of[b], e))
             else:
                 unknowns.append((row_of[b], e))

@@ -3,7 +3,7 @@
 Catalogue files are line-oriented text: a version header, one record per
 line as `<id> <n> <rank> <h1,h2,...|->` with lowercase-hex masks sorted
 ascending (the `core` mask codec, which enumeration checkpoints share), and
-a whole-file sha256 footer.  Their records are the one record type,
+a sha256 footer (`core.write_checked`).  Their records are the one record type,
 `orderly.CatalogueRecord`, numbered by `assign_ids`.  Property tables
 are TSV with a fixed header; booleans are 0/1, infinities are `inf`, and
 columns that a run did not compute hold `-`.  `block_options` is the one
@@ -12,30 +12,20 @@ policy for which columns a run computes at each ground-set size.
 
 from __future__ import annotations
 
-import hashlib
 import math
 import multiprocessing
 import re
 from dataclasses import dataclass
 from functools import partial
 
-from .core import INFINITY, format_packed, pack_ascending, parse_record_fields
+from .core import (
+    INFINITY, format_packed, pack_ascending, parse_record_fields, read_checked, write_checked,
+)
+from .errors import FormatError
 from .orderly import CatalogueRecord
 
 CATALOGUE_HEADER = "#matcat-catalogue v1"
 TABLE_HEADER = "#matcat-properties v1"
-
-
-class FormatError(ValueError):
-    """Malformed catalogue or property file (carries a line number)."""
-
-    def __init__(self, message, line=None):
-        super().__init__(message if line is None else f"line {line}: {message}")
-        self.line = line
-
-
-class ChecksumMismatch(FormatError):
-    pass
 
 
 class UnknownColumn(KeyError):
@@ -64,11 +54,7 @@ def write_catalogue(records, path: str) -> None:
     keys = [(r.n, r.rank, r.cert) for r in records]
     if any(k[2] is not None for k in keys) and keys != sorted(keys):
         raise FormatError("records not sorted by (n, rank, certificate)")
-    body = "\n".join([CATALOGUE_HEADER, *map(_record_line, records), ""])
-    digest = hashlib.sha256(body.encode()).hexdigest()
-    with open(path, "w") as fh:
-        fh.write(body)
-        fh.write(f"#sha256 {digest}\n")
+    write_checked(path, CATALOGUE_HEADER, map(_record_line, records))
 
 
 def _parse_record(line: str, lineno: int, records: list) -> CatalogueRecord:
@@ -88,42 +74,21 @@ def _parse_record(line: str, lineno: int, records: list) -> CatalogueRecord:
     return CatalogueRecord(rid, n, rank, pack_ascending(masks))
 
 
+def _parse_records(lines) -> list:
+    records = []
+    for lineno, line in lines:
+        records.append(_parse_record(line, lineno, records))
+    return records
+
+
 def read_catalogue(path: str) -> list:
-    """Parse and validate a catalogue file.
+    """Parse and validate a catalogue file (core.read_checked).
 
     Always checks the checksum, dense ids, n and rank in range, masks that
     are strictly ascending proper subsets of E, and (n, rank) sort order, but not the
     matroid axioms.
-    The file is read one line at a time and hashed as it goes.  A bad record
-    is reported only after the checksum holds, so a damaged file raises
-    ChecksumMismatch whatever else is wrong with it.
     """
-    records = []
-    error = None  # the first bad record line
-    with open(path) as fh:
-        if fh.readline().rstrip("\n") != CATALOGUE_HEADER:
-            raise FormatError("missing catalogue header", line=1)
-        digest = hashlib.sha256(f"{CATALOGUE_HEADER}\n".encode())
-        # each line is held back one step: the last one is the footer
-        last, last_no = None, 1
-        for lineno, line in enumerate(fh, start=2):
-            if last is not None:
-                digest.update(last.encode())
-                if error is None:
-                    try:
-                        records.append(_parse_record(last, last_no, records))
-                    except FormatError as exc:
-                        error = exc
-            last, last_no = line, lineno
-    if last is None or not last.startswith("#sha256 "):
-        raise FormatError("missing checksum footer", line=last_no)
-    want = last[len("#sha256 "):].strip()
-    got = digest.hexdigest()
-    if want != got:
-        raise ChecksumMismatch(f"checksum {got} != recorded {want}")
-    if error is not None:
-        raise error
-    return records
+    return read_checked(path, CATALOGUE_HEADER, _parse_records)
 
 
 # -- property table -------------------------------------------------------------

@@ -18,6 +18,7 @@ from matcat.errors import BudgetExceeded
 from matcat.named import p8, vamos
 from matcat.orderly import extend_all, pack_masks
 from matcat.paving import johnson_graph, johnson_search, save_iset_checkpoint
+from signing import resign
 from matcat.store import (
     COLUMNS,
     TABLE_HEADER,
@@ -29,11 +30,27 @@ from matcat.store import (
 )
 
 
-# the root of a J(6,3) search as the version-2 format wrote it
+# the root of a J(6,3) search as the version-2 and version-3 formats wrote it
 V2_J63_ROOT = b"MCJK\x02" + json.dumps({
     "n": 6, "vertices": list(johnson_graph(6, 3).vertices), "conflict_threshold": 2,
     "z2": True, "cells": None, "counts": {}, "stack": [[]], "nodes": 0, "max_size": None,
 }).encode()
+V3_J63_ROOT = b'MCJK\x03{"n":6,"k":3,"counts":{},"stack":[[]],"nodes":0}'
+
+
+def _stopped_enum(tmp_path, max_n="5", budget="20"):
+    """The path and lines of the checkpoint of an `enum` run stopped by its budget."""
+    ck = tmp_path / "stopped.ckpt"
+    assert main(["enum", "--max-n", max_n, "--budget", budget, "--out", f"{ck}.cat",
+                 "--checkpoint", str(ck)]) == EXIT_BUDGET
+    return ck, ck.read_text().splitlines()
+
+
+def _resume_errors(capsys, ck, *argv):
+    """The stderr lines of `matcat argv --checkpoint ck --resume`, which exits 5."""
+    capsys.readouterr()
+    assert main([*argv, "--checkpoint", str(ck), "--resume"]) == EXIT_IO
+    return capsys.readouterr().err.strip().splitlines()
 
 
 @pytest.fixture(scope="module")
@@ -68,22 +85,14 @@ class TestEnum:
         rc = main(["enum", "--max-n", "9", "--out", str(workdir / "x.txt")])
         assert rc == EXIT_USAGE
 
-    def test_budget_exit_code(self, workdir):
-        rc = main(
-            [
-                "enum", "--max-n", "5", "--budget", "20",
-                "--out", str(workdir / "y.txt"),
-                "--checkpoint", str(workdir / "y.ckpt"),
-            ]
-        )
-        assert rc == EXIT_BUDGET
+    def test_budget_exit_code(self, tmp_path):
+        ck, lines = _stopped_enum(tmp_path)
+        assert lines[0] == "#matcat-enum-checkpoint v3"
 
-    def test_resume_after_budget(self, workdir, small_catalogue):
-        ck = str(workdir / "z.ckpt")
-        out = str(workdir / "z.txt")
-        assert main(["enum", "--max-n", "5", "--budget", "20", "--out", out,
-                     "--checkpoint", ck]) == EXIT_BUDGET
-        assert main(["enum", "--max-n", "5", "--out", out, "--checkpoint", ck,
+    def test_resume_after_budget(self, tmp_path, small_catalogue):
+        ck, _ = _stopped_enum(tmp_path)
+        out = f"{ck}.cat"
+        assert main(["enum", "--max-n", "5", "--out", out, "--checkpoint", str(ck),
                      "--resume"]) == EXIT_OK
         assert open(out).read() == open(small_catalogue).read()
 
@@ -92,40 +101,24 @@ class TestEnum:
         ck = tmp_path / "bad.ckpt"
         if content is not None:
             ck.write_text(content)
-        rc = main(["enum", "--max-n", "3", "--out", str(tmp_path / "bad.txt"),
-                   "--checkpoint", str(ck), "--resume"])
-        assert rc == EXIT_IO
-        err = capsys.readouterr().err.strip().splitlines()
+        err = _resume_errors(capsys, ck, "enum", "--max-n", "3", "--out", f"{ck}.cat")
         assert len(err) == 1 and err[0].startswith("cannot load checkpoint")
 
     def test_resume_inconsistent_checkpoint(self, tmp_path, capsys):
-        ck = tmp_path / "cursor.ckpt"
-        assert main(["enum", "--max-n", "5", "--budget", "20", "--out",
-                     str(tmp_path / "c.txt"), "--checkpoint", str(ck)]) == EXIT_BUDGET
-        lines = ck.read_text().splitlines()
+        ck, lines = _stopped_enum(tmp_path)
         meta = lines[1].split()
         lines[1] = " ".join(
             "next_parent=9999" if kv.startswith("next_parent=") else kv for kv in meta
         )
-        ck.write_text("\n".join(lines) + "\n")
-        capsys.readouterr()
-        rc = main(["enum", "--max-n", "5", "--out", str(tmp_path / "c.txt"),
-                   "--checkpoint", str(ck), "--resume"])
-        assert rc == EXIT_IO
-        err = capsys.readouterr().err.strip().splitlines()
+        resign(ck, lines)
+        err = _resume_errors(capsys, ck, "enum", "--max-n", "5", "--out", f"{ck}.cat")
         assert len(err) == 1 and "bad checkpoint next_parent 9999" in err[0]
 
     def test_resume_checkpoint_with_a_bad_record(self, tmp_path, capsys):
-        ck = tmp_path / "record.ckpt"
-        assert main(["enum", "--max-n", "5", "--budget", "20", "--out",
-                     str(tmp_path / "r.txt"), "--checkpoint", str(ck)]) == EXIT_BUDGET
+        ck, lines = _stopped_enum(tmp_path)
         # rank 0 with two hyperplanes, unsorted, one of them E
-        ck.write_text(ck.read_text() + "C 4 0 f,1 0400\n")
-        capsys.readouterr()
-        rc = main(["enum", "--max-n", "5", "--out", str(tmp_path / "r.txt"),
-                   "--checkpoint", str(ck), "--resume"])
-        assert rc == EXIT_IO
-        err = capsys.readouterr().err.strip().splitlines()
+        resign(ck, lines + ["C 4 0 f,1 0400"])
+        err = _resume_errors(capsys, ck, "enum", "--max-n", "5", "--out", f"{ck}.cat")
         assert err == ["cannot load checkpoint: bad checkpoint masks not strictly ascending"]
 
     @pytest.mark.parametrize(
@@ -141,44 +134,36 @@ class TestEnum:
     def test_resume_checkpoint_with_a_bad_emitted_record(
         self, tmp_path, capsys, line, message
     ):
-        ck = tmp_path / "emitted.ckpt"
-        assert main(["enum", "--max-n", "5", "--budget", "20", "--out",
-                     str(tmp_path / "e.txt"), "--checkpoint", str(ck)]) == EXIT_BUDGET
-        text = ck.read_text()
-        assert "level=3 " in text
+        ck, lines = _stopped_enum(tmp_path)
+        assert "level=3 " in lines[1]
         if line == "C":
-            line = next(x for x in text.splitlines() if x.startswith("C "))
-        ck.write_text(text + line + "\n")
-        capsys.readouterr()
-        rc = main(["enum", "--max-n", "5", "--out", str(tmp_path / "e.txt"),
-                   "--checkpoint", str(ck), "--resume"])
-        assert rc == EXIT_IO
-        err = capsys.readouterr().err.strip().splitlines()
+            line = next(x for x in lines if x.startswith("C "))
+        resign(ck, lines + [line])
+        err = _resume_errors(capsys, ck, "enum", "--max-n", "5", "--out", f"{ck}.cat")
         assert err == [f"cannot load checkpoint: bad checkpoint: {message}"]
 
     def test_resume_version_one_checkpoint(self, tmp_path, capsys):
-        # format v1 also held the parents as P records; it is not read
-        ck = tmp_path / "v1.ckpt"
-        assert main(["enum", "--max-n", "5", "--budget", "20", "--out",
-                     str(tmp_path / "v1.txt"), "--checkpoint", str(ck)]) == EXIT_BUDGET
-        lines = ck.read_text().splitlines()
-        assert lines[0] == "#matcat-enum-checkpoint v2"
+        # format v1 also held the parents as P records, and v1 and v2 had no
+        # footer; neither is read
+        ck, (header, *lines, _) = _stopped_enum(tmp_path)
+        assert header == "#matcat-enum-checkpoint v3"
         parents = [line.replace("E", "P", 1) for line in lines if line.startswith("E 3 ")]
-        ck.write_text("\n".join(["#matcat-enum-checkpoint v1"] + lines[1:] + parents) + "\n")
-        capsys.readouterr()
-        rc = main(["enum", "--max-n", "5", "--out", str(tmp_path / "v1.txt"),
-                   "--checkpoint", str(ck), "--resume"])
-        assert rc == EXIT_IO
-        err = capsys.readouterr().err.strip().splitlines()
-        assert err == ["cannot load checkpoint: bad checkpoint header: "
-                       "'#matcat-enum-checkpoint v1'"]
+        for version, extra in ("v1", parents), ("v2", []):
+            ck.write_text("\n".join([f"#matcat-enum-checkpoint {version}", *lines, *extra]) + "\n")
+            err = _resume_errors(capsys, ck, "enum", "--max-n", "5", "--out", f"{ck}.cat")
+            assert err == ["cannot load checkpoint: line 1: expected header "
+                           f"'#matcat-enum-checkpoint v3', not '#matcat-enum-checkpoint {version}'"]
 
-    def test_resume_checkpoint_for_other_max_n(self, workdir):
-        ck = str(workdir / "other.ckpt")
-        out = str(workdir / "other.txt")
-        assert main(["enum", "--max-n", "5", "--budget", "20", "--out", out,
-                     "--checkpoint", ck]) == EXIT_BUDGET
-        rc = main(["enum", "--max-n", "4", "--out", out, "--checkpoint", ck,
+    def test_resume_truncated_checkpoint(self, tmp_path, capsys):
+        # the last three lines cut: 35/91 for n = 5/6 instead of 38/98 if read
+        ck, lines = _stopped_enum(tmp_path, "6", "300")
+        ck.write_text("\n".join(lines[:-3]) + "\n")
+        err = _resume_errors(capsys, ck, "enum", "--max-n", "6", "--out", f"{ck}.cat")
+        assert err == [f"cannot load checkpoint: line {len(lines) - 3}: missing checksum footer"]
+
+    def test_resume_checkpoint_for_other_max_n(self, tmp_path):
+        ck, _ = _stopped_enum(tmp_path)
+        rc = main(["enum", "--max-n", "4", "--out", f"{ck}.cat", "--checkpoint", str(ck),
                    "--resume"])
         assert rc == EXIT_USAGE
 
@@ -492,16 +477,17 @@ class TestOracleAndJohnson:
             b"MCJK\x02garbage", b"MCJK\x02{}", b"MCJK\x02[]",
             pytest.param(V2_J63_ROOT, id="v2-payload"),
             b"MCJK\x03garbage", b"MCJK\x03{}", b"MCJK\x03[]",
+            pytest.param(V3_J63_ROOT, id="v3-payload"),
+            b"#matcat-johnson-checkpoint v4\n",
+            b"#matcat-johnson-checkpoint v4\nn=6 k=3 nodes=0 counts=-\nS -\n",
+            b"#matcat-johnson-checkpoint v4\nn=6 k=3 nodes=0 counts=-\nS -\n#sha256 0\n",
         ],
     )
     def test_johnson_resume_unreadable_checkpoint(self, tmp_path, capsys, content):
         ck = tmp_path / "bad.jck"
         if content is not None:
             ck.write_bytes(content)
-        rc = main(["johnson", "--n", "6", "--k", "3", "--checkpoint", str(ck),
-                   "--resume"])
-        assert rc == EXIT_IO
-        err = capsys.readouterr().err.strip().splitlines()
+        err = _resume_errors(capsys, ck, "johnson", "--n", "6", "--k", "3")
         assert len(err) == 1 and err[0].startswith("cannot load checkpoint")
 
     @pytest.mark.parametrize("n,k", [(9, 2), (6, 2), (7, 3)])
@@ -522,13 +508,22 @@ class TestOracleAndJohnson:
         assert rc == EXIT_OK
         assert "total\t6" in capsys.readouterr().out
 
+    def test_johnson_resume_missing_stack_line(self, tmp_path, capsys):
+        # one of the 7 stacked families dropped: total 58 instead of 207 if read
+        ck = tmp_path / "j84.jck"
+        assert main(["johnson", "--n", "8", "--k", "4", "--budget", "40",
+                     "--checkpoint", str(ck)]) == EXIT_BUDGET
+        lines = ck.read_text().splitlines()
+        assert len([line for line in lines if line.startswith("S ")]) == 7
+        ck.write_text("\n".join(lines[:2] + lines[3:]) + "\n")
+        err = _resume_errors(capsys, ck, "johnson", "--n", "8", "--k", "4")
+        assert len(err) == 1 and err[0].startswith("cannot load checkpoint: checksum ")
+
     def test_johnson_resume_dependent_stack(self, tmp_path, capsys):
         ck = str(tmp_path / "dependent.jck")
         search = johnson_search(johnson_graph(6, 3), stack=[(0b000111, 0b001011)])
         save_iset_checkpoint(search, ck)
-        rc = main(["johnson", "--n", "6", "--k", "3", "--checkpoint", ck, "--resume"])
-        assert rc == EXIT_IO
-        err = capsys.readouterr().err.strip().splitlines()
+        err = _resume_errors(capsys, ck, "johnson", "--n", "6", "--k", "3")
         assert len(err) == 1 and err[0].startswith("cannot load checkpoint")
 
     @pytest.mark.parametrize("n,k", [(10**6, 3), (7, 7), (7, 9)])
@@ -536,15 +531,12 @@ class TestOracleAndJohnson:
         # a J(7,3) checkpoint edited to name a graph johnson_graph refuses
         ck = tmp_path / "j73.jck"
         save_iset_checkpoint(johnson_search(johnson_graph(7, 3)), str(ck))
-        data = json.loads(ck.read_bytes()[5:])
-        data.update(n=n, k=k)
-        ck.write_bytes(b"MCJK\x03" + json.dumps(data).encode())
+        lines = ck.read_text().splitlines()
+        assert lines[1].startswith("n=7 k=3 ")
+        resign(ck, [lines[0], lines[1].replace("n=7 k=3", f"n={n} k={k}"), *lines[2:]])
         t0 = time.perf_counter()
-        rc = main(["johnson", "--n", "7", "--k", "3", "--checkpoint", str(ck),
-                   "--resume"])
+        err = _resume_errors(capsys, ck, "johnson", "--n", "7", "--k", "3")
         assert time.perf_counter() - t0 < 1.0
-        assert rc == EXIT_IO
-        err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1
         assert err[0].startswith("cannot load checkpoint: bad checkpoint payload")
 

@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import os
 import random
 
 import pytest
@@ -11,13 +13,14 @@ from matcat.core import (
     AxiomViolation,
     Matroid,
     NotCircuitHyperplane,
-    UnionFind,
     _closures_and_ranks,
     bits,
     free,
     from_elements,
     mask_of,
+    read_checked,
     uniform,
+    write_checked,
 )
 from matcat.named import p8, vamos
 from matcat.orderly import brute_force_enumerate, extend_all
@@ -513,29 +516,18 @@ class TestValidate:
         assert Matroid.from_hyperplanes(bad.n, bad.hyperplanes) != bad
 
 
-class TestUnionFind:
-    def test_root_is_least_item_and_union_reports_merges(self):
-        uf = UnionFind([5, 3, 9, 1, 7])
-        assert uf.union(9, 5) is True
-        assert uf.find(9) == 5
-        assert uf.union(7, 9) is True
-        assert uf.find(7) == 5
-        assert uf.union(5, 7) is False
-        assert uf.union(7, 1) is True
-        assert {uf.find(x) for x in (1, 5, 7, 9)} == {1}
-        assert uf.find(3) == 3
-
-    def test_random_unions_against_merged_sets(self):
-        rng = random.Random(17)
-        uf = UnionFind(range(30))
-        classes = {x: {x} for x in range(30)}
-        for _ in range(60):
-            a, b = rng.randrange(30), rng.randrange(30)
-            merged = classes[a] is not classes[b]
-            assert uf.union(a, b) is merged
-            if merged:
-                union = classes[a] | classes[b]
-                for x in union:
-                    classes[x] = union
-            for x in range(30):
-                assert uf.find(x) == min(classes[x])
+class TestCheckedFile:
+    def test_footer_over_every_batch(self, tmp_path):
+        # more lines than one write batch holds
+        path = tmp_path / "f.txt"
+        lines = [f"{i} x" for i in range(10000)]
+        write_checked(str(path), "#h v1", iter(lines))
+        body = "\n".join(["#h v1", *lines, ""])
+        assert path.read_text() == body + f"#sha256 {hashlib.sha256(body.encode()).hexdigest()}\n"
+        assert list(tmp_path.iterdir()) == [path]
+        assert read_checked(str(path), "#h v1", list) == list(enumerate(lines, start=2))
+        # the rename would replace a pipe or a device, so they are refused
+        os.mkfifo(tmp_path / "pipe")
+        with pytest.raises(FileExistsError):
+            write_checked(str(tmp_path / "pipe"), "#h v1", lines)
+        assert (tmp_path / "pipe").is_fifo()

@@ -1,7 +1,10 @@
-"""No module of src/matcat imports a name it neither uses nor exports.
+"""No module of src/matcat imports a name it neither uses nor exports, and
+every file matcat writes has one layout.
 
-The check parses each module with ast: an imported name counts as used when
-the module reads it anywhere, or lists it in __all__.
+The checks parse each module with ast: an imported name counts as used when
+the module reads it anywhere, or lists it in __all__.  No module imports a
+serializer (json, pickle, marshal, shelve), and only core, whose
+write_checked writes every catalogue and checkpoint, calls os.replace.
 """
 
 import ast
@@ -26,6 +29,38 @@ def _unused_imports(tree):
         ):
             used |= set(ast.literal_eval(node.value))
     return sorted((line, name) for name, line in imported.items() if name not in used)
+
+
+SERIALIZERS = {"json", "pickle", "marshal", "shelve"}
+
+
+def _layout_breaches(tree, module):
+    """Serializers imported anywhere, and os.replace used outside core."""
+    dotted = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            dotted += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            dotted += [f"{node.module}.{alias.name}" for alias in node.names]
+        elif isinstance(node, ast.Attribute):
+            dotted.append(ast.unparse(node))
+    return [name for name in dotted if name.split(".")[0] in SERIALIZERS
+            or name == "os.replace" and module != "core"]
+
+
+def test_one_file_layout():
+    breaches = [
+        f"{path.name}: {breach}"
+        for path in sorted(SRC.glob("*.py"))
+        for breach in _layout_breaches(ast.parse(path.read_text()), path.stem)
+    ]
+    assert breaches == []
+
+
+def test_a_second_file_layout_is_found():
+    tree = ast.parse("import json\nfrom os import replace\nos.replace(a, b)\n")
+    assert _layout_breaches(tree, "core") == ["json"]
+    assert _layout_breaches(tree, "paving") == ["json", "os.replace", "os.replace"]
 
 
 def test_no_unused_imports():

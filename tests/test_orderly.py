@@ -5,9 +5,10 @@ import pytest
 
 from matcat.canon import certificate, certificate_for, orbit_minima, relabel_mask
 from matcat.core import Matroid, format_masks, format_packed, pack_masks, parse_masks
-from matcat.errors import BudgetExceeded as ResourceBudgetExceeded
+from matcat.errors import BudgetExceeded as ResourceBudgetExceeded, ChecksumMismatch
 from matcat import orderly
 from matcat.lattice import FlatLattice
+from signing import resign
 from matcat.orderly import (
     EMPTY_MATROID,
     CatalogueRecord,
@@ -340,7 +341,7 @@ class TestCheckpointing:
         assert job.parents == [r for r in records if r.n == 4]
         # the parents are the emitted records of the level, stored once
         with open(path) as fh:
-            tags = [line.split()[0] for line in fh.readlines()[2:]]
+            tags = [line.split()[0] for line in fh.readlines()[2:-1]]
         assert tags == ["E"] * len(records)
 
     def test_pooled_resume(self, tmp_path, catalogue7):
@@ -382,7 +383,7 @@ class TestCheckpointing:
     )
     def test_cursor_out_of_range_refused(self, budget_checkpoint, key, value, message):
         path, lines = budget_checkpoint
-        path.write_text("\n".join(self._with_meta(lines, key, value)) + "\n")
+        resign(path, self._with_meta(lines, key, value))
         with pytest.raises(ValueError, match=f"bad checkpoint {message}"):
             load_checkpoint(str(path))
 
@@ -391,7 +392,7 @@ class TestCheckpointing:
         path, lines = budget_checkpoint
         tag, n, rank, _, cert = lines[2].split()
         lines[2] = f"{tag} {n} {rank} {mask} {cert}"
-        path.write_text("\n".join(lines) + "\n")
+        resign(path, lines)
         with pytest.raises(ValueError, match="bad checkpoint mask"):
             load_checkpoint(str(path))
 
@@ -411,7 +412,7 @@ class TestCheckpointing:
         self, budget_checkpoint, record, message
     ):
         path, lines = budget_checkpoint
-        path.write_text("\n".join(lines + [record]) + "\n")
+        resign(path, lines + [record])
         with pytest.raises(ValueError, match=f"bad checkpoint {message}"):
             load_checkpoint(str(path))
 
@@ -420,29 +421,36 @@ class TestCheckpointing:
         path, lines = budget_checkpoint
         # an emitted record, from an earlier level, filed under tag
         stray = next(line for line in lines if line.startswith("E 1 "))
-        path.write_text("\n".join(lines + [tag + stray[1:]]) + "\n")
+        resign(path, lines + [tag + stray[1:]])
         with pytest.raises(ValueError, match=f"bad checkpoint: a {tag} record"):
             load_checkpoint(str(path))
 
     def test_emitted_record_above_the_level_refused(self, budget_checkpoint):
         path, lines = budget_checkpoint
         # the checkpoint is taken at level 3; this record is on 6 elements
-        path.write_text("\n".join(lines + ["E 6 0 - 0600"]) + "\n")
+        resign(path, lines + ["E 6 0 - 0600"])
         with pytest.raises(ValueError, match="bad checkpoint: an E record is on more than 3"):
             load_checkpoint(str(path))
 
     def test_repeated_emitted_record_refused(self, budget_checkpoint):
         path, lines = budget_checkpoint
         repeat = next(line for line in lines if line.startswith("E 2 "))
-        path.write_text("\n".join(lines + [repeat]) + "\n")
+        resign(path, lines + [repeat])
         with pytest.raises(ValueError, match="bad checkpoint: two E or C records share"):
             load_checkpoint(str(path))
 
     def test_repeated_child_record_refused(self, budget_checkpoint):
         path, lines = budget_checkpoint
         repeat = next(line for line in lines if line.startswith("C "))
-        path.write_text("\n".join(lines + [repeat]) + "\n")
+        resign(path, lines + [repeat])
         with pytest.raises(ValueError, match="bad checkpoint: two E or C records share"):
+            load_checkpoint(str(path))
+
+    def test_unsigned_edit_refused(self, budget_checkpoint):
+        # the cursor edit of test_cursor_out_of_range_refused, footer kept
+        path, lines = budget_checkpoint
+        path.write_text("\n".join(self._with_meta(lines, "next_parent", 9999)) + "\n")
+        with pytest.raises(ChecksumMismatch):
             load_checkpoint(str(path))
 
     def test_consistent_checkpoint_still_resumes(self, budget_checkpoint):

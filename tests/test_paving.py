@@ -1,6 +1,5 @@
 import hashlib
 import itertools
-import json
 import pickle
 from fractions import Fraction
 
@@ -8,6 +7,7 @@ import pytest
 
 from matcat.canon import canonical_family, certificate, relabel_family, relabel_mask
 from matcat.core import mask_of, uniform
+from matcat.errors import FormatError
 from matcat.named import P8_CIRCUIT_HYPERPLANES, NotIndependent, p8, sparse_paving
 from matcat import paving
 from matcat.paving import (
@@ -27,6 +27,7 @@ from matcat.paving import (
     save_iset_checkpoint,
 )
 from matcat.props import classify
+from signing import resign
 
 _UNPICKLED = []
 
@@ -152,9 +153,7 @@ class TestOrbitEnumeration:
     def test_budget_and_resume(self, tmp_path, monkeypatch):
         g = johnson_graph(7, 3)
         path = str(tmp_path / "jk.ckpt")
-        search = IsetSearch(
-            g.n, g.vertices, conflict_threshold=g.k - 1, z2=g.with_complement
-        )
+        search = johnson_search(g)
         monkeypatch.setattr(IsetSearch, "_CHECKPOINT_EVERY", 1)
         with pytest.raises(BudgetExceeded):
             search.run(budget=4, checkpoint_path=path)
@@ -169,19 +168,18 @@ class TestOrbitEnumeration:
         with pytest.raises(ValueError):
             load_iset_checkpoint(path)
 
-    def test_checkpoint_round_trip_is_plain_json(self, tmp_path):
+    def test_checkpoint_round_trip_is_plain_text(self, tmp_path):
         g = johnson_graph(8, 4)
-        path = str(tmp_path / "rt.ckpt")
+        path = tmp_path / "rt.ckpt"
         search = johnson_search(g)
         with pytest.raises(BudgetExceeded):
-            search.run(budget=6, checkpoint_path=path)
-        with open(path, "rb") as fh:
-            blob = fh.read()
-        assert blob[:5] == b"MCJK\x03"
-        data = json.loads(blob[5:])
-        assert sorted(data) == ["counts", "k", "n", "nodes", "stack"]
-        assert (data["n"], data["k"], data["nodes"]) == (8, 4, search.nodes)
-        loaded = load_iset_checkpoint(path)
+            search.run(budget=6, checkpoint_path=str(path))
+        header, fields, *stack, footer = path.read_text().splitlines()
+        assert header == "#matcat-johnson-checkpoint v4"
+        assert fields == f"n=8 k=4 nodes={search.nodes} counts=0:1,1:1,2:1,3:1,4:1,5:1,6:1"
+        assert stack == [f"S {','.join(format(v, 'x') for v in s)}" for s in search.stack]
+        assert footer.startswith("#sha256 ")
+        loaded = load_iset_checkpoint(str(path))
         assert loaded == search
         assert all(type(k) is int for k in loaded.counts)
         assert all(type(m) is tuple for m in loaded.stack)
@@ -218,33 +216,36 @@ class TestOrbitEnumeration:
     @pytest.mark.parametrize(
         "edit",
         [
-            lambda d: d.pop("stack"),
+            lambda d: d.pop("counts"),
             lambda d: d.update(extra=1),
-            lambda d: d.update(n="7"),
-            lambda d: d.update(k=2.0),
+            lambda d: d.update(n="seven"),
+            lambda d: d.update(k="2.0"),
             lambda d: d.update(n=10**6),
             lambda d: d.update(n=13),
             lambda d: d.update(k=5),
             lambda d: d.update(k=0),
-            lambda d: d.update(nodes=1.5),
-            lambda d: d.update(counts={"x": 1}),
-            lambda d: d.update(counts=[1]),
-            lambda d: d.update(stack=[[1, "2"]]),
-            lambda d: d.update(stack=[[0b00011, 0b00101]]),
-            lambda d: d.update(stack=[[0b00011, 0b00011]]),
+            lambda d: d.update(nodes="1.5"),
+            lambda d: d.update(counts="x:1"),
+            lambda d: d.update(counts="1"),
+            lambda d: d.update(stack=["S 1,x"]),
+            lambda d: d.update(stack=["S 3,5"]),
+            lambda d: d.update(stack=["S 3,3"]),
+            lambda d: d.update(stack=["X 3"]),
+            lambda d: d.update(stack=["S 3 5"]),
         ],
     )
     def test_checkpoint_malformed_payload(self, tmp_path, edit):
+        # each edit is signed, so that the check it breaks is reached
         g = johnson_graph(5, 2)
-        path = str(tmp_path / "m.ckpt")
-        save_iset_checkpoint(IsetSearch(g.n, g.vertices, conflict_threshold=1), path)
-        with open(path, "rb") as fh:
-            data = json.loads(fh.read()[5:])
+        path = tmp_path / "m.ckpt"
+        save_iset_checkpoint(IsetSearch(g.n, g.vertices, conflict_threshold=1), str(path))
+        header, fields, *stack, _ = path.read_text().splitlines()
+        data = dict(kv.split("=") for kv in fields.split()) | {"stack": stack}
         edit(data)
-        with open(path, "wb") as fh:
-            fh.write(b"MCJK\x03" + json.dumps(data).encode())
-        with pytest.raises(ValueError):
-            load_iset_checkpoint(path)
+        stack = data.pop("stack")
+        resign(path, [header, " ".join(f"{k}={v}" for k, v in data.items()), *stack])
+        with pytest.raises(FormatError, match="bad checkpoint payload"):
+            load_iset_checkpoint(str(path))
 
     def test_checkpoint_stack_of_non_vertices(self, tmp_path):
         g = johnson_graph(5, 2)
@@ -268,7 +269,7 @@ class TestOrbitEnumeration:
         }
         with open(path, "rb") as fh:
             assert hashlib.sha256(fh.read()).hexdigest() == (
-                "e739dd5940c970140778673a459ad65019d2599ee24e12f304d642e82088c902"
+                "dbe099228e3352de881a62cfcf74199b8dfc80f4d8c149863ad887ba9c628c39"
             )
 
     def test_label_memo_changes_nothing(self, tmp_path, monkeypatch):

@@ -1,6 +1,7 @@
 import pytest
 
 from examples import f8, l8, p2_doubleprime, p2_prime, p3
+from signing import resign
 from matcat.canon import certificate
 from matcat.core import INFINITY, uniform
 from matcat.named import ag32, ag32_prime, p1, p8, vamos
@@ -8,10 +9,10 @@ from matcat.orderable import base_orderable, strongly_base_orderable, transversa
 from matcat.orderly import CatalogueRecord, enumerate_matroids, pack_masks
 from matcat.props import classify, ingleton_violating
 from matcat.represent import representable
+from matcat.errors import ChecksumMismatch, FormatError
 from matcat.store import (
+    CATALOGUE_HEADER,
     COLUMNS,
-    ChecksumMismatch,
-    FormatError,
     RowOptions,
     TypeMismatch,
     UnknownColumn,
@@ -65,27 +66,15 @@ class TestCatalogueFile:
             type(recs[b])(recs[b].id, recs[a].n, recs[a].rank, recs[a].hyp_bytes),
         )
         path = tmp_path / "unsorted.txt"
-        import hashlib
+        from matcat.store import _record_line
 
-        from matcat.store import CATALOGUE_HEADER, _record_line
-
-        body = CATALOGUE_HEADER + "\n"
-        for rec in swapped:
-            body += _record_line(rec) + "\n"
-        digest = hashlib.sha256(body.encode()).hexdigest()
-        path.write_text(body + f"#sha256 {digest}\n")
+        resign(path, [CATALOGUE_HEADER, *map(_record_line, swapped)])
         with pytest.raises(FormatError):
             read_catalogue(str(path))
 
     def test_descending_masks_rejected(self, tmp_path):
-        import hashlib
-
-        from matcat.store import CATALOGUE_HEADER
-
-        body = CATALOGUE_HEADER + "\n0 2 2 2,1\n"
-        digest = hashlib.sha256(body.encode()).hexdigest()
         path = tmp_path / "descending.txt"
-        path.write_text(body + f"#sha256 {digest}\n")
+        resign(path, [CATALOGUE_HEADER, "0 2 2 2,1"])
         with pytest.raises(FormatError, match="masks not strictly ascending"):
             read_catalogue(str(path))
 
@@ -108,32 +97,22 @@ class TestCatalogueFile:
         ],
     )
     def test_bad_record_reports_its_line(self, tmp_path, bad, message):
-        import hashlib
-
-        from matcat.store import CATALOGUE_HEADER
-
-        body = CATALOGUE_HEADER + "\n0 1 0 -\n" + bad + "\n2 1 1 0\n"
-        digest = hashlib.sha256(body.encode()).hexdigest()
         path = tmp_path / "bad.txt"
-        path.write_text(body + f"#sha256 {digest}\n")
+        resign(path, [CATALOGUE_HEADER, "0 1 0 -", bad, "2 1 1 0"])
         with pytest.raises(FormatError, match=message) as info:
             read_catalogue(str(path))
         assert info.value.line == 3
         assert not isinstance(info.value, ChecksumMismatch)
         # the checksum is reported first when it fails as well
-        path.write_text(body + f"#sha256 {'0' * 64}\n")
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(lines[:-1] + [f"#sha256 {'0' * 64}"]) + "\n")
         with pytest.raises(ChecksumMismatch):
             read_catalogue(str(path))
 
     def test_family_that_is_no_matroid_still_reads(self, tmp_path):
         # the range checks are cheap; the axioms are not checked on read
-        import hashlib
-
-        from matcat.store import CATALOGUE_HEADER
-
-        body = CATALOGUE_HEADER + "\n0 3 2 1,2\n"
         path = tmp_path / "family.txt"
-        path.write_text(body + f"#sha256 {hashlib.sha256(body.encode()).hexdigest()}\n")
+        resign(path, [CATALOGUE_HEADER, "0 3 2 1,2"])
         [rec] = read_catalogue(str(path))
         assert (rec.n, rec.rank, rec.hyperplanes) == (3, 2, (1, 2))
 
