@@ -382,12 +382,12 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--count-distinct", dest="count_distinct", default=None)
     q.add_argument("--group-by", dest="group_by", default=None)
     q.add_argument("--missing-bases", dest="missing_bases", action="store_true")
-    q.add_argument("--max-n", type=int, default=8)
+    q.add_argument("--max-n", type=int, default=8, choices=range(10))
     q.set_defaults(func=cmd_query)
 
     x = sub.add_parser("exminors", help="excluded minors for GF(q)")
     x.add_argument("--field", type=int, required=True, choices=(2, 3, 4, 5))
-    x.add_argument("--max-n", type=int, required=True)
+    x.add_argument("--max-n", type=int, required=True, choices=range(10))
     x.add_argument("--catalogue", required=True)
     x.add_argument("--extended", action="store_true")
     x.set_defaults(func=cmd_exminors)

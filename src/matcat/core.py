@@ -418,6 +418,22 @@ class Matroid:
             e for e in range(self.n) if table[self.full & ~(1 << e)] == self.rank - 1
         )
 
+    def simple_cosimple(self) -> tuple:
+        """(simple, cosimple), read off the hyperplanes without a rank table.
+
+        An element is a loop when it lies on every hyperplane, and two
+        non-loops are parallel when they lie on the same hyperplanes.  The
+        cocircuits are the complements of the hyperplanes, so the dual has a
+        loop or a parallel pair when some hyperplane misses at most two
+        elements.
+        """
+        hyps = self.hyperplanes
+        # bit i of on[e] is set when element e lies on hyperplane i
+        on = [mask_of(i for i, h in enumerate(hyps) if h >> e & 1) for e in range(self.n)]
+        every = (1 << len(hyps)) - 1
+        simple = every not in on and len(set(on)) == self.n
+        return simple, all(h.bit_count() < self.n - 2 for h in hyps)
+
     def parallel_classes(self):
         """Partition of the non-loop elements into parallel classes (masks)."""
         table = self.rank_table

@@ -40,14 +40,7 @@ def classify(m: Matroid) -> dict:
     hyp_sizes = {h.bit_count() for h in m.hyperplanes}
     paving = min_circuit >= m.rank
     sparse = paving and all(s in (m.rank - 1, m.rank) for s in hyp_sizes)
-    simple = loops == 0 and min_circuit >= 3
-    # M* has no loop and no parallel pair iff r*(X) = |X| for |X| <= 2, that is
-    # iff r(E - X) = r(E), since r*(X) = |X| - r(E) + r(E - X)
-    cosimple = all(
-        table[m.full & ~(1 << e) & ~(1 << f)] == m.rank
-        for f in range(m.n)
-        for e in range(f + 1)
-    )
+    simple, cosimple = m.simple_cosimple()
     n_indep = sum(1 for a in range(1 << m.n) if table[a] == a.bit_count())
     hset = set(m.hyperplanes)
     return {

@@ -405,28 +405,34 @@ def _implied_verdict(known: dict, q: int):
 
 def excluded_minors(matroids, q: int, representable_cache=None):
     """Matroids not representable over GF(q) whose single-element deletions
-    and contractions all are; input must be minor-closed (a full catalogue).
-    representable_cache maps certificate bytes to GF(q) verdicts.  The
-    inputs keep their own and their minors' certificates and their own field
-    verdicts for a later field's call, which reads an input's verdict off
-    the fields it already knows where that settles it (see _implied_verdict).
+    and contractions all are, in input order; the input need not be
+    minor-closed.
+
+    Adding a loop, a coloop, a parallel or a series element keeps
+    GF(q)-representability (Oxley, Matroid Theory, ch. 6), so only simple,
+    cosimple inputs are searched, through _verdict, whose verdicts the inputs
+    keep for a later field's call.  A non-representable one is labelled, and
+    as an automorphism maps M\\e onto M\\f and M/e onto M/f when e and f
+    share an orbit, only the deletion and contraction of each element
+    orbit's least element are checked; the input keeps those certificates.
+    representable_cache maps the certificate bytes of those minors to their
+    GF(q) verdicts, and a minor missing from it is searched.
     """
     cache = representable_cache if representable_cache is not None else {}
 
-    def minors_representable(m):
-        for i in range(2 * m.n):
-            cert = minor_certificate(m, i)
-            if cert not in cache:
-                cache[cert] = representable(minor(m, i), q) is not None
-            if not cache[cert]:
-                return False
-        return True
-
-    out = []
-    for m in matroids:
-        cert = certificate(m).bytes
+    def representable_minor(m, i):
+        cert = minor_certificate(m, i)
         if cert not in cache:
-            cache[cert] = _verdict(m, q)
-        if not cache[cert] and minors_representable(m):
-            out.append(m)
-    return out
+            cache[cert] = representable(minor(m, i), q) is not None
+        return cache[cert]
+
+    return [
+        m for m in matroids
+        if all(m.simple_cosimple())
+        and not _verdict(m, q)
+        and all(
+            representable_minor(m, i)
+            for orbit in certificate(m).element_orbits
+            for i in (2 * orbit[0], 2 * orbit[0] + 1)
+        )
+    ]

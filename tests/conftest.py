@@ -12,7 +12,7 @@ def extended_enabled() -> bool:
 
 requires_extended = pytest.mark.skipif(
     not extended_enabled(),
-    reason="extended run (hours); set MATCAT_EXTENDED=1 to enable",
+    reason="extended run (minutes); set MATCAT_EXTENDED=1 to enable",
 )
 
 

@@ -27,7 +27,7 @@ from matcat.canon import (
     relabel_family,
     relabel_mask,
 )
-from matcat.core import EmptyGroundSet, Matroid, free, mask_of, uniform
+from matcat.core import EmptyGroundSet, Matroid, mask_of, uniform
 from matcat.errors import BudgetExceeded
 from matcat.lattice import FlatLattice
 from matcat.named import ag32_prime, p8

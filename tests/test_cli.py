@@ -8,7 +8,6 @@ from matcat import paving, store
 from matcat.cli import (
     EXIT_BUDGET,
     EXIT_IO,
-    EXIT_MISMATCH,
     EXIT_OK,
     EXIT_USAGE,
     main,
@@ -327,11 +326,11 @@ class TestQuery:
                      "--table", small_table]) == EXIT_OK
         assert capsys.readouterr().out.strip() == "none"
 
-    @pytest.mark.parametrize("max_n", ["6", "99"])
+    @pytest.mark.parametrize("max_n", ["6", "9"])
     def test_missing_bases_beyond_the_table(self, capsys, small_table, monkeypatch,
                                             max_n):
         # sizes the table does not hold are absent, not missing; the check
-        # comes before the loop, which for 99 would walk C(99, 49) base counts
+        # comes before the loop over the base counts
         monkeypatch.setattr(store, "math", None)
         rc = main(["query", "--missing-bases", "--max-n", max_n, "--table", small_table])
         assert rc == EXIT_USAGE
@@ -560,6 +559,20 @@ class TestOracleAndJohnson:
         rc = main(["exminors", "--field", "5", "--max-n", "8",
                    "--catalogue", small_catalogue])
         assert rc == EXIT_USAGE
+
+    @pytest.mark.parametrize("max_n", ["-1", "10", "99"])
+    @pytest.mark.parametrize("command", ["exminors", "query"])
+    def test_max_n_out_of_range(self, capsys, small_catalogue, small_table,
+                                command, max_n):
+        # as for enum, --max-n takes 0..9; outside it nothing is read or printed
+        args = {
+            "exminors": ["exminors", "--field", "2", "--catalogue", small_catalogue],
+            "query": ["query", "--missing-bases", "--table", small_table],
+        }[command]
+        assert main(args + ["--max-n", max_n]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--max-n: invalid choice" in captured.err
 
 
 @pytest.mark.parametrize(

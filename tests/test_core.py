@@ -16,7 +16,6 @@ from matcat.core import (
     _closures_and_ranks,
     bits,
     free,
-    from_elements,
     mask_of,
     read_checked,
     uniform,
@@ -435,6 +434,20 @@ class TestLoopsParallelSimplify:
     def test_coloops(self):
         assert free(3).coloops() == 0b111
         assert uniform(1, 2).coloops() == 0
+
+    def test_simple_cosimple_against_the_rank_table(self, catalogue7):
+        # simple: every set X of at most two elements has r(X) = |X|;
+        # cosimple: the dual's has, that is r(E - X) = r(E)
+        for rec in catalogue7:
+            m = rec.matroid()
+            table = m.rank_table
+            small = [mask_of((e, f)) for f in range(m.n) for e in range(f + 1)]
+            want = (
+                all(table[x] == x.bit_count() for x in small),
+                all(table[m.full & ~x] == m.rank for x in small),
+            )
+            assert m.simple_cosimple() == want, rec
+            assert m.dual().simple_cosimple() == want[::-1], rec
 
 
 class TestRelaxTruncate:

@@ -1,5 +1,5 @@
-"""No module of src/matcat imports a name it neither uses nor exports, and
-every file matcat writes has one layout.
+"""No module of src/matcat or tests imports a name it neither uses nor
+exports, and every file matcat writes has one layout.
 
 The checks parse each module with ast: an imported name counts as used when
 the module reads it anywhere, or lists it in __all__.  No module imports a
@@ -10,7 +10,8 @@ write_checked writes every catalogue and checkpoint, calls os.replace.
 import ast
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "matcat"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "matcat"
 
 
 def _unused_imports(tree):
@@ -65,8 +66,8 @@ def test_a_second_file_layout_is_found():
 
 def test_no_unused_imports():
     unused = [
-        f"{path.name}:{line}: {name}"
-        for path in sorted(SRC.glob("*.py"))
+        f"{path.parent.name}/{path.name}:{line}: {name}"
+        for path in sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py"))
         for line, name in _unused_imports(ast.parse(path.read_text(), filename=str(path)))
     ]
     assert unused == []

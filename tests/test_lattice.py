@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from matcat.core import Matroid, bits, free, from_elements, mask_of, uniform
+from matcat.core import Matroid, bits, free, mask_of, uniform
 from matcat.lattice import FlatLattice, InvalidCut, ModularCut
 from matcat.orderly import brute_force_enumerate
 

@@ -1,5 +1,4 @@
 import math
-import os
 
 import pytest
 
@@ -18,7 +17,6 @@ from matcat.orderly import (
     enumerate_matroids,
     extend_all,
     load_checkpoint,
-    save_checkpoint,
     totals_by_n,
     verify_duality_closure,
 )

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from matcat.canon import canonical_family, certificate, relabel_family, relabel_mask
+from matcat.canon import certificate, relabel_family, relabel_mask
 from matcat.core import mask_of, uniform
 from matcat.errors import FormatError
 from matcat.named import P8_CIRCUIT_HYPERPLANES, NotIndependent, p8, sparse_paving

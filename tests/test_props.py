@@ -1,7 +1,4 @@
-import random
-
 import numpy as np
-import pytest
 
 from examples import f8, l8, p2_doubleprime, p2_prime, p3
 from matcat.core import INFINITY, Matroid, free, uniform

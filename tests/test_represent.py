@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from examples import f8, l8, p2_doubleprime, p2_prime, p3
 import matcat
 from matcat import represent
-from matcat.canon import relabel_family
+from matcat.canon import certificate, minor, minor_certificate, relabel_family
 from matcat.core import Matroid, bits, free, mask_of, uniform
 from matcat.named import ag32, p1, p8, vamos
 from matcat.represent import (
@@ -217,7 +217,78 @@ class TestDualSide:
                 assert verify_representation(m, rep)
 
 
+@pytest.fixture(scope="module")
+def searched(catalogue7):
+    """Each n <= 7 class's GF(q) verdict by search, for q = 2..5."""
+    return [
+        {q: representable(rec.matroid(), q) is not None for q in (2, 3, 4, 5)}
+        for rec in catalogue7
+    ]
+
+
+def direct_excluded_minors(matroids, q, verdicts):
+    """excluded_minors by the direct computation: each input's own GF(q)
+    verdict and those of all 2n of its single-element minors.  verdicts maps
+    certificate bytes to GF(q) verdicts; a class missing from it is searched
+    and added."""
+
+    def verdict(m):
+        cert = certificate(m).bytes
+        if cert not in verdicts:
+            verdicts[cert] = representable(m, q) is not None
+        return verdicts[cert]
+
+    return [
+        m for m in matroids
+        if not verdict(m) and all(verdict(minor(m, i)) for i in range(2 * m.n))
+    ]
+
+
 class TestExcludedMinors:
+    @pytest.mark.parametrize("q", [2, 3, 4, 5])
+    def test_equal_to_the_direct_computation_through_seven(self, catalogue7, searched, q):
+        verdicts = {rec.cert: want[q] for rec, want in zip(catalogue7, searched)}
+        sevens = [rec for rec in catalogue7 if rec.n == 7]  # not minor-closed
+        for records in catalogue7, catalogue7[::-1], sevens:
+            want = direct_excluded_minors([rec.matroid() for rec in records], q, verdicts)
+            assert excluded_minors([rec.matroid() for rec in records], q) == want
+        # the 7-element excluded minors, found with their minors outside the input
+        assert len(want) == {2: 0, 3: 2, 4: 2, 5: 12}[q]
+
+    def test_equal_to_the_direct_computation_on_eight_gf2(self, catalogue8):
+        want = direct_excluded_minors([rec.matroid() for rec in catalogue8], 2, {})
+        assert excluded_minors([rec.matroid() for rec in catalogue8], 2) == want
+        assert len(want) == 1
+
+    @pytest.mark.parametrize("q", [2, 3, 4, 5])
+    def test_an_input_not_simple_or_not_cosimple_is_never_excluded(
+        self, catalogue7, catalogue8, searched, q
+    ):
+        # a loop, coloop, parallel or series element added to a matroid keeps
+        # it GF(q)-representable, so such a non-representable input has a
+        # non-representable single-element minor.  Through seven elements no
+        # such input fails GF(5), so GF(5) takes the eight-element classes.
+        by_cert = {rec.cert: want[q] for rec, want in zip(catalogue7, searched)}
+        records = catalogue7 if q < 5 else [rec for rec in catalogue8 if rec.n == 8]
+        checked = 0
+        for rec in records:
+            m = rec.matroid()
+            if all(m.simple_cosimple()) or representable(m, q) is not None:
+                continue
+            checked += 1
+            assert not all(
+                by_cert[minor_certificate(m, i)] for i in range(2 * m.n)
+            ), rec
+        assert checked == {2: 145, 3: 64, 4: 14, 5: 60}[q]
+
+    def test_minors_agree_across_an_element_orbit(self, matroids6):
+        # an automorphism taking e to f maps M \ e onto M \ f and M / e onto M / f
+        for m in matroids6:
+            for orbit in certificate(m).element_orbits:
+                for side in 0, 1:
+                    certs = {minor_certificate(m, 2 * e + side) for e in orbit}
+                    assert len(certs) == 1, (m, orbit, side)
+
     def test_binary_excluded_minor_through_six(self, matroids6):
         found = excluded_minors(matroids6, 2)
         assert len(found) == 1
@@ -247,14 +318,19 @@ class TestExcludedMinors:
         found = {}
         for q in (2, 3, 4, 5):
             found[q] = excluded_minors(mats, q)
-            # each input certified once, and each minor of an input at most
-            # once: a later field reuses the certificates cached on the inputs
+            # an input is certified once some field finds it simple, cosimple
+            # and not representable, which is when its minors are checked, and
+            # each minor slot at most once: a later field reuses the
+            # certificates cached on the inputs
+            labelled = sum(
+                all(m.simple_cosimple()) and not all(m._verdicts.values()) for m in mats
+            )
             certified = sum(
                 cert is not None
                 for m in mats
                 for cert in getattr(m, "_minor_certificates", ())
             )
-            assert len(calls) == len(mats) + certified
+            assert len(calls) == labelled + certified
         calls.clear()
         assert excluded_minors(mats, 3, {}) == found[3]
         assert calls == []
@@ -271,13 +347,6 @@ class TestExcludedMinors:
 
 class TestVerdicts:
     """represent._verdict reads a field's verdict off the fields known."""
-
-    @pytest.fixture(scope="class")
-    def searched(self, catalogue7):
-        return [
-            {q: representable(rec.matroid(), q) is not None for q in (2, 3, 4, 5)}
-            for rec in catalogue7
-        ]
 
     @pytest.fixture
     def search_calls(self, monkeypatch):
@@ -324,15 +393,19 @@ class TestVerdicts:
         mats = [rec.matroid() for rec in catalogue7]
         excluded_minors(mats, 2)
         search_calls.clear()
-        excluded_minors(mats, 4)
-        # the minors are inputs too, so every search is an input's own
-        assert len(search_calls) == sum(not want[2] for want in searched) < len(mats)
+        cache = {}
+        excluded_minors(mats, 4, cache)
+        # an input is searched only when it is simple and cosimple, and then
+        # only when it is not binary; every other search is a minor's, one per
+        # class in the cache
+        inputs = sum(
+            all(m.simple_cosimple()) and not want[2] for m, want in zip(mats, searched)
+        )
+        assert len(search_calls) == inputs + len(cache) < len(mats)
 
     def test_excluded_minors_in_reverse_field_order(self, catalogue7, searched):
         # shared instances, fields 5, 4, 3, 2: each input reads its verdicts
         # off the fields it already knows where they settle it
-        from matcat.canon import certificate, minor_certificate
-
         mats = [rec.matroid() for rec in catalogue7]
         found = {q: excluded_minors(mats, q) for q in (5, 4, 3, 2)}
         by_cert = {certificate(m).bytes: want for m, want in zip(mats, searched)}

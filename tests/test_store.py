@@ -3,10 +3,10 @@ import pytest
 from examples import f8, l8, p2_doubleprime, p2_prime, p3
 from signing import resign
 from matcat.canon import certificate
-from matcat.core import INFINITY, uniform
+from matcat.core import uniform
 from matcat.named import ag32, ag32_prime, p1, p8, vamos
 from matcat.orderable import base_orderable, strongly_base_orderable, transversal
-from matcat.orderly import CatalogueRecord, enumerate_matroids, pack_masks
+from matcat.orderly import CatalogueRecord, pack_masks
 from matcat.props import classify, ingleton_violating
 from matcat.represent import representable
 from matcat.errors import ChecksumMismatch, FormatError
