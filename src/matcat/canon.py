@@ -15,8 +15,8 @@ A node tries the elements of its target cell in order and skips an element
 that lies in the orbit closure of the elements already tried, under the
 generators found so far that fix every element individualized on the path
 to the node; the closure is a bitset that grows as elements are tried and
-generators found.  Discovered generators yield element orbits and, through
-a small stabilizer chain, the automorphism group order.
+generators found.  Discovered generators yield element orbits and the
+automorphism group order.
 
 Backjumping.  A leaf that matches the first or the least leaf kept yields
 an automorphism g, and the search then returns to the node where the two
@@ -31,6 +31,19 @@ leaf kept, the first in search order to reach that value, is never
 skipped, so the witness perm is unchanged as well.  The group the
 generators span is unchanged too; only the list is shorter (n - 1
 transpositions for the full symmetric group instead of all of them).
+
+Group order.  The first leaf's path b_1 .. b_k is a base of the group and
+the generators a strong generating set for it, so the order is the
+product of the orbit sizes of each b_i under the generators that fix
+b_1 .. b_i-1 (McKay 1981).  On the first path's node at depth i, each
+element of the target cell is searched, or skipped as an image of one
+searched under generators that fix the path so far.  A searched element
+of b_i's orbit roots an image of b_i's subtree, so it reaches a leaf equal
+to the first or the least leaf kept; the generator that leaf yields fixes
+b_1 .. b_i-1 and joins the element to b_i or to one searched earlier in
+the orbit, and its backjump returns to this node, so each orbit is
+complete.  Refinement is invariant and the first leaf is discrete, so
+only the identity fixes the whole path.
 
 Degree start.  When no cells are given and every mask has the same size,
 as for the vertex families of a Johnson graph, all masks start with one
@@ -48,13 +61,10 @@ only when it is the image, under an automorphism, of a subtree earlier in
 the search order; each leaf it holds then has an earlier leaf of the same
 value.  So the least leaf that comes first in the full search order is
 never skipped, with or without known automorphisms, and the least value and
-the witness perm stay the same.  The group stays the same too: the known
-automorphisms lie in it, and on the first path every element of a target
-cell's orbit under the path's stabilizer is either reached, which yields a
-generator mapping the first child onto it, or skipped as an image under
-generators held.  Only the generator list changes; it starts with the known
-automorphisms, and element orbits and the group order read from it are
-unchanged.
+the witness perm stay the same.  Known automorphisms only add elements of
+the group, so the group order argument above holds with them.  Only the
+generator list changes; it starts with the known automorphisms, and
+element orbits and the group order read from it are unchanged.
 """
 
 from __future__ import annotations
@@ -116,86 +126,6 @@ def _orbit_partition(n, gens):
     return tuple(tuple(g) for g in groups.values())
 
 
-class _StabilizerChain:
-    """Base, strong generators and transversals of a permutation group on
-    {0..n-1}, grown one generator at a time (Schreier-Sims).
-
-    Level j holds a base point, the strong generators that fix the base
-    points of the levels above it, and a transversal: each point of the
-    base point's orbit mapped to a group element sending the base point
-    there, and to its inverse.  Every Schreier generator of a level is
-    sifted through the levels below it, and a nonidentity residue becomes a
-    new strong generator, so the group order is the product of the orbit
-    lengths.
-    """
-
-    def __init__(self, n: int):
-        self.identity = tuple(range(n))
-        # [base point, strong generators, transversal, inverse transversal]
-        self.levels = []
-
-    def _sift(self, g, start=0):
-        """(residue, depth): g divided by transversal elements from level
-        start down, until a level's orbit misses its base point's image."""
-        for depth in range(start, len(self.levels)):
-            point, _, _, inv = self.levels[depth]
-            t = inv.get(g[point])
-            if t is None:
-                return g, depth
-            g = _compose(t, g)
-        return g, len(self.levels)
-
-    def add(self, g):
-        """Add g to the group."""
-        g, depth = self._sift(tuple(g))
-        if g != self.identity:
-            self._add_strong(0, depth, g)
-
-    def _add_strong(self, top, depth, g):
-        """Make g, which fixes the base points above level depth, a strong
-        generator of levels top..depth, deepest first."""
-        if depth == len(self.levels):
-            point = next(x for x, y in enumerate(g) if x != y)
-            e = self.identity
-            self.levels.append([point, [], {point: e}, {point: e}])
-        for j in range(depth, top - 1, -1):
-            self._extend_level(j, g)
-
-    def _extend_level(self, j, g):
-        _, gens, trans, inv = self.levels[j]
-        gens.append(g)
-        work = [(x, g) for x in trans]
-        while work:
-            x, s = work.pop()
-            y = s[x]
-            sx = _compose(s, trans[x])
-            ty = inv.get(y)
-            if ty is None:
-                trans[y] = sx
-                inv[y] = _invert(sx)
-                work.extend((y, h) for h in gens)
-                continue
-            if sx == trans[y]:
-                continue  # the Schreier generator is the identity
-            residue, depth = self._sift(_compose(ty, sx), j + 1)
-            if residue != self.identity:
-                self._add_strong(j + 1, depth, residue)
-
-    def order(self) -> int:
-        order = 1
-        for level in self.levels:
-            order *= len(level[2])
-        return order
-
-
-def group_order(n: int, gens) -> int:
-    """Order of the permutation group generated by gens."""
-    chain = _StabilizerChain(n)
-    for g in gens:
-        chain.add(g)
-    return chain.order()
-
-
 @dataclass
 class CanonicalForm:
     """Canonical relabelling of a mask family under element permutations."""
@@ -204,6 +134,7 @@ class CanonicalForm:
     masks: tuple            # canonical (relabelled, sorted) family
     perm: tuple             # element -> canonical label, one witness
     generators: tuple       # automorphism generators (element perms)
+    base: tuple             # the first leaf's path, a base of the group
     nodes: int = field(default=0, compare=False)  # search nodes visited
 
 
@@ -287,6 +218,16 @@ def _orbit_closure(closed, frontier, gens):
         frontier = new & ~closed
         closed |= frontier
     return closed
+
+
+def _order_down_base(base, gens) -> int:
+    """Order of the group gens span, given that base is a base of it and
+    gens a strong generating set for that base (see Group order)."""
+    order = 1
+    for b in base:
+        order *= _orbit_closure(1 << b, 1 << b, gens).bit_count()
+        gens = [g for g in gens if g[b] == b]
+    return order
 
 
 # mask -> its elements, ascending; filled as masks are met
@@ -435,7 +376,7 @@ def canonical_family(n, masks, cells=None, known=()):
     if cells is not None:
         _require_partition(n, cells)
     if n == 0:
-        return CanonicalForm(0, masks, (), ())
+        return CanonicalForm(0, masks, (), (), ())
     known = [tuple(g) for g in known]
     s = _Search(n, masks, _NODE_BUDGET, known)
     if cells is None and len(set(map(int.bit_count, masks))) <= 1:
@@ -456,7 +397,7 @@ def canonical_family(n, masks, cells=None, known=()):
         cells = _equitable_refine(s.hyps_of, cells, keys)
     _search(s, cells, keys, [], known)
     value, perm, _ = s.best
-    return CanonicalForm(n, value, perm, tuple(s.gens), s.nodes)
+    return CanonicalForm(n, value, perm, tuple(s.gens), tuple(s.first[2]), s.nodes)
 
 
 @dataclass
@@ -468,6 +409,7 @@ class Certificate:
     bytes: bytes
     perm: tuple
     generators: tuple
+    base: tuple
 
     @property
     def element_orbits(self):
@@ -475,7 +417,7 @@ class Certificate:
 
     @property
     def aut_order(self) -> int:
-        return group_order(self.n, self.generators)
+        return _order_down_base(self.base, self.generators)
 
     @property
     def orbit_count(self) -> int:
@@ -487,7 +429,7 @@ def certificate_for(n: int, rank: int, hyperplanes, known=()) -> Certificate:
     known: automorphisms that seed the search, as for canonical_family."""
     cf = canonical_family(n, hyperplanes, known=known)
     body = pack_ascending(cf.masks)
-    return Certificate(n, rank, bytes([n, rank]) + body, cf.perm, cf.generators)
+    return Certificate(n, rank, bytes([n, rank]) + body, cf.perm, cf.generators, cf.base)
 
 
 def certificate(m, known=()) -> Certificate:

@@ -2,8 +2,8 @@
 
 Exit codes: 0 ok, 2 usage, 3 budget exceeded, 4 verification mismatch,
 5 I/O or format failure.  Defaults stay at desk scale; the 9-element
-enumeration, GF(5) minors at 8 and the GF(5), orderability and
-transversality columns at 8 sit behind --extended.
+enumeration and the GF(5), orderability and transversality columns at 8
+sit behind --extended.
 """
 
 from __future__ import annotations
@@ -201,14 +201,17 @@ def cmd_query(args) -> int:
 def cmd_exminors(args) -> int:
     from .represent import excluded_minors
 
-    if args.field == 5 and args.max_n > 7 and not args.extended:
-        print("GF(5) beyond n=7 needs --extended", file=sys.stderr)
-        return EXIT_USAGE
     try:
         records = read_catalogue(args.catalogue)
     except (OSError, FormatError) as exc:
         print(f"cannot read catalogue: {exc}", file=sys.stderr)
         return EXIT_IO
+    largest = max((r.n for r in records), default=None)
+    if largest is None or args.max_n > largest:
+        held = "no records" if largest is None else f"n <= {largest}"
+        print(f"max-n {args.max_n} is above the catalogue, which holds {held}",
+              file=sys.stderr)
+        return EXIT_USAGE
     mats = [r.matroid() for r in records if r.n <= args.max_n]
     found = excluded_minors(mats, args.field)
     by_shape = {}
@@ -389,7 +392,6 @@ def build_parser() -> argparse.ArgumentParser:
     x.add_argument("--field", type=int, required=True, choices=(2, 3, 4, 5))
     x.add_argument("--max-n", type=int, required=True, choices=range(10))
     x.add_argument("--catalogue", required=True)
-    x.add_argument("--extended", action="store_true")
     x.set_defaults(func=cmd_exminors)
 
     o = sub.add_parser("oracle", help="brute-force cross-check for small n")

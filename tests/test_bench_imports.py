@@ -4,7 +4,8 @@ The benchmark imports matcat inside its functions and its tracer wraps some
 private functions by name, so a deletion in src/ that breaks it would show
 only when it runs.  These tests read its sources instead.  Its Johnson
 slice is checked against frozen node counts, so a change to the search
-tree shows here too; the reference file is read, never written.
+tree shows here too; the reference file is read, never written.  Each
+workload also runs once in the benchmark's smoke mode, in a subprocess.
 """
 
 import ast
@@ -12,6 +13,9 @@ import dataclasses
 import importlib
 import inspect
 import json
+import os
+import subprocess
+import sys
 from functools import partial
 from pathlib import Path
 
@@ -22,6 +26,10 @@ from matcat.paving import (
 )
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+WORKLOADS = [
+    w["name"]
+    for w in json.loads((PERFBENCH.parent / "BENCHMARK.json").read_text())["workloads"]
+]
 
 
 def _bench_imports():
@@ -136,3 +144,19 @@ def test_bench_call_shapes_bind():
     for cls, names in read:
         have = {f.name for f in dataclasses.fields(cls)} | set(dir(cls))
         assert set(names) <= have, cls
+
+
+@pytest.mark.parametrize("workload", WORKLOADS)
+def test_smoke_run(workload):
+    # each workload at smoke size, outputs checked against the reference:
+    # a change that breaks a workload's outputs or operations fails here
+    if workload == "enum8_pool" and len(os.sched_getaffinity(0)) < 2:
+        pytest.skip("enum8_pool needs 2 CPUs; the runner exits 3 with fewer")
+    argv = ["--workload", workload, "--seed", "1", "--seconds", "1", "--trace", "0", "--smoke"]
+    proc = subprocess.run(
+        [sys.executable, str(PERFBENCH / "run.py"), *argv],
+        cwd=PERFBENCH.parent, capture_output=True, text=True, timeout=600,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert (result["correct"], result["failed"]) == (True, 0), proc.stdout

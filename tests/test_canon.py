@@ -8,18 +8,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from examples import f8
+from groups import group_order
 from matcat.canon import (
     _compose,
     _equitable_refine,
     _invert,
     _orbit_closure,
     _orbit_partition,
+    _order_down_base,
     canonical_family,
     certificate,
     certificate_for,
     distinguished_element,
     element_has_minimal_signature,
-    group_order,
     is_isomorphic,
     minor,
     minor_certificate,
@@ -175,7 +176,21 @@ class TestDistinguishedElement:
         assert distinguished_element(fig1) == distinguished_element(fig1)
 
 
+class TestOrderDownBase:
+    """aut_order, read off the first leaf's path, is the order of the group
+    the generators span, as the reference stabilizer chain computes it."""
+
+    def test_every_class_and_its_dual_through_eight(self, catalogue8):
+        for rec in catalogue8:
+            m = rec.matroid()
+            for x in (m, m.dual()):
+                cert = certificate_for(x.n, x.rank, x.hyperplanes)
+                assert cert.aut_order == group_order(x.n, cert.generators), x
+
+
 class TestGroupOrder:
+    """The reference chain itself."""
+
     def test_trivial(self):
         assert group_order(5, []) == 1
 
@@ -500,11 +515,19 @@ def _ref_canonical_family(n, masks, cells=None):
     return value, perm, tuple(s.gens), s.nodes
 
 
+def _assert_order_down_base(n, cf):
+    # the order read off the first leaf's path is the Schreier-Sims order
+    assert _order_down_base(cf.base, cf.generators) == group_order(n, cf.generators), (
+        n, cf.masks, cf.base,
+    )
+
+
 def _assert_same_as_reference(n, masks, cells=None):
     cf = canonical_family(n, masks, cells=cells)
     value, perm, gens, _ = _ref_canonical_family(n, masks, cells)
     assert (cf.masks, cf.perm) == (value, perm), (n, masks, cells)
     assert group_order(n, cf.generators) == group_order(n, gens), (n, masks, cells)
+    _assert_order_down_base(n, cf)
     assert _orbit_partition(n, cf.generators) == _orbit_partition(n, gens)
 
 
@@ -590,6 +613,7 @@ class TestKnownAutomorphisms:
         seeded = canonical_family(n, masks, known=known)
         assert (seeded.masks, seeded.perm) == (plain.masks, plain.perm)
         assert group_order(n, seeded.generators) == group_order(n, plain.generators)
+        _assert_order_down_base(n, seeded)
         assert _orbit_partition(n, seeded.generators) == _orbit_partition(
             n, plain.generators
         )

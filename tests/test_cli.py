@@ -555,10 +555,26 @@ class TestOracleAndJohnson:
         out = capsys.readouterr().out
         assert "total 1" in out
 
-    def test_exminors_gf5_needs_extended(self, small_catalogue):
-        rc = main(["exminors", "--field", "5", "--max-n", "8",
-                   "--catalogue", small_catalogue])
-        assert rc == EXIT_USAGE
+    def test_exminors_gf5_at_eight(self, capsys, tmp_path, catalogue8):
+        # the GF(5) rows on 8 elements of criterion 07x, with no --extended
+        path = str(tmp_path / "cat8.txt")
+        write_catalogue(assign_ids(catalogue8), path)
+        assert main(["exminors", "--field", "5", "--max-n", "8",
+                     "--catalogue", path]) == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        assert [line for line in lines if line.startswith("   8 ")] == [
+            "   8    3     2", "   8    4    92", "   8    5     2",
+        ]
+        assert lines[-1] == "total 108"
+
+    def test_exminors_max_n_above_the_catalogue(self, capsys, small_catalogue):
+        # sizes the catalogue does not hold would be left out of the table
+        capsys.readouterr()
+        assert main(["exminors", "--field", "3", "--max-n", "8",
+                     "--catalogue", small_catalogue]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "max-n 8 is above the catalogue, which holds n <= 5\n"
 
     @pytest.mark.parametrize("max_n", ["-1", "10", "99"])
     @pytest.mark.parametrize("command", ["exminors", "query"])
@@ -587,6 +603,8 @@ class TestOracleAndJohnson:
         ["enum", "--max-n", "-1"],
         ["enum", "--max-n", "2", "--jobs", "-1"],
         ["props", "--catalogue", "absent.cat", "--jobs", "-1"],
+        ["exminors", "--field", "5", "--max-n", "7", "--catalogue", "absent.cat",
+         "--extended"],
     ],
     ids=" ".join,
 )
