@@ -1,9 +1,7 @@
 """Command-line entry points: enum, props, query, johnson, exminors, oracle.
 
 Exit codes: 0 ok, 2 usage, 3 budget exceeded, 4 verification mismatch,
-5 I/O or format failure.  Defaults stay at desk scale; the 9-element
-enumeration and the GF(5), orderability and transversality columns at 8
-sit behind --extended.
+5 I/O or format failure.
 """
 
 from __future__ import annotations
@@ -11,7 +9,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from functools import partial
 
 from .errors import BudgetExceeded, FormatError
 from .orderly import (
@@ -23,7 +20,6 @@ from .orderly import (
 )
 from .store import (
     assign_ids,
-    block_options,
     build_property_table,
     missing_base_triples,
     parse_property_tsv,
@@ -57,26 +53,30 @@ def _matrix_lines(counts, max_n, title):
     return lines
 
 
+def _load_resume(args, load):
+    """(job, None) for the checkpoint that --resume names, (None, None)
+    without --resume, or (None, exit code) after one stderr line."""
+    if not args.resume:
+        return None, None
+    if not args.checkpoint:
+        print("--resume needs --checkpoint", file=sys.stderr)
+        return None, EXIT_USAGE
+    try:
+        return load(args.checkpoint), None
+    except (OSError, ValueError) as exc:
+        print(f"cannot load checkpoint: {exc}", file=sys.stderr)
+        return None, EXIT_IO
+
+
 def cmd_enum(args) -> int:
-    checkpoint = args.checkpoint
-    resume_job = None
-    if args.resume:
-        if not checkpoint:
-            print("--resume needs --checkpoint", file=sys.stderr)
-            return EXIT_USAGE
-        try:
-            resume_job = load_checkpoint(checkpoint)
-        except (OSError, ValueError) as exc:
-            print(f"cannot load checkpoint: {exc}", file=sys.stderr)
-            return EXIT_IO
-        if resume_job.max_n != args.max_n:
-            print(
-                f"checkpoint is for --max-n {resume_job.max_n}, not {args.max_n}",
-                file=sys.stderr,
-            )
-            return EXIT_USAGE
-    if args.max_n > 8 and not args.extended:
-        print("max-n above 8 needs --extended", file=sys.stderr)
+    resume_job, code = _load_resume(args, load_checkpoint)
+    if code is not None:
+        return code
+    if resume_job is not None and resume_job.max_n != args.max_n:
+        print(
+            f"checkpoint is for --max-n {resume_job.max_n}, not {args.max_n}",
+            file=sys.stderr,
+        )
         return EXIT_USAGE
     def progress(level, done, total, children):
         print(
@@ -88,7 +88,7 @@ def cmd_enum(args) -> int:
         args.max_n,
         jobs=args.jobs,
         budget=args.budget,
-        checkpoint_path=checkpoint,
+        checkpoint_path=args.checkpoint,
         resume_job=resume_job,
         progress=progress if args.verbose else None,
     )
@@ -107,11 +107,7 @@ def cmd_props(args) -> int:
     except (OSError, FormatError) as exc:
         print(f"cannot read catalogue: {exc}", file=sys.stderr)
         return EXIT_IO
-    rows = build_property_table(
-        records,
-        partial(block_options, extended=args.extended),
-        jobs=args.jobs,
-    )
+    rows = build_property_table(records, jobs=args.jobs)
     tsv = render_property_tsv(rows)
     with open(args.out, "w") as fh:
         fh.write(tsv)
@@ -314,19 +310,12 @@ def cmd_johnson(args) -> int:
             f"seed {rep.seed})"
         )
         return EXIT_OK
-    resume = None
-    if args.resume:
-        if not args.checkpoint:
-            print("--resume needs --checkpoint", file=sys.stderr)
-            return EXIT_USAGE
-        try:
-            resume = load_iset_checkpoint(args.checkpoint)
-        except (OSError, ValueError) as exc:
-            print(f"cannot load checkpoint: {exc}", file=sys.stderr)
-            return EXIT_IO
-        if (resume.n, resume.vertices) != (g.n, g.vertices):
-            print(f"checkpoint is not a J({args.n},{args.k}) search", file=sys.stderr)
-            return EXIT_USAGE
+    resume, code = _load_resume(args, load_iset_checkpoint)
+    if code is not None:
+        return code
+    if resume is not None and (resume.n, resume.vertices) != (g.n, g.vertices):
+        print(f"checkpoint is not a J({args.n},{args.k}) search", file=sys.stderr)
+        return EXIT_USAGE
     if resume is not None:
         counts = resume.run(budget=args.budget, checkpoint_path=args.checkpoint)
     else:
@@ -367,7 +356,6 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--budget", type=int, default=None)
     e.add_argument("--checkpoint", default=None)
     e.add_argument("--resume", action="store_true")
-    e.add_argument("--extended", action="store_true")
     e.add_argument("--verbose", action="store_true")
     e.set_defaults(func=cmd_enum)
 
@@ -375,7 +363,6 @@ def build_parser() -> argparse.ArgumentParser:
     pr.add_argument("--catalogue", required=True)
     pr.add_argument("--out", default="properties.tsv")
     pr.add_argument("--jobs", type=jobs, default="0")
-    pr.add_argument("--extended", action="store_true")
     pr.set_defaults(func=cmd_props)
 
     q = sub.add_parser("query", help="query a property table")

@@ -5,9 +5,13 @@ line as `<id> <n> <rank> <h1,h2,...|->` with lowercase-hex masks sorted
 ascending (the `core` mask codec, which enumeration checkpoints share), and
 a sha256 footer (`core.write_checked`).  Their records are the one record type,
 `orderly.CatalogueRecord`, numbered by `assign_ids`.  Property tables
-are TSV with a fixed header; booleans are 0/1, infinities are `inf`, and
-columns that a run did not compute hold `-`.  `block_options` is the one
-policy for which columns a run computes at each ground-set size.
+are TSV with a versioned header; booleans are 0/1 and infinities are `inf`.
+`block_options` is the one policy for which columns a run computes at each
+ground-set size: every column through n = 8, and at n = 9 all but the
+GF(q), Ingleton, orderability and transversality columns, which hold `-`
+(as does a dual or simplification outside the catalogue).  Version 1
+tables, whose default also left columns out at n = 8, share the cell syntax
+and are still read.
 """
 
 from __future__ import annotations
@@ -25,7 +29,8 @@ from .errors import FormatError
 from .orderly import CatalogueRecord
 
 CATALOGUE_HEADER = "#matcat-catalogue v1"
-TABLE_HEADER = "#matcat-properties v1"
+TABLE_HEADER = "#matcat-properties v2"
+_TABLE_HEADERS = ("#matcat-properties v1", TABLE_HEADER)
 
 
 class UnknownColumn(KeyError):
@@ -122,20 +127,14 @@ class RowOptions:
     transversality: bool = True
 
 
-def block_options(n: int, extended: bool = False) -> RowOptions:
-    """Desk-scale column staging: the expensive columns shrink with n.
+def block_options(n: int) -> RowOptions:
+    """The columns computed for rows on n elements: all of them through n = 8.
 
     Nine-element rows keep the counting and symmetry columns but skip the
     search-heavy ones; those stay reachable through the library API.
     """
-    if n <= 7:
+    if n <= 8:
         return RowOptions()
-    if n == 8:
-        return RowOptions(
-            gf_fields=(2, 3, 4, 5) if extended else (2, 3, 4),
-            orderability=extended,
-            transversality=extended,
-        )
     return RowOptions(
         gf_fields=(), ingleton=False, orderability=False, transversality=False
     )
@@ -269,7 +268,7 @@ def _parse_cell(column, text):
 
 def parse_property_tsv(text: str) -> list:
     lines = text.splitlines()
-    if not lines or lines[0] != TABLE_HEADER:
+    if not lines or lines[0] not in _TABLE_HEADERS:
         raise FormatError("missing property-table header", line=1)
     if len(lines) < 2 or tuple(lines[1].split("\t")) != COLUMNS:
         raise FormatError("unexpected column header", line=2)

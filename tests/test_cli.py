@@ -23,7 +23,6 @@ from matcat.store import (
     TABLE_HEADER,
     CatalogueRecord,
     assign_ids,
-    block_options,
     parse_property_tsv,
     write_catalogue,
 )
@@ -80,9 +79,8 @@ class TestEnum:
         out = capsys.readouterr().out
         assert "Total     1     2     4     8" in out
 
-    def test_nine_requires_extended(self, workdir, capsys):
-        rc = main(["enum", "--max-n", "9", "--out", str(workdir / "x.txt")])
-        assert rc == EXIT_USAGE
+    def test_nine_needs_no_flag(self, tmp_path):
+        _stopped_enum(tmp_path, max_n="9", budget="10")  # exit 3, not a usage error
 
     def test_budget_exit_code(self, tmp_path):
         ck, lines = _stopped_enum(tmp_path)
@@ -238,30 +236,24 @@ def _sha256(path):
 
 
 # output digests pinned before the record type and the property-table
-# driver were each merged into one; catalogue and TSV bytes must not move
+# driver were each merged into one; catalogue and TSV bytes must not move.
+# TSV digests are taken under the version 1 header, the mixed one with every column on
 CATALOGUE6_SHA256 = "70aaf061c5e5c4b7544fbb8e42fbeba73165ad6a52d9a881dc2fd9a02a78e67e"
 CATALOGUE8_SHA256 = "11c94830cdfc324823b1c1e89555452292603049d5bbd03430ff459cd025cccb"
 PROPS6_SHA256 = "f60659955a252ef11a4be1d2972791de71195ca680df7500e881697609f876f7"
-MIXED_PROPS_SHA256 = {
-    False: "17e67b3dcc003a42d296b317c935358e3b7d13772cf4099880811d004d4694b4",
-    True: "06926ead0f13ae69828037c54c4b185bf85b9772afcac27a6984d35458027f17",
-}
+MIXED_PROPS_SHA256 = "06926ead0f13ae69828037c54c4b185bf85b9772afcac27a6984d35458027f17"
+V1_TABLE_HEADER = "#matcat-properties v1"
 STAGED_COLUMNS = (
     "repGF2", "repGF3", "repGF4", "repGF5", "ingletonViolating",
     "baseOrderable", "stronglyBaseOrderable", "transversal",
 )
 
 
-def _computed_columns(opts):
-    """The staged columns that a pass with opts fills in."""
-    columns = {f"repGF{q}" for q in opts.gf_fields}
-    if opts.ingleton:
-        columns.add("ingletonViolating")
-    if opts.orderability:
-        columns |= {"baseOrderable", "stronglyBaseOrderable"}
-    if opts.transversality:
-        columns.add("transversal")
-    return columns
+def _v1_sha256(path):
+    """The sha256 of a version 2 property table with its header read back as version 1."""
+    header, body = open(path).read().split("\n", 1)
+    assert header == TABLE_HEADER
+    return hashlib.sha256(f"{V1_TABLE_HEADER}\n{body}".encode()).hexdigest()
 
 
 class TestPinnedOutputs:
@@ -301,23 +293,20 @@ class TestPinnedOutputs:
         out = str(tmp_path / "p6.tsv")
         assert main(["props", "--catalogue", catalogue6_path, "--out", out,
                      "--jobs", jobs]) == EXIT_OK
-        assert _sha256(out) == PROPS6_SHA256
+        assert _v1_sha256(out) == PROPS6_SHA256
 
-    @pytest.mark.parametrize("extended", [False, True])
-    def test_mixed_sizes_follow_block_options(self, mixed_catalogue, tmp_path, extended):
+    def test_mixed_sizes_follow_block_options(self, mixed_catalogue, tmp_path):
         out = str(tmp_path / "mixed.tsv")
-        argv = ["props", "--catalogue", mixed_catalogue, "--out", out, "--jobs", "1"]
-        assert main(argv + ["--extended"] * extended) == EXIT_OK
-        assert _sha256(out) == MIXED_PROPS_SHA256[extended]
+        assert main(["props", "--catalogue", mixed_catalogue, "--out", out,
+                     "--jobs", "1"]) == EXIT_OK
+        assert TABLE_HEADER == "#matcat-properties v2"
+        assert _v1_sha256(out) == MIXED_PROPS_SHA256
         with open(out) as fh:
             rows = parse_property_tsv(fh.read())
         assert {row["n"] for row in rows} == {0, 1, 2, 3, 4, 5, 6, 8, 9}
+        # every column through n = 8; the search-heavy ones are `-` at n = 9
         for row in rows:
-            computed = _computed_columns(block_options(row["n"], extended))
-            for column in STAGED_COLUMNS:
-                assert (row[column] is not None) == (column in computed), (
-                    row["id"], column,
-                )
+            assert {row[c] is None for c in STAGED_COLUMNS} == {row["n"] == 9}, row["id"]
 
 
 class TestQuery:
@@ -351,6 +340,20 @@ class TestQuery:
         assert main(["query", "rank=0", "--table", small_table]) == EXIT_OK
         lines = capsys.readouterr().out.strip().splitlines()
         assert len(lines) == 6
+
+    def test_version1_table_with_dashes(self, tmp_path, capsys, small_table):
+        # a version 1 table that left repGF5 out at n = 5; `-` matches no comparison
+        _, columns, *lines = open(small_table).read().splitlines()
+        rows = [line.split("\t") for line in lines]
+        for cells in rows:
+            if cells[COLUMNS.index("n")] == "5":
+                cells[COLUMNS.index("repGF5")] = "-"
+        table = tmp_path / "v1.tsv"
+        table.write_text("\n".join([V1_TABLE_HEADER, columns, *map("\t".join, rows)]) + "\n")
+        parsed = parse_property_tsv(table.read_text())
+        assert [row["repGF5"] for row in parsed if row["n"] == 5] == [None] * 38
+        assert main(["query", "repGF5=true", "--group-by", "n", "--table", str(table)]) == EXIT_OK
+        assert capsys.readouterr().out.split() == "0 1 1 2 2 4 3 8 4 17".split()
 
     def test_bad_expression(self, capsys, small_table):
         rc = main(["query", "bogus=1", "--table", small_table, "--count"])
@@ -601,8 +604,10 @@ class TestOracleAndJohnson:
         ["johnson", "--n", "7", "--self-dual"],
         ["enum", "--max-n", "10", "--extended"],
         ["enum", "--max-n", "-1"],
+        ["enum", "--max-n", "8", "--extended"],
         ["enum", "--max-n", "2", "--jobs", "-1"],
         ["props", "--catalogue", "absent.cat", "--jobs", "-1"],
+        ["props", "--catalogue", "absent.cat", "--extended"],
         ["exminors", "--field", "5", "--max-n", "7", "--catalogue", "absent.cat",
          "--extended"],
     ],
