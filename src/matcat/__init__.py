@@ -12,7 +12,6 @@ from .core import (
     Matroid,
     NotCircuitHyperplane,
     free,
-    from_elements,
     uniform,
 )
 from .canon import certificate, distinguished_element, is_isomorphic
@@ -32,7 +31,6 @@ __all__ = [
     "enumerate_matroids",
     "extend_all",
     "free",
-    "from_elements",
     "is_isomorphic",
     "uniform",
 ]

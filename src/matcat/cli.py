@@ -139,16 +139,15 @@ def _print_orderability_table(rows, max_n):
             if not sel:
                 cells.append("")
                 continue
-            total = len(sel)
-            bo = sum(1 for r in sel if r["baseOrderable"]) if all(
-                r["baseOrderable"] is not None for r in sel
-            ) else None
-            sbo = sum(1 for r in sel if r["stronglyBaseOrderable"]) if bo is not None else None
-            tr = sum(1 for r in sel if r["transversal"]) if all(
-                r["transversal"] is not None for r in sel
-            ) else None
-            fmt = lambda v: "-" if v is None else str(v)
-            cells.append(f"{total}/{fmt(bo)}/{fmt(sbo)}/{fmt(tr)}")
+            # a size's rows are all searched or all not (store.block_options)
+            if sel[0]["transversal"] is None:
+                cells.append(f"{len(sel)}/-/-/-")
+                continue
+            bo, sbo, tr = (
+                sum(1 for r in sel if r[c])
+                for c in ("baseOrderable", "stronglyBaseOrderable", "transversal")
+            )
+            cells.append(f"{len(sel)}/{bo}/{sbo}/{tr}")
         print(str(rank).ljust(9) + "".join(c.rjust(22) for c in cells))
 
 

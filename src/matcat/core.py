@@ -507,12 +507,3 @@ def uniform(r: int, n: int) -> Matroid:
 def free(n: int) -> Matroid:
     return uniform(n, n)
 
-
-def from_elements(n: int, families) -> Matroid:
-    """Build from hyperplanes given as element iterables or digit strings."""
-    masks = []
-    for fam in families:
-        if isinstance(fam, str):
-            fam = [int(ch, 16) for ch in fam]
-        masks.append(mask_of(fam))
-    return Matroid.from_hyperplanes(n, masks)

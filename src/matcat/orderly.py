@@ -31,6 +31,7 @@ generators are kept for the next level only, and never checkpointed.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import multiprocessing
 from dataclasses import dataclass, field
@@ -185,17 +186,12 @@ def enumerate_matroids(
     job = resume_job if resume_job is not None else EnumerationJob(max_n)
     if job.max_n != max_n:
         raise ValueError(f"checkpoint was for max_n={job.max_n}")
-    pool = None
-    if jobs > 1:
-        pool = multiprocessing.Pool(jobs)
-    try:
+    # leaving the with block terminates the pool, so a budget stop does not
+    # wait for the parents the level has queued
+    with (multiprocessing.Pool(jobs) if jobs > 1 else contextlib.nullcontext()) as pool:
         while job.level < max_n:
             _advance_level(job, pool, budget, checkpoint_path, progress)
-        return sorted(job.emitted, key=CatalogueRecord.sort_key)
-    finally:
-        if pool is not None:
-            pool.close()
-            pool.join()
+    return sorted(job.emitted, key=CatalogueRecord.sort_key)
 
 
 def _advance_level(job, pool, budget, checkpoint_path, progress):

@@ -395,7 +395,15 @@ class EstimateReport:
 def estimate_iset_count(
     g: JohnsonGraph, prefix_size: int, sample_fraction: float, seed: int
 ) -> EstimateReport:
-    """Estimate total orbit count by completing a sampled prefix frontier."""
+    """Estimate total orbit count by completing a sampled prefix frontier.
+
+    ValueError, before any search, unless prefix_size >= 0 and
+    0 < sample_fraction <= 1.
+    """
+    if prefix_size < 0:
+        raise ValueError("prefix_size must be at least 0")
+    if not 0 < sample_fraction <= 1:
+        raise ValueError("sample_fraction must lie in (0, 1]")
     search = johnson_search(g, max_size=prefix_size, collect=True)
     search.run()
     frontier = [s for s in search.collected if len(s) == prefix_size]

@@ -20,7 +20,6 @@ import math
 import multiprocessing
 import re
 from dataclasses import dataclass
-from functools import partial
 
 from .core import (
     INFINITY, format_packed, pack_ascending, parse_record_fields, read_checked, write_checked,
@@ -117,31 +116,31 @@ _BOOL_COLUMNS = {
 }
 
 
+SEARCH_COLUMNS = (
+    "repGF2", "repGF3", "repGF4", "repGF5",
+    "ingletonViolating", "baseOrderable", "stronglyBaseOrderable", "transversal",
+)
+
+
 @dataclass(frozen=True)
 class RowOptions:
-    """Which expensive columns a property pass computes."""
+    """Whether a property pass runs the searches behind SEARCH_COLUMNS."""
 
-    gf_fields: tuple = (2, 3, 4, 5)
-    ingleton: bool = True
-    orderability: bool = True
-    transversality: bool = True
+    searches: bool = True
 
 
 def block_options(n: int) -> RowOptions:
-    """The columns computed for rows on n elements: all of them through n = 8.
+    """The options of rows on n elements: every column through n = 8.
 
     Nine-element rows keep the counting and symmetry columns but skip the
-    search-heavy ones; those stay reachable through the library API.
+    searches; those stay reachable through the library API.
     """
-    if n <= 8:
-        return RowOptions()
-    return RowOptions(
-        gf_fields=(), ingleton=False, orderability=False, transversality=False
-    )
+    return RowOptions(searches=n <= 8)
 
 
 def compute_row(rec: CatalogueRecord, opts: RowOptions) -> dict:
-    """The property row of one record, with the columns opts computes.
+    """The property row of one record; SEARCH_COLUMNS are None unless
+    opts.searches.
 
     Where the columns computed so far settle a column by a theorem, it is
     read off them instead of searched, so every value stays exact.  The
@@ -151,8 +150,7 @@ def compute_row(rec: CatalogueRecord, opts: RowOptions) -> dict:
     GF(q) column is no violator.  Transversal matroids are gammoids, and
     gammoids are strongly base orderable (Brualdi 1969, Mason 1972), so
     transversal runs before the orderability searches and a transversal row
-    is base orderable and strongly base orderable.  A column that opts
-    leaves out settles nothing.
+    is base orderable and strongly base orderable.
     """
     from .canon import certificate
     from .orderable import base_orderable, strongly_base_orderable, transversal
@@ -169,28 +167,21 @@ def compute_row(rec: CatalogueRecord, opts: RowOptions) -> dict:
         "autOrder": cert.aut_order,
         "numOrbits": cert.orbit_count,
         "connectivity": m.connectivity(),
+        **dict.fromkeys(SEARCH_COLUMNS),
         "dualId": None,
         "simplificationId": None,
     }
-    for q in (2, 3, 4, 5):
-        row[f"repGF{q}"] = _verdict(m, q) if q in opts.gf_fields else None
-    if not opts.ingleton:
-        row["ingletonViolating"] = None
-    elif any(row[f"repGF{q}"] for q in (2, 3, 4, 5)):
-        row["ingletonViolating"] = False
-    else:
-        row["ingletonViolating"] = ingleton_violating(m) is not None
-    is_transversal = transversal(m) is not None if opts.transversality else None
-    if not opts.orderability:
-        row["baseOrderable"] = row["stronglyBaseOrderable"] = None
-    elif is_transversal:
-        row["baseOrderable"] = row["stronglyBaseOrderable"] = True
-    else:
-        row["baseOrderable"] = base_orderable(m)
-        row["stronglyBaseOrderable"] = (
-            strongly_base_orderable(m) if row["baseOrderable"] else False
-        )
-    row["transversal"] = is_transversal
+    if opts.searches:
+        for q in (2, 3, 4, 5):
+            row[f"repGF{q}"] = _verdict(m, q)
+        some_field = any(row[f"repGF{q}"] for q in (2, 3, 4, 5))
+        row["ingletonViolating"] = not some_field and ingleton_violating(m) is not None
+        row["transversal"] = transversal(m) is not None
+        if row["transversal"]:
+            row["baseOrderable"] = row["stronglyBaseOrderable"] = True
+        else:
+            row["baseOrderable"] = base_orderable(m)
+            row["stronglyBaseOrderable"] = row["baseOrderable"] and strongly_base_orderable(m)
     # certificates of derived matroids resolve to ids in a later pass
     # Aut(M*) = Aut(M), which seeds the dual's search
     row["_dualCert"] = certificate(m.dual(), cert.generators).bytes
@@ -211,28 +202,19 @@ def resolve_cross_references(rows) -> list:
     return out
 
 
-def build_property_table(records, options=block_options, jobs: int = 1):
-    """One row per record with property columns and cross-reference ids.
+def _block_row(rec: CatalogueRecord) -> dict:
+    # compute_row is looked up at each call, so patching store.compute_row takes effect
+    return compute_row(rec, block_options(rec.n))
 
-    options maps a ground-set size to the RowOptions of its rows; jobs > 1
-    computes the rows on a worker pool of that size.
-    """
-    by_n = {}
-    for rec in records:
-        by_n.setdefault(rec.n, []).append(rec)
-    rows = []
-    pool = multiprocessing.Pool(jobs) if jobs > 1 else None
-    try:
-        for n, recs in sorted(by_n.items()):
-            row_of = partial(compute_row, opts=options(n))
-            if pool is None:
-                rows.extend(map(row_of, recs))
-            else:
-                rows.extend(pool.map(row_of, recs, chunksize=16))
-    finally:
-        if pool is not None:
-            pool.close()
-            pool.join()
+
+def build_property_table(records, jobs: int = 1):
+    """One row per record (with block_options' columns) and cross-reference
+    ids; jobs > 1 computes the rows on a worker pool of that size."""
+    if jobs > 1:
+        with multiprocessing.Pool(jobs) as pool:
+            rows = pool.map(_block_row, records, chunksize=16)
+    else:
+        rows = list(map(_block_row, records))
     return resolve_cross_references(rows)
 
 

@@ -33,7 +33,7 @@ from matcat.paving import (
     estimate_iset_count,
     johnson_graph,
 )
-from matcat.store import assign_ids, build_property_table, missing_base_triples, RowOptions
+from matcat.store import assign_ids, compute_row, missing_base_triples, RowOptions
 
 TABLE1_TOTALS = [1, 2, 4, 8, 17, 38, 98, 306, 1724]
 
@@ -276,11 +276,7 @@ def test_criterion_07x_excluded_minors_gf5_n8(matroids8):
 
 
 def test_criterion_08_welsh_missing_base_triples(catalogue8):
-    rows = build_property_table(
-        assign_ids(catalogue8),
-        lambda n: RowOptions(gf_fields=(), ingleton=False, orderability=False,
-                             transversality=False),
-    )
+    rows = [compute_row(rec, RowOptions(searches=False)) for rec in assign_ids(catalogue8)]
     missing = missing_base_triples(rows, 8)
     ok = missing == [(6, 3, 11)]
     report(8, ok, f"missing base triples through n=8: {missing}")

@@ -20,6 +20,7 @@ from matcat.paving import johnson_graph, johnson_search, save_iset_checkpoint
 from signing import resign
 from matcat.store import (
     COLUMNS,
+    SEARCH_COLUMNS,
     TABLE_HEADER,
     CatalogueRecord,
     assign_ids,
@@ -243,10 +244,6 @@ CATALOGUE8_SHA256 = "11c94830cdfc324823b1c1e89555452292603049d5bbd03430ff459cd02
 PROPS6_SHA256 = "f60659955a252ef11a4be1d2972791de71195ca680df7500e881697609f876f7"
 MIXED_PROPS_SHA256 = "06926ead0f13ae69828037c54c4b185bf85b9772afcac27a6984d35458027f17"
 V1_TABLE_HEADER = "#matcat-properties v1"
-STAGED_COLUMNS = (
-    "repGF2", "repGF3", "repGF4", "repGF5", "ingletonViolating",
-    "baseOrderable", "stronglyBaseOrderable", "transversal",
-)
 
 
 def _v1_sha256(path):
@@ -306,7 +303,7 @@ class TestPinnedOutputs:
         assert {row["n"] for row in rows} == {0, 1, 2, 3, 4, 5, 6, 8, 9}
         # every column through n = 8; the search-heavy ones are `-` at n = 9
         for row in rows:
-            assert {row[c] is None for c in STAGED_COLUMNS} == {row["n"] == 9}, row["id"]
+            assert {row[c] is None for c in SEARCH_COLUMNS} == {row["n"] == 9}, row["id"]
 
 
 class TestQuery:

@@ -5,6 +5,9 @@ The checks parse each module with ast: an imported name counts as used when
 the module reads it anywhere, or lists it in __all__.  No module imports a
 serializer (json, pickle, marshal, shelve), and only core, whose
 write_checked writes every catalogue and checkpoint, calls os.replace.
+Every worker pool is opened by a with statement, whose exit terminates it:
+close() and join() would first run every task already queued, so a budget
+stop inside a level would wait for the whole level.
 """
 
 import ast
@@ -62,6 +65,39 @@ def test_a_second_file_layout_is_found():
     tree = ast.parse("import json\nfrom os import replace\nos.replace(a, b)\n")
     assert _layout_breaches(tree, "core") == ["json"]
     assert _layout_breaches(tree, "paving") == ["json", "os.replace", "os.replace"]
+
+
+def _unmanaged_pools(tree):
+    """Lines of Pool(...) calls that are neither the context expression of a
+    with nor a branch of a conditional one."""
+    managed = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.withitem):
+            expr = node.context_expr
+            branches = (expr.body, expr.orelse) if isinstance(expr, ast.IfExp) else (expr,)
+            managed.update(map(id, branches))
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and ast.unparse(node.func).endswith("Pool")
+            and id(node) not in managed]
+
+
+def test_every_pool_is_a_with():
+    pools = [
+        f"{path.name}:{line}"
+        for path in sorted(SRC.glob("*.py"))
+        for line in _unmanaged_pools(ast.parse(path.read_text()))
+    ]
+    assert pools == []
+
+
+def test_a_pool_outside_a_with_is_found():
+    tree = ast.parse(
+        "with multiprocessing.Pool(2) as pool: pass\n"
+        "with (Pool(2) if jobs > 1 else nullcontext()) as pool: pass\n"
+        "pool = multiprocessing.Pool(2)\n"
+        "with closing(Pool(2)) as pool: pass\n"
+    )
+    assert _unmanaged_pools(tree) == [3, 4]
 
 
 def test_no_unused_imports():

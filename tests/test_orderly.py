@@ -1,3 +1,4 @@
+import functools
 import math
 
 import pytest
@@ -351,6 +352,30 @@ class TestCheckpointing:
         assert job.level == 6 and 0 < job.next_parent < len(job.parents)
         records = enumerate_matroids(7, jobs=2, checkpoint_path=path, resume_job=job)
         assert records == catalogue7
+
+    def test_pooled_budget_stop_leaves_the_level(self, tmp_path, monkeypatch):
+        # imap queues every parent of the level at once; a pool that is
+        # closed and joined after the stop would extend all 306 of level 8
+        log = tmp_path / "tasks.txt"
+        worker = orderly._worker
+
+        @functools.wraps(worker)  # pickled by name, so the workers run it
+        def logged(args):
+            with open(log, "a") as fh:
+                fh.write(f"{args[0]}\n")
+            return worker(args)
+
+        monkeypatch.setattr(orderly, "_worker", logged)
+        paths = {jobs: str(tmp_path / f"ck{jobs}.txt") for jobs in (1, 2)}
+        with pytest.raises(ResourceBudgetExceeded):
+            enumerate_matroids(8, jobs=2, budget=30000, checkpoint_path=paths[2])
+        assert 0 < log.read_text().split().count("7") < TABLE1_TOTALS[7]
+        job = load_checkpoint(paths[2])
+        assert job.level == 7 and 0 < job.next_parent < len(job.parents)
+        with pytest.raises(ResourceBudgetExceeded):
+            enumerate_matroids(8, budget=30000, checkpoint_path=paths[1])
+        with open(paths[1], "rb") as one, open(paths[2], "rb") as two:
+            assert one.read() == two.read()
 
     @pytest.fixture
     def budget_checkpoint(self, tmp_path, monkeypatch):

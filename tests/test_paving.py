@@ -484,6 +484,20 @@ class TestEstimator:
             mean += (below + desc * len(frontier)) / len(frontier)
         assert mean == pytest.approx(exact)
 
+    @pytest.mark.parametrize(
+        "prefix_size, fraction, message",
+        [(-1, 1.0, "prefix_size"), (2, 5.0, "sample_fraction"), (2, -1.0, "sample_fraction"),
+         (2, 0.0, "sample_fraction"), (2, float("nan"), "sample_fraction")],
+    )
+    def test_out_of_range_refused_before_search(self, monkeypatch, prefix_size,
+                                                fraction, message):
+        def no_search(*args, **kwargs):
+            raise AssertionError("searched")
+
+        monkeypatch.setattr(paving, "johnson_search", no_search)
+        with pytest.raises(ValueError, match=message):
+            estimate_iset_count(johnson_graph(6, 3), prefix_size, fraction, 0)
+
     def test_seeded_determinism(self):
         g = johnson_graph(7, 3)
         a = estimate_iset_count(g, 3, 0.5, seed=11)

@@ -13,6 +13,7 @@ from matcat.errors import ChecksumMismatch, FormatError
 from matcat.store import (
     CATALOGUE_HEADER,
     COLUMNS,
+    SEARCH_COLUMNS,
     RowOptions,
     TypeMismatch,
     UnknownColumn,
@@ -25,6 +26,7 @@ from matcat.store import (
     query,
     read_catalogue,
     render_property_tsv,
+    resolve_cross_references,
     write_catalogue,
 )
 
@@ -165,9 +167,8 @@ class TestPropertyTable:
 
     def test_uncomputed_columns_render_as_dash(self, catalogue6):
         records = assign_ids([r for r in catalogue6 if r.n <= 2])
-        rows = build_property_table(
-            records, lambda n: RowOptions(gf_fields=(), ingleton=False,
-                                          orderability=False, transversality=False)
+        rows = resolve_cross_references(
+            [compute_row(rec, RowOptions(searches=False)) for rec in records]
         )
         tsv = render_property_tsv(rows)
         assert "\t-\t" in tsv
@@ -199,8 +200,8 @@ class TestPropertyTable:
         assert calls == labellings
 
 
-def reference_row(rec, opts):
-    """compute_row with every column it computes searched on its own, none
+def reference_row(rec):
+    """compute_row's full row with every column searched on its own, none
     read off another."""
     m = rec.matroid()
     cert = certificate(m)
@@ -216,24 +217,11 @@ def reference_row(rec, opts):
         "simplificationId": None,
     }
     for q in (2, 3, 4, 5):
-        col = f"repGF{q}"
-        row[col] = (
-            (representable(m, q) is not None) if q in opts.gf_fields else None
-        )
-    row["ingletonViolating"] = (
-        (ingleton_violating(m) is not None) if opts.ingleton else None
-    )
-    if opts.orderability:
-        row["baseOrderable"] = base_orderable(m)
-        row["stronglyBaseOrderable"] = (
-            strongly_base_orderable(m) if row["baseOrderable"] else False
-        )
-    else:
-        row["baseOrderable"] = row["stronglyBaseOrderable"] = None
-    if opts.transversality:
-        row["transversal"] = transversal(m) is not None
-    else:
-        row["transversal"] = None
+        row[f"repGF{q}"] = representable(m, q) is not None
+    row["ingletonViolating"] = ingleton_violating(m) is not None
+    row["baseOrderable"] = base_orderable(m)
+    row["stronglyBaseOrderable"] = strongly_base_orderable(m) if row["baseOrderable"] else False
+    row["transversal"] = transversal(m) is not None
     row["_dualCert"] = certificate(m.dual(), cert.generators).bytes
     row["_simplificationCert"] = certificate(m.simplify()).bytes
     row["_cert"] = cert.bytes
@@ -254,30 +242,18 @@ def shortcut_records(catalogue7, high_rank8):
 
 @pytest.fixture(scope="module")
 def reference_rows(shortcut_records):
-    return [reference_row(rec, RowOptions()) for rec in shortcut_records]
+    return [reference_row(rec) for rec in shortcut_records]
 
 
 class TestImpliedColumns:
     """compute_row reads columns off each other; reference_row searches them."""
 
     @pytest.mark.parametrize(
-        "opts",
-        [
-            RowOptions(),
-            RowOptions(gf_fields=(4, 5)),
-            RowOptions(gf_fields=(5, 3)),
-            RowOptions(gf_fields=()),
-            RowOptions(transversality=False),
-        ],
-        ids=["all", "gf45", "gf53", "no-gf", "no-transversal"],
+        "opts", [RowOptions(), RowOptions(searches=False)], ids=["all", "no-searches"]
     )
     def test_rows_match_the_searches(self, shortcut_records, reference_rows, opts):
-        # reference_row searches each column on its own, so its row under
-        # opts is its full row with the columns opts leaves out set to None
-        left_out = {f"repGF{q}": None for q in (2, 3, 4, 5) if q not in opts.gf_fields}
-        if not opts.transversality:
-            left_out["transversal"] = None
-        assert opts.ingleton and opts.orderability
+        # without the searches, the full row with exactly SEARCH_COLUMNS None
+        left_out = {} if opts.searches else dict.fromkeys(SEARCH_COLUMNS)
         bad = [
             rec.id for rec, full in zip(shortcut_records, reference_rows)
             if compute_row(rec, opts) != {**full, **left_out}
